@@ -22,16 +22,7 @@ from .catalog import catalog_names, run_entry, sweep
 from .columnar import ehrhard_symmetral, gauss_perimeter, steiner_symmetral
 from .errors import EhrhardError, FormatError
 from .gauss import phi, psi
-from .jsonio import (
-    breakdown_to_json,
-    certificate_to_json,
-    columnar_from_json,
-    columnar_to_json,
-    profile_from_json,
-    rigidity_report_to_json,
-    scene_to_json,
-    spanning_to_json,
-)
+from .jsonio import columnar_from_json, columnar_to_json, profile_from_json, to_json
 from .connectedness import essentially_disconnects
 from .profiles import scene
 from .render import render_columnar, render_profile
@@ -101,7 +92,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("rigidity", help="rigidity verdict of a profile")
     p.add_argument("--method", choices=("theorem", "planar", "search"), default="theorem")
-    p.add_argument("--tolerance", type=float, default=1e-10)
     p.add_argument("--in", dest="infile", default="-", metavar="FILE")
     p.add_argument("--out", default="-", metavar="FILE")
 
@@ -134,12 +124,12 @@ def _build_parser() -> _Parser:
 def _cmd_rigidity(args: argparse.Namespace) -> int:
     prof = profile_from_json(_read_json(args.infile))
     if args.method == "planar":
-        report = rigidity_verdict_planar(prof, args.tolerance)
+        report = rigidity_verdict_planar(prof)
     elif args.method == "search":
         report = exhaustive_search(prof)
     else:
-        report = rigidity_verdict(prof, args.tolerance)
-    _write_json(args.out, rigidity_report_to_json(report))
+        report = rigidity_verdict(prof)
+    _write_json(args.out, to_json(report))
     return 0
 
 
@@ -158,9 +148,9 @@ def _cmd_connectedness(args: argparse.Namespace) -> int:
     sc = scene(prof, kind=args.kind)
     disconnected, witness = essentially_disconnects(sc)
     payload = {
-        "scene": scene_to_json(sc),
+        "scene": to_json(sc),
         "disconnects": disconnected,
-        "witness": certificate_to_json(witness) if disconnected else spanning_to_json(witness),
+        "witness": to_json(witness),
     }
     _write_json(args.out, payload)
     return 0
@@ -184,11 +174,9 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
         payload = {
             "name": result.name,
             "passed": result.passed,
-            "checks": [
-                {"label": c.label, "ok": c.ok, "detail": c.detail} for c in result.checks
-            ],
+            "checks": to_json(result.checks),
             "extras": result.extras,
-            "report": rigidity_report_to_json(result.report),
+            "report": to_json(result.report),
         }
         (outdir / f"{result.name}.json").write_text(
             json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8"
@@ -240,7 +228,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 0
         if args.command == "perimeter":
             e = columnar_from_json(_read_json(args.infile))
-            _write_json(args.out, breakdown_to_json(gauss_perimeter(e)))
+            _write_json(args.out, to_json(gauss_perimeter(e)))
             return 0
         if args.command == "symmetrize":
             e = columnar_from_json(_read_json(args.infile))

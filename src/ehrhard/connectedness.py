@@ -81,12 +81,6 @@ class Scene:
     def g_cells(self) -> list[CellId]:
         return [c.id for c in self.cells if c.in_g]
 
-    def cell(self, cid: CellId) -> SceneCell:
-        for c in self.cells:
-            if c.id == tuple(cid):
-                return c
-        raise PartitionError(f"cell {cid} not in scene")
-
 
 @dataclass(frozen=True)
 class PartitionCertificate:
@@ -219,19 +213,6 @@ def essentially_disconnects(
     if len(groups) == 1:
         return False, SpanningStructure(cells=tuple(g), tree_facets=tuple(sorted(tree)))
     return True, certificate_for(scene, groups[0])
-
-
-def essentially_connected(scene: Scene) -> bool:
-    """Connectivity of G through all positive-measure interfaces, ignoring
-    blocked flags entirely. Empty G counts as connected (vacuously)."""
-    g = scene.g_cells()
-    if not g:
-        return True
-    uf = UnionFind(g)
-    for sf in scene.facets:
-        if sf.gauss > 0.0:
-            uf.union(sf.cells[0], sf.cells[1])
-    return len(uf.groups()) == 1
 
 
 # ----------------------------------------------------------------------

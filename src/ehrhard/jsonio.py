@@ -5,25 +5,26 @@ for the infinite endpoints wherever a number is expected. Facets encode as
 ``[axis, line, lateral]``; on 1-D bases the shorthand ``[line]`` is
 accepted on input. Cell values and sections nest by cell index: a flat
 list for 1-D bases, a list of rows (first axis index outermost) for 2-D.
+
+Reports (verdicts, certificates, scenes, perimeter breakdowns) are
+output only and share one rule, :func:`to_json`: a dataclass becomes an
+object of its fields, with fields that are ``None`` omitted; every float
+is a number or an inf sentinel; tuples and lists become lists; enums
+become their values; facets and columnar sets use the encodings above.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from typing import Any, Optional
+from enum import Enum
+from typing import Any, Callable
 
-from .columnar import ColumnarSet, PerimeterBreakdown
-from .connectedness import PartitionCertificate, Scene, SpanningStructure
+from .columnar import ColumnarSet
 from .errors import FormatError
 from .grids import Facet, Grid
 from .intervals import IntervalSet
 from .profiles import Profile, SingularAnnotation
-from .rigidity import (
-    ComplementSplitReport,
-    EqualityCaseReport,
-    LevelRestrictionReport,
-    RigidityReport,
-)
 
 INF = math.inf
 
@@ -101,7 +102,9 @@ def facet_to_json(f: Facet) -> list[int]:
 
 
 def facet_from_json(data: Any, base_dim: int) -> Facet:
-    if not isinstance(data, list) or not all(isinstance(x, int) for x in data):
+    if not isinstance(data, list) or not all(
+        isinstance(x, int) and not isinstance(x, bool) for x in data
+    ):
         raise FormatError(f"bad facet {data!r}")
     if len(data) == 1 and base_dim == 1:
         return Facet(0, data[0], 0)
@@ -139,7 +142,7 @@ def _unnest(grid: Grid, data: Any, what: str) -> dict:
                     raise FormatError(f"{what}: row {i} has {len(data[i])} entries, expected {ny}")
                 for j in range(ny):
                     out[(i, j)] = data[i][j]
-    except TypeError as exc:
+    except (TypeError, KeyError) as exc:
         raise FormatError(f"{what}: malformed nesting") from exc
     return out
 
@@ -164,8 +167,11 @@ def profile_from_json(data: Any) -> Profile:
     grid = grid_from_json(data)
     raw = _unnest(grid, data.get("values"), "values")
     values = {cid: decode_number(v) for cid, v in raw.items()}
+    items = data.get("annotations", [])
+    if not isinstance(items, list):
+        raise FormatError("'annotations' must be a list")
     annotations = []
-    for item in data.get("annotations", ()):
+    for item in items:
         if not isinstance(item, dict) or "facet" not in item:
             raise FormatError(f"bad annotation {item!r}")
         annotations.append(
@@ -200,146 +206,52 @@ def columnar_from_json(data: Any) -> ColumnarSet:
 # report documents (output only)
 
 
-def certificate_to_json(c: PartitionCertificate) -> dict[str, Any]:
-    return {
-        "plus_cells": [list(x) for x in c.plus_cells],
-        "minus_cells": [list(x) for x in c.minus_cells],
-        "interface_facets": [facet_to_json(f) for f in c.interface_facets],
-        "unblocked_interface_measure": c.unblocked_interface_measure,
-        "plus_gauss": c.plus_gauss,
-        "minus_gauss": c.minus_gauss,
-    }
+def _same(x: Any) -> Any:
+    return x
 
 
-def spanning_to_json(s: SpanningStructure) -> dict[str, Any]:
-    return {
-        "cells": [list(x) for x in s.cells],
-        "tree_facets": [facet_to_json(f) for f in s.tree_facets],
-    }
+def _list(x: Any) -> list[Any]:
+    return [to_json(v) for v in x]
 
 
-def breakdown_to_json(b: PerimeterBreakdown) -> dict[str, Any]:
-    return {
-        "horizontal": [
-            {
-                "cell": list(face.cell),
-                "level": face.level,
-                "normal": face.normal,
-                "gauss": face.gauss,
-                "lebesgue": encode_number(face.lebesgue),
-            }
-            for face in b.horizontal
-        ],
-        "vertical": [
-            {
-                "facet": facet_to_json(face.facet),
-                "section_symdiff": face.section_symdiff,
-                "gauss": face.gauss,
-                "lebesgue": encode_number(face.lebesgue),
-                "normal": face.normal,
-            }
-            for face in b.vertical
-        ],
-        "horizontal_gauss": b.horizontal_gauss,
-        "vertical_gauss": b.vertical_gauss,
-        "total_gauss": b.total_gauss,
-        "total_lebesgue": encode_number(b.total_lebesgue),
-    }
+def _enum(x: Enum) -> Any:
+    return x.value
 
 
-def scene_to_json(s: Scene) -> dict[str, Any]:
-    return {
-        "kind": s.kind,
-        "base_dim": s.base_dim,
-        "cells": [
-            {
-                "id": list(c.id),
-                "value": c.value,
-                "in_g": c.in_g,
-                "gauss": c.gauss,
-                "lebesgue": encode_number(c.lebesgue),
-            }
-            for c in s.cells
-        ],
-        "facets": [
-            {
-                "facet": facet_to_json(f.facet),
-                "cells": [list(f.cells[0]), list(f.cells[1])],
-                "gauss": f.gauss,
-                "wedge": f.wedge,
-                "vee": f.vee,
-                "blocked": f.blocked,
-                "annotated": f.annotated,
-            }
-            for f in s.facets
-        ],
-    }
+# exact type -> encoder; report classes are added on first use.
+_ENCODERS: dict[type, Callable[[Any], Any]] = {
+    float: encode_number,
+    bool: _same,
+    int: _same,
+    str: _same,
+    type(None): _same,
+    tuple: _list,
+    list: _list,
+    Facet: facet_to_json,
+    ColumnarSet: columnar_to_json,
+}
 
 
-def rigidity_report_to_json(r: RigidityReport) -> dict[str, Any]:
-    doc: dict[str, Any] = {
-        "verdict": r.verdict.value,
-        "method": r.method,
-        "annotated": r.annotated,
-        "partitions_checked": r.partitions_checked,
-        "notes": list(r.notes),
-    }
-    if r.certificate is not None:
-        doc["certificate"] = certificate_to_json(r.certificate)
-    if r.connectivity is not None:
-        doc["connectivity"] = spanning_to_json(r.connectivity)
-    if r.counterexample is not None:
-        doc["counterexample"] = columnar_to_json(r.counterexample)
-    if r.perimeter_check is not None:
-        doc["perimeter_check"] = {
-            "candidate": r.perimeter_check.candidate,
-            "symmetral": r.perimeter_check.symmetral,
-            "difference": r.perimeter_check.difference,
-        }
-    if r.symdiff_check is not None:
-        doc["symdiff_check"] = {
-            "vs_symmetral": r.symdiff_check.vs_symmetral,
-            "vs_reflected": r.symdiff_check.vs_reflected,
-        }
-    return doc
+def _encoder_for(cls: type) -> Callable[[Any], Any]:
+    """Encoder for an enum or dataclass type (TypeError for anything else)."""
+    if issubclass(cls, Enum):
+        return _enum
+    names = tuple(f.name for f in dataclasses.fields(cls))
+
+    def encode(x: Any) -> dict[str, Any]:
+        doc = {}
+        for name in names:
+            value = getattr(x, name)
+            if value is not None:
+                doc[name] = to_json(value)
+        return doc
+
+    return encode
 
 
-def equality_report_to_json(r: EqualityCaseReport) -> dict[str, Any]:
-    doc: dict[str, Any] = {
-        "max_distribution_error": r.max_distribution_error,
-        "is_distributed": r.is_distributed,
-        "perimeter_check": {
-            "candidate": r.perimeter_check.candidate,
-            "symmetral": r.perimeter_check.symmetral,
-            "difference": r.perimeter_check.difference,
-        },
-        "equality": r.equality,
-        "halfline_total": r.halfline_total,
-        "symdiff_check": {
-            "vs_symmetral": r.symdiff_check.vs_symmetral,
-            "vs_reflected": r.symdiff_check.vs_reflected,
-        },
-        "passed": r.passed,
-    }
-    if r.classification is not None:
-        doc["classification"] = {
-            ",".join(map(str, cid)): kind.value
-            for cid, kind in sorted(r.classification.labels.items())
-        }
-    return doc
-
-
-def level_report_to_json(r: LevelRestrictionReport) -> dict[str, Any]:
-    return {
-        "levels": list(r.levels),
-        "passed": list(r.passed),
-        "overall": r.overall,
-    }
-
-
-def complement_report_to_json(r: ComplementSplitReport) -> dict[str, Any]:
-    return {
-        "set_indecomposable": r.set_indecomposable,
-        "complement_indecomposable": r.complement_indecomposable,
-        "overall": r.overall,
-    }
+def to_json(x: Any) -> Any:
+    """Encode a report object (a dataclass tree) by the module's rule."""
+    enc = _ENCODERS.get(type(x))
+    if enc is None:
+        enc = _ENCODERS[type(x)] = _encoder_for(type(x))
+    return enc(x)

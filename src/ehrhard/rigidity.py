@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .columnar import (
     ColumnarSet,
@@ -40,7 +40,7 @@ from .connectedness import (
     indecomposable,
 )
 from .errors import EhrhardError, PartitionError, ProfileError, SearchBoundError
-from .gauss import gamma1, gap, psi
+from .gauss import gamma1, psi
 from .grids import CellId, Facet
 from .intervals import IntervalSet
 from .profiles import Profile, approx_limits, from_profile, scene
@@ -56,7 +56,6 @@ __all__ = [
     "EqualityCaseReport",
     "verify_equality_case",
     "exhaustive_search",
-    "gap",
     "LevelRestrictionReport",
     "check_pino",
     "default_levels",
@@ -147,7 +146,7 @@ def _nonrigid_report(
     )
 
 
-def rigidity_verdict(p: Profile, tolerance: float = 1e-10) -> RigidityReport:
+def rigidity_verdict(p: Profile) -> RigidityReport:
     """Decide rigidity through essential connectedness of the scene graph."""
     sc = scene(p)
     disconnected, witness = essentially_disconnects(sc)
@@ -179,7 +178,7 @@ def _planar_rigid(p: Profile) -> bool:
     return True
 
 
-def rigidity_verdict_planar(p: Profile, tolerance: float = 1e-10) -> RigidityReport:
+def rigidity_verdict_planar(p: Profile) -> RigidityReport:
     """Decide rigidity of a 1-D profile by the run criterion.
 
     The contiguous-run test is evaluated independently and cross-checked
@@ -188,7 +187,7 @@ def rigidity_verdict_planar(p: Profile, tolerance: float = 1e-10) -> RigidityRep
     """
     if p.grid.base_dim != 1:
         raise ProfileError("planar rigidity criterion needs a 1-D base")
-    report = rigidity_verdict(p, tolerance)
+    report = rigidity_verdict(p)
     if _planar_rigid(p) != report.rigid:
         raise EhrhardError("planar run criterion disagrees with the scene route")
     return replace(report, method="planar-theorem")

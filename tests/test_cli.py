@@ -32,6 +32,87 @@ def write_columnar(tmp_path, e, name="set.json"):
     return str(path)
 
 
+# Whole output documents for nonrigid_profile(): any change to the report
+# JSON format, or to a number in it, shows up here.
+CERTIFICATE_DOC = {
+    "interface_facets": [],
+    "minus_cells": [[0]],
+    "minus_gauss": 0.15865525393145707,
+    "plus_cells": [[2]],
+    "plus_gauss": 0.15865525393145707,
+    "unblocked_interface_measure": 0.0,
+}
+RIGIDITY_DOC = {
+    "annotated": False,
+    "certificate": CERTIFICATE_DOC,
+    "counterexample": {
+        "grid": {"base_dim": 1, "breakpoints": [["-inf", -1.0, 1.0, "inf"]]},
+        "sections": [
+            [["-inf", -0.5244005127080409]],
+            [["-inf", "inf"]],
+            [[-0.2533471031357998, "inf"]],
+        ],
+    },
+    "method": "theorem",
+    "notes": [],
+    "partitions_checked": 0,
+    "perimeter_check": {
+        "candidate": 0.9591019767032827,
+        "difference": 0.0,
+        "symmetral": 0.9591019767032827,
+    },
+    "symdiff_check": {
+        "vs_reflected": 0.12692420314516567,
+        "vs_symmetral": 0.09519315235887425,
+    },
+    "verdict": "NonRigid",
+}
+
+
+def scene_cells_doc(middle_in_g):
+    return [
+        {"gauss": 0.15865525393145707, "id": [0], "in_g": True, "lebesgue": "inf", "value": 0.3},
+        {"gauss": 0.6826894921370859, "id": [1], "in_g": middle_in_g, "lebesgue": 2.0, "value": 1.0},
+        {"gauss": 0.15865525393145707, "id": [2], "in_g": True, "lebesgue": "inf", "value": 0.6},
+    ]
+
+
+CONNECTEDNESS_EHRHARD_DOC = {
+    "disconnects": True,
+    "scene": {"base_dim": 1, "cells": scene_cells_doc(False), "facets": [], "kind": "ehrhard"},
+    "witness": CERTIFICATE_DOC,
+}
+CONNECTEDNESS_STEINER_DOC = {
+    "disconnects": False,
+    "scene": {
+        "base_dim": 1,
+        "cells": scene_cells_doc(True),
+        "facets": [
+            {
+                "annotated": False,
+                "blocked": False,
+                "cells": [[0], [1]],
+                "facet": [0, 1, 0],
+                "gauss": 0.6065306597126334,
+                "vee": 1.0,
+                "wedge": 0.3,
+            },
+            {
+                "annotated": False,
+                "blocked": False,
+                "cells": [[1], [2]],
+                "facet": [0, 2, 0],
+                "gauss": 0.6065306597126334,
+                "vee": 1.0,
+                "wedge": 0.6,
+            },
+        ],
+        "kind": "steiner",
+    },
+    "witness": {"cells": [[0], [1], [2]], "tree_facets": [[0, 1, 0], [0, 2, 0]]},
+}
+
+
 class TestScalars:
     def test_phi(self, capsys):
         assert main(["phi", "1.0"]) == 0
@@ -131,6 +212,32 @@ class TestRigidity:
         assert main(["connectedness", "--kind", "steiner", "--in", infile]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["disconnects"] is False
+
+    def test_exact_documents(self, tmp_path, capsys):
+        infile = write_profile(tmp_path, nonrigid_profile())
+        for args, want in (
+            (["rigidity"], RIGIDITY_DOC),
+            (["connectedness"], CONNECTEDNESS_EHRHARD_DOC),
+            (["connectedness", "--kind", "steiner"], CONNECTEDNESS_STEINER_DOC),
+        ):
+            assert main([*args, "--in", infile]) == 0
+            assert json.loads(capsys.readouterr().out) == want
+
+    def test_tolerance_is_usage_error(self, tmp_path, capsys):
+        infile = write_profile(tmp_path, nonrigid_profile())
+        with pytest.raises(SystemExit) as info:
+            main(["rigidity", "--tolerance", "0.5", "--in", infile])
+        assert info.value.code == 1
+        assert "--tolerance" in capsys.readouterr().err
+
+    def test_malformed_profile_is_input_error(self, tmp_path, capsys):
+        doc = profile_to_json(nonrigid_profile())
+        for bad in (dict(doc, annotations=5), dict(doc, annotations=[{"facet": [True]}])):
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(bad), encoding="utf-8")
+            assert main(["rigidity", "--in", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("ehrhard: error:") and "Traceback" not in err
 
 
 class TestCatalogCommands:

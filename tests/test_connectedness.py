@@ -17,7 +17,6 @@ from ehrhard import (
     certificate_for,
     complement_indecomposable,
     decompose,
-    essentially_connected,
     essentially_disconnects,
     gauss_perimeter,
     gauss_volume,
@@ -98,18 +97,11 @@ class TestSceneConnectivity:
         assert essentially_disconnects(scene(p))[0]
         assert not essentially_disconnects(scene(p, kind="steiner"))[0]
 
-    def test_essentially_connected_ignores_blocking(self):
-        ann = SingularAnnotation(Facet(0, 2, 0), 0.0, 0.5)
-        p = self.profile((0.3, 0.5, 0.6, 0.4), [ann])
-        assert essentially_connected(scene(p))
-        assert essentially_disconnects(scene(p))[0]
-
     def test_empty_g_vacuous(self):
         p = self.profile((0.0, 1.0, 0.0, 1.0))
         flag, witness = essentially_disconnects(scene(p))
         assert not flag
         assert witness == SpanningStructure(cells=(), tree_facets=())
-        assert essentially_connected(scene(p))
 
     def test_certificate_for_validates_minus_side(self):
         s = scene(self.profile((0.3, 0.5, 0.6, 0.4)))

@@ -1,6 +1,8 @@
 import json
 import math
 import random
+from dataclasses import dataclass
+from typing import Optional
 
 import pytest
 
@@ -12,33 +14,28 @@ from ehrhard import (
     IntervalSet,
     Profile,
     SingularAnnotation,
+    Verdict,
     check_gino,
     check_pino,
     gauss_perimeter,
     rigidity_verdict,
     scene,
-    verify_equality_case,
     from_profile,
 )
 from ehrhard.jsonio import (
-    breakdown_to_json,
     columnar_from_json,
     columnar_to_json,
-    complement_report_to_json,
     decode_number,
     encode_number,
-    equality_report_to_json,
     facet_from_json,
     facet_to_json,
     grid_from_json,
     grid_to_json,
     interval_set_from_json,
     interval_set_to_json,
-    level_report_to_json,
     profile_from_json,
     profile_to_json,
-    rigidity_report_to_json,
-    scene_to_json,
+    to_json,
 )
 from conftest import random_columnar, random_profile_1d, random_profile_2d
 
@@ -120,6 +117,12 @@ class TestFacets:
             with pytest.raises(FormatError):
                 facet_from_json(bad, base_dim=2)
 
+    def test_rejects_bool_entries(self):
+        with pytest.raises(FormatError):
+            facet_from_json([True], base_dim=1)
+        with pytest.raises(FormatError):
+            facet_from_json([0, False, 1], base_dim=2)
+
 
 class TestProfiles:
     def test_round_trip_exact_1d(self):
@@ -155,6 +158,24 @@ class TestProfiles:
         with pytest.raises(FormatError):
             profile_from_json(bad_ann)
 
+    def test_values_must_be_lists(self):
+        doc = profile_to_json(Profile(Grid((0.0, 1.0)), {(0,): 0.5}))
+        with pytest.raises(FormatError):
+            profile_from_json(dict(doc, values={"0": 0.5}))
+        g = Grid((0.0, 1.0), (0.0, 1.0))
+        doc = profile_to_json(Profile(g, {(0, 0): 0.5}))
+        with pytest.raises(FormatError):
+            profile_from_json(dict(doc, values=[{"0": 0.5}]))
+        doc = columnar_to_json(ColumnarSet(Grid((0.0, 1.0)), {}))
+        with pytest.raises(FormatError):
+            columnar_from_json(dict(doc, sections={"0": []}))
+
+    def test_annotations_must_be_a_list(self):
+        doc = profile_to_json(Profile(Grid((0.0, 1.0)), {(0,): 0.5}))
+        for bad in (5, None, 1.5):
+            with pytest.raises(FormatError):
+                profile_from_json(dict(doc, annotations=bad))
+
 
 class TestColumnar:
     def test_round_trip_exact(self):
@@ -187,7 +208,7 @@ class TestReports:
 
     def test_rigidity_report_serializes(self):
         report = rigidity_verdict(self.profile())
-        doc = through_json(rigidity_report_to_json(report))
+        doc = through_json(to_json(report))
         assert doc["verdict"] == "NonRigid"
         assert doc["method"] == "theorem"
         assert doc["certificate"]["minus_cells"] == [[0]]
@@ -195,25 +216,16 @@ class TestReports:
 
     def test_rigid_report_serializes(self):
         p = Profile(Grid((-INF, 0.0, INF)), {(0,): 0.3, (1,): 0.7})
-        doc = through_json(rigidity_report_to_json(rigidity_verdict(p)))
+        doc = through_json(to_json(rigidity_verdict(p)))
         assert doc["verdict"] == "Rigid"
         assert doc["connectivity"]["tree_facets"] == [[0, 1, 0]]
 
-    def test_equality_report_serializes(self):
-        p = self.profile()
-        report = rigidity_verdict(p)
-        check = verify_equality_case(report.counterexample, p)
-        doc = through_json(equality_report_to_json(check))
-        assert doc["passed"] is True
-        assert doc["classification"]["0"] == "G-"
-        assert doc["classification"]["1"] == "G1"
-
     def test_scene_and_breakdown_serialize(self):
         p = self.profile()
-        doc = through_json(scene_to_json(scene(p)))
+        doc = through_json(to_json(scene(p)))
         assert doc["kind"] == "ehrhard"
         assert [c["in_g"] for c in doc["cells"]] == [True, False, True]
-        bd = through_json(breakdown_to_json(gauss_perimeter(from_profile(p))))
+        bd = through_json(to_json(gauss_perimeter(from_profile(p))))
         assert bd["total_gauss"] == pytest.approx(
             gauss_perimeter(from_profile(p)).total_gauss
         )
@@ -221,11 +233,46 @@ class TestReports:
 
     def test_check_reports_serialize(self):
         p = self.profile()
-        lev = through_json(level_report_to_json(check_pino(p)))
+        lev = through_json(to_json(check_pino(p)))
         assert lev["overall"] is False and len(lev["levels"]) == len(lev["passed"])
-        comp = through_json(complement_report_to_json(check_gino(p)))
+        comp = through_json(to_json(check_gino(p)))
         assert comp == {
             "set_indecomposable": True,
             "complement_indecomposable": False,
             "overall": False,
         }
+
+
+@dataclass(frozen=True)
+class _Inner:
+    facet: Facet
+    width: float
+
+
+@dataclass(frozen=True)
+class _Outer:
+    kind: Verdict
+    inner: tuple[_Inner, ...]
+    cells: tuple[tuple[int, ...], ...]
+    missing: Optional[_Inner] = None
+    count: int = 0
+
+
+class TestEncoder:
+    def test_encoding_rule(self):
+        inner = (_Inner(Facet(0, 2, 0), INF), _Inner(Facet(1, 1, 3), -INF))
+        doc = to_json(_Outer(Verdict.RIGID, inner, ((0,), (1, 2))))
+        assert doc == {
+            "kind": "Rigid",
+            "inner": [
+                {"facet": [0, 2, 0], "width": "inf"},
+                {"facet": [1, 1, 3], "width": "-inf"},
+            ],
+            "cells": [[0], [1, 2]],
+            "count": 0,
+        }
+        assert list(doc) == ["kind", "inner", "cells", "count"]
+
+    def test_unknown_type_rejected(self):
+        with pytest.raises(TypeError):
+            to_json({1, 2})
