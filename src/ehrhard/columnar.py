@@ -25,6 +25,7 @@ from .grids import CellId, Facet, Grid
 from .intervals import IntervalSet
 
 INF = math.inf
+_EMPTY = IntervalSet()
 
 
 class ColumnarSet:
@@ -52,6 +53,14 @@ class ColumnarSet:
         self._grid = grid
         self._sections = cooked
 
+    @classmethod
+    def _of_cells(cls, grid: Grid, sections: dict[CellId, IntervalSet]) -> "ColumnarSet":
+        """Set over non-empty sections keyed by ``grid``'s own cells (no checks)."""
+        e = object.__new__(cls)
+        e._grid = grid
+        e._sections = sections
+        return e
+
     @property
     def grid(self) -> Grid:
         return self._grid
@@ -61,7 +70,7 @@ class ColumnarSet:
         return dict(self._sections)
 
     def section(self, cid: CellId) -> IntervalSet:
-        return self._sections.get(tuple(cid), IntervalSet.empty())
+        return self._sections.get(tuple(cid), _EMPTY)
 
     def support(self) -> list[CellId]:
         """Cells with non-empty sections, in lexicographic order."""
@@ -170,12 +179,12 @@ def gauss_perimeter(e: ColumnarSet) -> PerimeterBreakdown:
                 )
             )
 
+    # the exterior (cell None) and unoccupied cells have the empty section
+    sections = e._sections
+    column_mass = {cid: gamma1(s) for cid, s in sections.items()}
     vertical: list[VerticalFace] = []
-    for f in g.facets():
-        lo_cid, hi_cid = g.facet_cells(f)
-        s_lo = e.section(lo_cid) if lo_cid is not None else IntervalSet.empty()
-        s_hi = e.section(hi_cid) if hi_cid is not None else IntervalSet.empty()
-        diff = s_lo.symdiff(s_hi)
+    for f, lo_cid, hi_cid, facet_mass in g.adjacency():
+        diff = sections.get(lo_cid, _EMPTY).symdiff(sections.get(hi_cid, _EMPTY))
         if diff.is_empty:
             continue
         mass = gamma1(diff)
@@ -183,9 +192,9 @@ def gauss_perimeter(e: ColumnarSet) -> PerimeterBreakdown:
             VerticalFace(
                 facet=f,
                 section_symdiff=mass,
-                gauss=g.facet_gauss(f) * mass,
+                gauss=facet_mass * mass,
                 lebesgue=g.facet_lebesgue(f) * diff.length(),
-                normal=+1 if gamma1(s_hi) >= gamma1(s_lo) else -1,
+                normal=+1 if column_mass.get(hi_cid, 0.0) >= column_mass.get(lo_cid, 0.0) else -1,
             )
         )
 
@@ -216,7 +225,9 @@ def reflect(e: ColumnarSet) -> ColumnarSet:
     interval masses re-evaluate ``phi`` at negated endpoints and may move
     by an ulp.
     """
-    return ColumnarSet(e.grid, {cid: s.reflect() for cid, s in e._sections.items()})
+    return ColumnarSet._of_cells(
+        e.grid, {cid: s.reflect() for cid, s in e._sections.items()}
+    )
 
 
 def ehrhard_symmetral(e: ColumnarSet) -> ColumnarSet:
@@ -255,7 +266,7 @@ def steiner_symmetral(e: ColumnarSet) -> ColumnarSet:
 def restrict(e: ColumnarSet, cells: Iterable[CellId]) -> ColumnarSet:
     """Keep only the sections over the given cells."""
     keep = {e.grid.check_cell(cid) for cid in cells}
-    return ColumnarSet(
+    return ColumnarSet._of_cells(
         e.grid, {cid: s for cid, s in e._sections.items() if cid in keep}
     )
 
@@ -278,9 +289,10 @@ def complement(e: ColumnarSet) -> ColumnarSet:
     out: dict[CellId, IntervalSet] = {}
     for cid in big.cells():
         parent = _parent_cell(e.grid, big, cid)
-        s = e.section(parent) if parent is not None else IntervalSet.empty()
-        out[cid] = s.complement()
-    return ColumnarSet(big, out)
+        s = e._sections.get(parent, _EMPTY).complement()
+        if not s.is_empty:
+            out[cid] = s
+    return ColumnarSet._of_cells(big, out)
 
 
 def complement_facet_map(original: Grid, extended: Grid, f: Facet) -> Facet:
@@ -336,10 +348,10 @@ def symdiff_volume(e: ColumnarSet, f: ColumnarSet) -> float:
     if e.grid != f.grid:
         e, f = common_refinement(e, f)
     g = e.grid
-    cells = sorted(set(e.support()) | set(f.support()))
+    es, fs = e._sections, f._sections
     return math.fsum(
-        g.cell_gauss(cid) * gamma1(e.section(cid).symdiff(f.section(cid)))
-        for cid in cells
+        g.cell_gauss(cid) * gamma1(es.get(cid, _EMPTY).symdiff(fs.get(cid, _EMPTY)))
+        for cid in sorted(es.keys() | fs.keys())
     )
 
 

@@ -11,8 +11,10 @@ Separately, a columnar set decomposes into *pieces*: per column, each
 interval of positive Gaussian mass is a node, and two pieces are adjacent
 when their columns share a facet and their sections overlap in positive
 mass. The set is indecomposable when the pieces form one component of
-positive total mass. Gamma-null pieces and gamma-null facets are invisible:
-both are null sets and cannot carry or break connections.
+positive total mass. Gamma-null pieces are invisible: they are null sets
+and cannot carry or break connections. Interior facets always have
+positive measure (a finite line and a non-degenerate span), so none is
+dropped, even where its float measure underflows to 0.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Iterable, Union
 
 from .columnar import ColumnarSet, complement, complement_facet_map
 from .errors import PartitionError
-from .gauss import gamma1
+from .gauss import phi
 from .grids import CellId, Facet
 from .intervals import Interval, IntervalSet
 
@@ -70,7 +72,8 @@ class Scene:
     ``kind`` records which symmetrization the scene serves: ``"ehrhard"``
     scenes take G = {0 < v < 1} and block interfaces with wedge 0 or vee 1;
     ``"steiner"`` scenes take G = {v > 0} and block only wedge 0.
-    Interfaces of zero base measure are dropped at construction.
+    Every interface between two G-cells is kept: it has positive base
+    measure by its structure, even where ``gauss`` underflows to 0.0.
     """
 
     kind: str
@@ -133,11 +136,12 @@ class UnionFind:
         self._size = {x: 1 for x in self._parent}
 
     def find(self, x):
+        parent = self._parent
         root = x
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[x] != root:
-            self._parent[x], x = root, self._parent[x]
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
         return root
 
     def union(self, a, b) -> bool:
@@ -205,7 +209,7 @@ def essentially_disconnects(
     uf = UnionFind(g)
     tree: list[Facet] = []
     for sf in scene.facets:
-        if sf.blocked or sf.gauss <= 0.0:
+        if sf.blocked:
             continue
         if uf.union(sf.cells[0], sf.cells[1]):
             tree.append(sf.facet)
@@ -221,22 +225,12 @@ def essentially_disconnects(
 PieceId = tuple[CellId, int]
 
 
-def _pieces_of(e: ColumnarSet) -> dict[PieceId, Interval]:
-    """Positive-mass intervals of the set, keyed by (cell, running index)."""
-    out: dict[PieceId, Interval] = {}
-    for cid in e.support():
-        for k, iv in enumerate(e.section(cid)):
-            if gamma1(iv) > 0.0:
-                out[(cid, k)] = iv
-    return out
-
-
 def indecomposable(e: ColumnarSet, severed_facets: Iterable[Facet] = ()) -> bool:
     """True when the set is a single essential piece of positive mass.
 
     ``severed_facets`` removes specific interfaces from the adjacency (used
     by the sufficient-condition checkers to honor declared singular
-    annotations); by default all positive-measure facets may connect.
+    annotations); by default every interior facet may connect.
     Empty and gamma-null sets are decomposable by convention (they carry
     no positive mass to hold together).
     """
@@ -247,29 +241,41 @@ def indecomposable(e: ColumnarSet, severed_facets: Iterable[Facet] = ()) -> bool
 def decompose_ids(
     e: ColumnarSet, severed_facets: Iterable[Facet] = ()
 ) -> list[list[PieceId]]:
-    """Connected components of the piece graph, as lists of piece ids."""
-    pieces = _pieces_of(e)
-    if not pieces:
+    """Connected components of the piece graph, as lists of piece ids.
+
+    A piece is an interval of positive gamma1 mass, keyed by (cell, running
+    index); two pieces across a facet connect when their overlap has
+    positive mass. ``phi`` is taken once per piece endpoint: an overlap's
+    endpoints are endpoints of its two pieces.
+    """
+    ids: list[PieceId] = []
+    # cell -> [(piece number, lo, hi, phi(lo), phi(hi))], numbered in id order
+    by_cell: dict[CellId, list[tuple[int, float, float, float, float]]] = {}
+    for cid in e.support():
+        for k, iv in enumerate(e.section(cid)):
+            tail_lo, tail_hi = phi(iv.lo), phi(iv.hi)
+            if tail_lo - tail_hi > 0.0:
+                by_cell.setdefault(cid, []).append(
+                    (len(ids), iv.lo, iv.hi, tail_lo, tail_hi)
+                )
+                ids.append((cid, k))
+    if not ids:
         return []
     severed = {Facet(f.axis, f.line, f.lateral) for f in severed_facets}
-    uf = UnionFind(sorted(pieces))
-    by_cell: dict[CellId, list[PieceId]] = {}
-    for pid in sorted(pieces):
-        by_cell.setdefault(pid[0], []).append(pid)
-    g = e.grid
-    for f in g.facets(interior_only=True):
-        if f in severed or g.facet_gauss(f) <= 0.0:
+    uf = UnionFind(range(len(ids)))
+    for f, lo_cid, hi_cid, _ in e.grid.adjacency(interior_only=True):
+        below = by_cell.get(lo_cid)
+        above = by_cell.get(hi_cid)
+        if below is None or above is None or f in severed:
             continue
-        lo_cid, hi_cid = g.facet_cells(f)
-        for pa in by_cell.get(lo_cid, ()):
-            iv_a = pieces[pa]
-            for pb in by_cell.get(hi_cid, ()):
-                iv_b = pieces[pb]
-                lo = max(iv_a.lo, iv_b.lo)
-                hi = min(iv_a.hi, iv_b.hi)
-                if lo < hi and gamma1(Interval(lo, hi)) > 0.0:
-                    uf.union(pa, pb)
-    return sorted(uf.groups())
+        for a, a_lo, a_hi, ta_lo, ta_hi in below:
+            for b, b_lo, b_hi, tb_lo, tb_hi in above:
+                # overlap (max of the lows, min of the highs) with its tails
+                lo, tail_lo = (b_lo, tb_lo) if b_lo > a_lo else (a_lo, ta_lo)
+                hi, tail_hi = (b_hi, tb_hi) if b_hi < a_hi else (a_hi, ta_hi)
+                if lo < hi and tail_lo - tail_hi > 0.0:
+                    uf.union(a, b)
+    return [[ids[k] for k in group] for group in sorted(uf.groups())]
 
 
 def decompose(e: ColumnarSet, severed_facets: Iterable[Facet] = ()) -> list[ColumnarSet]:

@@ -11,8 +11,10 @@ on one interior or boundary grid line, at one lateral cell index (always
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterator, Optional, Sequence
 
 from .errors import GridError
@@ -22,6 +24,10 @@ from .intervals import Interval
 INF = math.inf
 
 CellId = tuple[int, ...]
+# (facet, cell below, cell above, Gaussian facet measure); None = exterior
+Adjacency = tuple["Facet", Optional[CellId], Optional[CellId], float]
+# one array of doubles per base axis
+_Table = tuple[array, ...]
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -38,14 +44,16 @@ class Facet:
     lateral: int = 0
 
 
-def _axis_gamma(bps: Sequence[float], i: int) -> float:
-    return phi(bps[i]) - phi(bps[i + 1])
-
-
 class Grid:
-    """Validated breakpoint grid with measure helpers."""
+    """Validated breakpoint grid with measure helpers.
 
-    __slots__ = ("_axes",)
+    The Gaussian measure helpers read two per-axis tables of doubles,
+    built on the first measure query, not at construction: the gamma1
+    mass ``phi(b[i]) - phi(b[i+1])`` of every cell side and the weight
+    ``exp(-z*z/2)`` of every grid line (0.0 on infinite lines).
+    """
+
+    __slots__ = ("_axes", "_shape", "_tables")
 
     def __init__(self, *axes: Sequence[float]) -> None:
         if not 1 <= len(axes) <= 2:
@@ -66,6 +74,8 @@ class Grid:
                     raise GridError(f"axis {k} has an interior infinite breakpoint")
             cooked.append(vals)
         self._axes = tuple(cooked)
+        self._shape = tuple(len(a) - 1 for a in cooked)
+        self._tables: Optional[tuple[_Table, _Table]] = None
 
     # ------------------------------------------------------------------
 
@@ -79,7 +89,7 @@ class Grid:
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return tuple(len(a) - 1 for a in self._axes)
+        return self._shape
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Grid):
@@ -90,7 +100,20 @@ class Grid:
         return hash(self._axes)
 
     def __repr__(self) -> str:
-        return f"Grid(base_dim={self.base_dim}, shape={self.shape})"
+        return f"Grid(base_dim={self.base_dim}, shape={self._shape})"
+
+    def _measures(self) -> tuple[_Table, _Table]:
+        """Per-axis (cell gamma1 masses, line weights)."""
+        if self._tables is None:
+            gamma, weight = [], []
+            for bps in self._axes:
+                tail = [phi(b) for b in bps]
+                gamma.append(array("d", [a - b for a, b in zip(tail, tail[1:])]))
+                weight.append(
+                    array("d", [0.0 if math.isinf(z) else math.exp(-0.5 * z * z) for z in bps])
+                )
+            self._tables = (tuple(gamma), tuple(weight))
+        return self._tables
 
     @staticmethod
     def regular(lo: float, hi: float, cells: int) -> tuple[float, ...]:
@@ -106,20 +129,15 @@ class Grid:
     # cells
 
     def cells(self) -> Iterator[CellId]:
-        if self.base_dim == 1:
-            for i in range(self.shape[0]):
-                yield (i,)
-        else:
-            for i in range(self.shape[0]):
-                for j in range(self.shape[1]):
-                    yield (i, j)
+        """All cells in lexicographic order."""
+        return product(*(range(n) for n in self._shape))
 
     def check_cell(self, cid: CellId) -> CellId:
         cid = tuple(int(c) for c in cid)
-        if len(cid) != self.base_dim or not all(
-            0 <= c < n for c, n in zip(cid, self.shape)
+        if len(cid) != len(self._shape) or not all(
+            0 <= c < n for c, n in zip(cid, self._shape)
         ):
-            raise GridError(f"cell {cid} outside grid of shape {self.shape}")
+            raise GridError(f"cell {cid} outside grid of shape {self._shape}")
         return cid
 
     def cell_side(self, axis: int, index: int) -> Interval:
@@ -130,15 +148,17 @@ class Grid:
         return tuple(self.cell_side(axis, c) for axis, c in enumerate(cid))
 
     def cell_gauss(self, cid: CellId) -> float:
+        masses = self._measures()[0]
         out = 1.0
         for axis, c in enumerate(cid):
-            out *= _axis_gamma(self._axes[axis], c)
+            out *= masses[axis][c]
         return out
 
     def cell_lebesgue(self, cid: CellId) -> float:
         out = 1.0
         for axis, c in enumerate(cid):
-            out *= self.cell_side(axis, c).length
+            bps = self._axes[axis]
+            out *= bps[c + 1] - bps[c]
         return out
 
     # ------------------------------------------------------------------
@@ -150,28 +170,50 @@ class Grid:
         Boundary facets on an infinite grid line do not exist as sets and
         are never produced.
         """
-        for axis in range(self.base_dim):
-            bps = self._axes[axis]
-            lat_count = 1 if self.base_dim == 1 else self.shape[1 - axis]
-            for line in range(len(bps)):
-                if math.isinf(bps[line]):
+        return (f for f, _, _, _ in self.adjacency(interior_only))
+
+    def adjacency(self, interior_only: bool = False) -> Iterator[Adjacency]:
+        """Every facet of :meth:`facets` with its neighbors and measure.
+
+        Yields ``(facet, below, above, gauss)`` in :meth:`facets` order,
+        where ``(below, above)`` is :meth:`facet_cells` and ``gauss`` is
+        :meth:`facet_gauss` of the facet, read from the grid's tables.
+        The facets come from the grid itself, so none is validated.
+        """
+        gamma, weight = self._measures()
+        two_d = len(self._axes) == 2
+        for axis, bps in enumerate(self._axes):
+            n = len(bps) - 1
+            for line, w in enumerate(weight[axis]):
+                if math.isinf(bps[line]) or (interior_only and (line == 0 or line == n)):
                     continue
-                if interior_only and (line == 0 or line == len(bps) - 1):
+                lo = line - 1 if line >= 1 else None
+                hi = line if line < n else None
+                if not two_d:
+                    below = None if lo is None else (lo,)
+                    above = None if hi is None else (hi,)
+                    yield Facet(0, line, 0), below, above, w
                     continue
-                for lat in range(lat_count):
-                    yield Facet(axis, line, lat)
+                for lat, mass in enumerate(gamma[1 - axis]):
+                    if axis == 0:
+                        below = None if lo is None else (lo, lat)
+                        above = None if hi is None else (hi, lat)
+                    else:
+                        below = None if lo is None else (lat, lo)
+                        above = None if hi is None else (lat, hi)
+                    yield Facet(axis, line, lat), below, above, w * mass
 
     def facet_cells(self, f: Facet) -> tuple[Optional[CellId], Optional[CellId]]:
         """Neighbor cells (below, above) along the facet axis; None = exterior."""
         self._check_facet(f)
-        n = self.shape[f.axis]
+        n = self._shape[f.axis]
         below = f.line - 1 if f.line >= 1 else None
         above = f.line if f.line <= n - 1 else None
 
         def make(i: Optional[int]) -> Optional[CellId]:
             if i is None:
                 return None
-            if self.base_dim == 1:
+            if len(self._axes) == 1:
                 return (i,)
             return (i, f.lateral) if f.axis == 0 else (f.lateral, i)
 
@@ -192,28 +234,28 @@ class Grid:
         For a point facet at coordinate z this is ``exp(-z*z/2)``; for a
         segment ``{z} x (a, b)`` it is ``exp(-z*z/2) * gamma1((a, b))``.
         """
-        z = self.facet_coordinate(f)
-        if math.isinf(z):
-            return 0.0
-        w = math.exp(-0.5 * z * z)
-        span = self.facet_span(f)
-        if span is not None:
-            w *= phi(span.lo) - phi(span.hi)
-        return w
+        self._check_facet(f)
+        gamma, weight = self._measures()
+        w = weight[f.axis][f.line]
+        if len(self._axes) == 1:
+            return w
+        return w * gamma[1 - f.axis][f.lateral]
 
     def facet_lebesgue(self, f: Facet) -> float:
         """Lebesgue surface measure of the facet: 1 for a point, else length."""
         if math.isinf(self.facet_coordinate(f)):
             return 0.0
-        span = self.facet_span(f)
-        return 1.0 if span is None else span.length
+        if len(self._axes) == 1:
+            return 1.0
+        bps = self._axes[1 - f.axis]
+        return bps[f.lateral + 1] - bps[f.lateral]
 
     def _check_facet(self, f: Facet) -> None:
         if not 0 <= f.axis < self.base_dim:
             raise GridError(f"facet axis {f.axis} outside base dimension {self.base_dim}")
         if not 0 <= f.line < len(self._axes[f.axis]):
             raise GridError(f"facet line {f.line} outside axis {f.axis}")
-        lat_count = 1 if self.base_dim == 1 else self.shape[1 - f.axis]
+        lat_count = 1 if self.base_dim == 1 else self._shape[1 - f.axis]
         if not 0 <= f.lateral < lat_count:
             raise GridError(f"facet lateral index {f.lateral} outside grid")
 

@@ -47,6 +47,27 @@ class Interval:
         return self.lo < t < self.hi
 
 
+_new = object.__new__
+# slot descriptors write the frozen fields directly, skipping __post_init__
+_set_lo = Interval.lo.__set__
+_set_hi = Interval.hi.__set__
+
+
+def _interval(lo: float, hi: float) -> Interval:
+    """Interval from float endpoints already known to satisfy lo < hi (no checks)."""
+    iv = _new(Interval)
+    _set_lo(iv, lo)
+    _set_hi(iv, hi)
+    return iv
+
+
+def _canonical_set(ivs: tuple[Interval, ...]) -> "IntervalSet":
+    """Set over intervals already in canonical form (no sort, no checks)."""
+    s = _new(IntervalSet)
+    s._ivs = ivs
+    return s
+
+
 class IntervalSet:
     """Immutable union of disjoint open intervals in canonical form."""
 
@@ -76,7 +97,7 @@ class IntervalSet:
         a = _ext(a, "half-line endpoint")
         if a == INF:
             return IntervalSet()
-        return IntervalSet((Interval(a, INF),))
+        return _canonical_set((_interval(a, INF),))
 
     @staticmethod
     def below(b: float) -> "IntervalSet":
@@ -84,7 +105,7 @@ class IntervalSet:
         b = _ext(b, "half-line endpoint")
         if b == -INF:
             return IntervalSet()
-        return IntervalSet((Interval(-INF, b),))
+        return _canonical_set((_interval(-INF, b),))
 
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[float, float]]) -> "IntervalSet":
@@ -145,6 +166,10 @@ class IntervalSet:
 
     # ------------------------------------------------------------------
     # set algebra (all exact, all returning canonical form)
+    #
+    # intersect, complement, symdiff and reflect map canonical input to
+    # canonical output (sorted, disjoint, never touching), so they build
+    # their result without re-sorting or re-validating it.
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
         return IntervalSet(self._ivs + other._ivs)
@@ -153,37 +178,75 @@ class IntervalSet:
         out: list[Interval] = []
         i, j = 0, 0
         a, b = self._ivs, other._ivs
-        while i < len(a) and j < len(b):
-            lo = max(a[i].lo, b[j].lo)
-            hi = min(a[i].hi, b[j].hi)
+        na, nb = len(a), len(b)
+        while i < na and j < nb:
+            x, y = a[i], b[j]
+            # max(x.lo, y.lo) and min(x.hi, y.hi), keeping the first on ties
+            lo = y.lo if y.lo > x.lo else x.lo
+            hi = y.hi if y.hi < x.hi else x.hi
             if lo < hi:
-                out.append(Interval(lo, hi))
-            if a[i].hi <= b[j].hi:
+                out.append(_interval(lo, hi))
+            if x.hi <= y.hi:
                 i += 1
             else:
                 j += 1
-        return IntervalSet(out)
+        return _canonical_set(tuple(out))
 
     def complement(self) -> "IntervalSet":
         out: list[Interval] = []
         cursor = -INF
         for iv in self._ivs:
             if cursor < iv.lo:
-                out.append(Interval(cursor, iv.lo))
+                out.append(_interval(cursor, iv.lo))
             cursor = iv.hi
         if cursor < INF:
-            out.append(Interval(cursor, INF))
-        return IntervalSet(out)
+            out.append(_interval(cursor, INF))
+        return _canonical_set(tuple(out))
 
     def difference(self, other: "IntervalSet") -> "IntervalSet":
         return self.intersect(other.complement())
 
     def symdiff(self, other: "IntervalSet") -> "IntervalSet":
-        return self.difference(other).union(other.difference(self))
+        a, b = self._ivs, other._ivs
+        if not b:
+            return self
+        if not a:
+            return other
+        if a == b:
+            return _canonical_set(())
+        # Each endpoint of either set flips membership of the symmetric
+        # difference. An endpoint both sets share flips it twice, which
+        # leaves only a null point there: the canonical form merges over it.
+        ta = [t for iv in a for t in (iv.lo, iv.hi)]
+        tb = [t for iv in b for t in (iv.lo, iv.hi)]
+        na, nb = len(ta), len(tb)
+        out: list[Interval] = []
+        i = j = 0
+        inside = False
+        start = -INF
+        while i < na or j < nb:
+            if j == nb or (i < na and ta[i] < tb[j]):
+                t = ta[i]
+                i += 1
+            elif i == na or tb[j] < ta[i]:
+                t = tb[j]
+                j += 1
+            else:
+                i += 1
+                j += 1
+                continue
+            if inside:
+                out.append(_interval(start, t))
+            else:
+                start = t
+            inside = not inside
+        return _canonical_set(tuple(out))
 
     def reflect(self) -> "IntervalSet":
         """Image under t -> -t."""
-        return IntervalSet(Interval(-iv.hi, -iv.lo) for iv in reversed(self._ivs))
+        return _canonical_set(
+            tuple(_interval(-iv.hi, -iv.lo) for iv in reversed(self._ivs))
+        )
 
 
 def _canonical(intervals: Iterable[Interval]) -> tuple[Interval, ...]:
@@ -197,7 +260,7 @@ def _canonical(intervals: Iterable[Interval]) -> tuple[Interval, ...]:
         if out and iv.lo <= out[-1].hi:
             # overlapping or exactly touching: the shared endpoint is null
             if iv.hi > out[-1].hi:
-                out[-1] = Interval(out[-1].lo, iv.hi)
+                out[-1] = _interval(out[-1].lo, iv.hi)
         else:
             out.append(iv)
     return tuple(out)

@@ -222,15 +222,7 @@ def approx_limits(
         v = p.value(cell)
         return (v, v)
     if facet is not None:
-        ann = p.annotation(facet)
-        if ann is not None:
-            return (ann.wedge, ann.vee)
-        lo_cid, hi_cid = p.grid.facet_cells(facet)
-        vals = [
-            p.value(c) if c is not None else 0.0
-            for c in (lo_cid, hi_cid)
-        ]
-        return (min(vals), max(vals))
+        return _facet_limits(p, facet, *p.grid.facet_cells(facet))
     if p.grid.base_dim != 2:
         raise ProfileError("vertex limits need a 2-D base")
     i, j = vertex
@@ -244,6 +236,19 @@ def approx_limits(
     if not vals:
         raise ProfileError(f"vertex {vertex!r} outside grid")
     return (min(vals), max(vals))
+
+
+def _facet_limits(
+    p: Profile, facet: Facet, lo_cid: Optional[CellId], hi_cid: Optional[CellId]
+) -> tuple[float, float]:
+    """Facet limits of :func:`approx_limits` for a facet of the profile's grid
+    whose neighbor cells are already known (no validation)."""
+    ann = p._ann_map.get(facet)
+    if ann is not None:
+        return (ann.wedge, ann.vee)
+    v_lo = p._values[lo_cid] if lo_cid is not None else 0.0
+    v_hi = p._values[hi_cid] if hi_cid is not None else 0.0
+    return (min(v_lo, v_hi), max(v_lo, v_hi))
 
 
 def f_limits(p: Profile, facet: Facet) -> tuple[float, float]:
@@ -275,12 +280,11 @@ class JumpInterface:
 def jump_interfaces(p: Profile) -> list[JumpInterface]:
     """All facets with wedge < vee, including those against the exterior."""
     out = []
-    for f in p.grid.facets():
-        wedge, vee = approx_limits(p, facet=f)
+    for f, lo_cid, hi_cid, _ in p.grid.adjacency():
+        wedge, vee = _facet_limits(p, f, lo_cid, hi_cid)
         if wedge < vee:
-            lo_cid, hi_cid = p.grid.facet_cells(f)
-            v_lo = p.value(lo_cid) if lo_cid is not None else 0.0
-            v_hi = p.value(hi_cid) if hi_cid is not None else 0.0
+            v_lo = p._values[lo_cid] if lo_cid is not None else 0.0
+            v_hi = p._values[hi_cid] if hi_cid is not None else 0.0
             out.append(
                 JumpInterface(facet=f, wedge=wedge, vee=vee, toward_upper=v_hi >= v_lo)
             )
@@ -297,14 +301,16 @@ def scene(p: Profile, kind: str = "ehrhard") -> Scene:
     Ehrhard scenes take G = {0 < v < 1} and block interfaces whose limits
     reach 0 from below or 1 from above; Steiner scenes take G = {v > 0}
     and block only interfaces pinched to 0. Only interfaces between two
-    G-cells appear; interfaces of zero base measure are dropped.
+    G-cells appear, all of them: an interior facet has positive base
+    measure by its structure (a finite line and a non-degenerate span),
+    even where its float measure underflows to 0.
     """
     if kind not in ("ehrhard", "steiner"):
         raise ProfileError(f"unknown scene kind {kind!r}")
+    grid = p.grid
     cells = []
     in_g: dict[CellId, bool] = {}
-    for cid in p.grid.cells():
-        v = p.value(cid)
+    for cid, v in p._values.items():
         flag = (0.0 < v < 1.0) if kind == "ehrhard" else v > 0.0
         in_g[cid] = flag
         cells.append(
@@ -312,19 +318,15 @@ def scene(p: Profile, kind: str = "ehrhard") -> Scene:
                 id=cid,
                 value=v,
                 in_g=flag,
-                gauss=p.grid.cell_gauss(cid),
-                lebesgue=p.grid.cell_lebesgue(cid),
+                gauss=grid.cell_gauss(cid),
+                lebesgue=grid.cell_lebesgue(cid),
             )
         )
     facets = []
-    for f in p.grid.facets(interior_only=True):
-        lo_cid, hi_cid = p.grid.facet_cells(f)
+    for f, lo_cid, hi_cid, mass in grid.adjacency(interior_only=True):
         if not (in_g[lo_cid] and in_g[hi_cid]):
             continue
-        mass = p.grid.facet_gauss(f)
-        if mass <= 0.0:
-            continue
-        wedge, vee = approx_limits(p, facet=f)
+        wedge, vee = _facet_limits(p, f, lo_cid, hi_cid)
         blocked = wedge == 0.0 or (kind == "ehrhard" and vee == 1.0)
         facets.append(
             SceneFacet(
@@ -334,12 +336,12 @@ def scene(p: Profile, kind: str = "ehrhard") -> Scene:
                 wedge=wedge,
                 vee=vee,
                 blocked=blocked,
-                annotated=p.annotation(f) is not None,
+                annotated=f in p._ann_map,
             )
         )
     return Scene(
         kind=kind,
-        base_dim=p.grid.base_dim,
+        base_dim=grid.base_dim,
         cells=tuple(cells),
         facets=tuple(facets),
     )
@@ -352,11 +354,10 @@ def from_profile(p: Profile) -> ColumnarSet:
     exactly (psi hits the infinite endpoints without rounding).
     """
     sections: dict[CellId, IntervalSet] = {}
-    for cid in p.grid.cells():
-        v = p.value(cid)
+    for cid, v in p._values.items():
         if v > 0.0:
             sections[cid] = IntervalSet.above(psi(v))
-    return ColumnarSet(p.grid, sections)
+    return ColumnarSet._of_cells(p.grid, sections)
 
 
 def distribution(e: ColumnarSet) -> Profile:
@@ -374,12 +375,11 @@ def g_boundary_gauss(p: Profile) -> float:
     Sums the measures of all facets with exactly one side in G, counting
     the exterior of the grid as not in G.
     """
-    total = []
-    for f in p.grid.facets():
-        lo_cid, hi_cid = p.grid.facet_cells(f)
-        sides = []
-        for c in (lo_cid, hi_cid):
-            sides.append(False if c is None else 0.0 < p.value(c) < 1.0)
-        if sides[0] != sides[1]:
-            total.append(p.grid.facet_gauss(f))
-    return math.fsum(total)
+    values = p._values
+
+    def in_g(c: Optional[CellId]) -> bool:
+        return c is not None and 0.0 < values[c] < 1.0
+
+    return math.fsum(
+        mass for _, lo_cid, hi_cid, mass in p.grid.adjacency() if in_g(lo_cid) != in_g(hi_cid)
+    )

@@ -220,7 +220,7 @@ def build_counterexample(p: Profile, cert: PartitionCertificate) -> ColumnarSet:
             sections[cid] = IntervalSet.below(-psi(v))
         else:
             sections[cid] = IntervalSet.above(psi(v))
-    return ColumnarSet(p.grid, sections)
+    return ColumnarSet._of_cells(p.grid, sections)
 
 
 @dataclass(frozen=True)

@@ -179,6 +179,14 @@ class TestDecompose:
     def test_empty_set_decomposable(self):
         assert not indecomposable(ColumnarSet(self.grid(), {}))
 
+    def test_far_tail_facets_connect(self):
+        # the facets at 40 and 41 weigh exp(-z*z/2), which underflows to 0.0,
+        # but they have positive measure and must join the full columns
+        g = Grid((-INF, 0.0, 40.0, 41.0, INF))
+        assert g.facet_gauss(Facet(0, 2, 0)) == 0.0
+        e = ColumnarSet(g, {cid: IntervalSet.line() for cid in g.cells()})
+        assert indecomposable(e)
+
     def test_decompose_partitions_the_set(self):
         e = ColumnarSet(
             self.grid(),

@@ -1,11 +1,13 @@
 import math
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ehrhard import Facet, Grid, GridError, gamma1, gauss_weight
+from ehrhard import Facet, Grid, GridError, gamma1, gauss_weight, phi
 from ehrhard.intervals import Interval
+from conftest import random_breakpoints
 
 INF = math.inf
 
@@ -143,6 +145,10 @@ class TestFacets:
         for bad in [Facet(1, 0, 0), Facet(0, 3, 0), Facet(0, 1, 1)]:
             with pytest.raises(GridError):
                 g.facet_cells(bad)
+            with pytest.raises(GridError):
+                g.facet_gauss(bad)
+        with pytest.raises(GridError):
+            Grid((0.0, 1.0), (0.0, 1.0, 2.0)).facet_gauss(Facet(0, 1, -1))
 
     def test_coordinate_and_span(self):
         g = Grid((-INF, 0.5, INF))
@@ -209,3 +215,66 @@ class TestRefinement:
     def test_facet_gauss_matches_weight_helper(self):
         g = Grid((-INF, 0.7, INF))
         assert g.facet_gauss(Facet(0, 1, 0)) == gauss_weight(0.7)
+
+
+def _side_gauss(bps, i):
+    return phi(bps[i]) - phi(bps[i + 1])
+
+
+def _cell_gauss_formula(g, cid):
+    out = 1.0
+    for axis, c in enumerate(cid):
+        out *= _side_gauss(g.axes[axis], c)
+    return out
+
+
+def _cell_lebesgue_formula(g, cid):
+    out = 1.0
+    for axis, c in enumerate(cid):
+        out *= g.cell_side(axis, c).length
+    return out
+
+
+def random_grid(rng, base_dim):
+    return Grid(*(random_breakpoints(rng, 6, p_inf=0.5) for _ in range(base_dim)))
+
+
+class TestTables:
+    """The table-backed measures equal the per-call formulas bit for bit."""
+
+    @pytest.mark.parametrize("base_dim", [1, 2])
+    def test_adjacency_matches_facet_queries(self, base_dim):
+        rng = random.Random(41 + base_dim)
+        for _ in range(60):
+            g = random_grid(rng, base_dim)
+            for flag in (False, True):
+                want = [(f, *g.facet_cells(f), g.facet_gauss(f)) for f in g.facets(flag)]
+                assert list(g.adjacency(flag)) == want
+
+    @pytest.mark.parametrize("base_dim", [1, 2])
+    def test_facet_gauss_matches_formula(self, base_dim):
+        rng = random.Random(43 + base_dim)
+        for _ in range(60):
+            g = random_grid(rng, base_dim)
+            for f in g.facets():
+                z = g.facet_coordinate(f)
+                w = math.exp(-0.5 * z * z)
+                span = g.facet_span(f)
+                if span is not None:
+                    w *= phi(span.lo) - phi(span.hi)
+                assert g.facet_gauss(f) == w
+
+    @pytest.mark.parametrize("base_dim", [1, 2])
+    def test_cell_measures_match_formulas(self, base_dim):
+        rng = random.Random(47 + base_dim)
+        for _ in range(60):
+            g = random_grid(rng, base_dim)
+            for cid in g.cells():
+                assert g.cell_gauss(cid) == _cell_gauss_formula(g, cid)
+                assert g.cell_lebesgue(cid) == _cell_lebesgue_formula(g, cid)
+
+    def test_infinite_end_lines(self):
+        g = Grid((-INF, 0.0, INF), (-INF, 1.0, 2.0))
+        assert g.facet_gauss(Facet(0, 0, 1)) == 0.0
+        assert g.facet_lebesgue(Facet(0, 2, 0)) == 0.0
+        assert [f for f, *_ in g.adjacency()] == list(g.facets())

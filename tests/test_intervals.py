@@ -133,3 +133,54 @@ class TestAlgebra:
         a = IntervalSet.from_pairs([(0.0, 1.0), (1.0, 2.0)])
         b = IntervalSet.of(0.0, 2.0)
         assert a == b and hash(a) == hash(b)
+
+
+# a small endpoint pool, so that sets touch and share endpoints (with both
+# signs of zero and the infinite ends)
+ENDPOINTS = st.sampled_from([-INF, -2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0, INF])
+
+
+@st.composite
+def touching_sets(draw, max_intervals=4):
+    pairs = draw(
+        st.lists(
+            st.tuples(ENDPOINTS, ENDPOINTS).filter(lambda p: p[0] < p[1]),
+            max_size=max_intervals,
+        )
+    )
+    return IntervalSet.from_pairs(pairs)
+
+
+any_sets = st.one_of(interval_sets(), touching_sets())
+
+
+class TestTrustedResults:
+    """intersect, complement, reflect, difference and symdiff build their
+    output without canonicalizing it; it must be canonical all the same."""
+
+    @given(any_sets, any_sets)
+    def test_results_are_canonical(self, a, b):
+        for result in (
+            a.intersect(b),
+            a.complement(),
+            a.reflect(),
+            a.difference(b),
+            a.symdiff(b),
+        ):
+            assert result == IntervalSet(list(result))
+            assert result == IntervalSet.from_pairs(result.to_pairs())
+
+    @given(any_sets, any_sets)
+    def test_symdiff_matches_two_differences(self, a, b):
+        want = a.difference(b).union(b.difference(a))
+        assert repr(a.symdiff(b).to_pairs()) == repr(want.to_pairs())
+
+    def test_public_constructors_validate(self):
+        for bad in [(float("nan"), 1.0), (0.0, float("nan")), (2.0, 1.0), (1.0, 1.0)]:
+            with pytest.raises(DomainError):
+                IntervalSet.of(*bad)
+            with pytest.raises(DomainError):
+                IntervalSet.from_pairs([(-5.0, -4.0), bad])
+        for half_line in (IntervalSet.above, IntervalSet.below):
+            with pytest.raises(DomainError):
+                half_line(float("nan"))

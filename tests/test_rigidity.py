@@ -255,6 +255,23 @@ class TestExhaustiveSearch:
             p = random_profile_1d(rng, max_cells=8)
             assert exhaustive_search(p).rigid == rigidity_verdict(p).rigid
 
+    @pytest.mark.parametrize(
+        "axes",
+        [
+            ((-INF, 0.0, 40.0, 41.0, INF),),
+            ((-INF, 0.0, 40.0, 41.0, INF), (-INF, 0.0, INF)),
+        ],
+        ids=["1d", "2d"],
+    )
+    def test_far_tail_grid_agrees_with_theorem(self, axes):
+        # facet weights exp(-z*z/2) at z = 40, 41 underflow to 0.0; the
+        # facets still have positive measure and keep G connected
+        g = Grid(*axes)
+        p = Profile(g, {cid: 0.5 for cid in g.cells()})
+        assert any(sf.gauss == 0.0 for sf in scene(p).facets)
+        assert rigidity_verdict(p).rigid
+        assert exhaustive_search(p).rigid
+
     def test_refuses_oversized_instances(self):
         n = 13
         g = Grid(Grid.regular(-2.0, 2.0, n))
