@@ -615,11 +615,10 @@ def _sweep_rows(profiles: list[tuple[float, Profile]]) -> tuple[list[SweepRow], 
     reports = []
     for h, p in profiles:
         rep = rigidity_verdict(p)
-        pf = gauss_perimeter(from_profile(p)).total_gauss
         if rep.perimeter_check is not None:
-            pe = rep.perimeter_check.candidate
+            pe, pf = rep.perimeter_check.candidate, rep.perimeter_check.symmetral
         else:
-            pe = pf
+            pe = pf = gauss_perimeter(from_profile(p)).total_gauss
         rows.append(SweepRow(h=h, p_gamma_f=pf, p_gamma_e=pe, excess=pe - pf))
         reports.append(rep)
     return rows, reports

@@ -90,8 +90,10 @@ class PartitionCertificate:
     """Two-coloring of the G-cells witnessing (non-)separation.
 
     The certificate witnesses essential disconnection exactly when
-    ``unblocked_interface_measure`` is zero while both sides carry
-    positive Gaussian measure.
+    ``unblocked_interface_measure`` is zero while both sides are
+    non-empty. A cell has positive Gaussian measure by its structure (a
+    non-degenerate span), so a non-empty side does too, even where
+    ``plus_gauss`` or ``minus_gauss`` underflows to 0.0.
     """
 
     plus_cells: tuple[CellId, ...]
@@ -105,8 +107,8 @@ class PartitionCertificate:
     def separating(self) -> bool:
         return (
             self.unblocked_interface_measure == 0.0
-            and self.plus_gauss > 0.0
-            and self.minus_gauss > 0.0
+            and bool(self.plus_cells)
+            and bool(self.minus_cells)
         )
 
 

@@ -8,9 +8,10 @@ list for 1-D bases, a list of rows (first axis index outermost) for 2-D.
 
 Reports (verdicts, certificates, scenes, perimeter breakdowns) are
 output only and share one rule, :func:`to_json`: a dataclass becomes an
-object of its fields, with fields that are ``None`` omitted; every float
-is a number or an inf sentinel; tuples and lists become lists; enums
-become their values; facets and columnar sets use the encodings above.
+object of its fields, with fields that are ``None`` or private (a leading
+underscore) omitted; every float is a number or an inf sentinel; tuples
+and lists become lists; enums become their values; facets and columnar
+sets use the encodings above.
 """
 
 from __future__ import annotations
@@ -236,7 +237,7 @@ def _encoder_for(cls: type) -> Callable[[Any], Any]:
     """Encoder for an enum or dataclass type (TypeError for anything else)."""
     if issubclass(cls, Enum):
         return _enum
-    names = tuple(f.name for f in dataclasses.fields(cls))
+    names = tuple(f.name for f in dataclasses.fields(cls) if not f.name.startswith("_"))
 
     def encode(x: Any) -> dict[str, Any]:
         doc = {}

@@ -18,9 +18,9 @@ price them); the two must always agree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from .columnar import (
     ColumnarSet,
@@ -39,7 +39,13 @@ from .connectedness import (
     essentially_disconnects,
     indecomposable,
 )
-from .errors import EhrhardError, PartitionError, ProfileError, SearchBoundError
+from .errors import (
+    DomainError,
+    EhrhardError,
+    PartitionError,
+    ProfileError,
+    SearchBoundError,
+)
 from .gauss import gamma1, psi
 from .grids import CellId, Facet
 from .intervals import IntervalSet
@@ -94,9 +100,18 @@ class RigidityReport:
     competitor, its perimeter comparison against the model set, and its
     distances to the model set and to the fully mirrored set. A Rigid
     report from the theorem route carries the spanning structure that
-    connects G. For profiles without annotations the competitor ties the
-    model perimeter exactly; with annotations the tie is asymptotic along
-    refinements and the report's notes say so.
+    connects G, and no competitor or checks (they read None). For
+    profiles without annotations the competitor ties the model perimeter
+    exactly; with annotations the tie is asymptotic along refinements and
+    the report's notes say so.
+
+    The verdict and the certificate are computed with the report; the
+    competitor and its checks are priced on first read, each at most
+    once, from the profile the report keeps in ``_profile``. The
+    competitor and the model set are built once and shared by both
+    checks, so a caller that reads only the certificate pays for none of
+    them, and one that reads only ``perimeter_check`` prices no symmetric
+    difference.
     """
 
     verdict: Verdict
@@ -104,24 +119,57 @@ class RigidityReport:
     annotated: bool
     certificate: Optional[PartitionCertificate] = None
     connectivity: Optional[SpanningStructure] = None
-    counterexample: Optional[ColumnarSet] = None
-    perimeter_check: Optional[PerimeterCheck] = None
-    symdiff_check: Optional[SymdiffCheck] = None
+    # evidence: not set by __init__; __getattr__ prices it on first read
+    counterexample: Optional[ColumnarSet] = field(init=False)
+    perimeter_check: Optional[PerimeterCheck] = field(init=False)
+    symdiff_check: Optional[SymdiffCheck] = field(init=False)
     partitions_checked: int = 0
     notes: tuple[str, ...] = ()
+    _profile: Optional[Profile] = field(default=None, repr=False, compare=False)
 
     @property
     def rigid(self) -> bool:
         return self.verdict is Verdict.RIGID
 
+    def __getattr__(self, name: str) -> Any:
+        # Reached only while ``name`` is missing from the instance, so each
+        # piece of evidence is priced once and then read like a field.
+        price = _EVIDENCE.get(name)
+        if price is None:
+            raise AttributeError(name)
+        value = None
+        if self._profile is not None and self.certificate is not None:
+            value = price(self)
+        object.__setattr__(self, name, value)
+        return value
+
+
+def _perimeter_check(r: RigidityReport) -> PerimeterCheck:
+    pe = gauss_perimeter(r.counterexample).total_gauss
+    pf = gauss_perimeter(r._model).total_gauss
+    return PerimeterCheck(pe, pf, pe - pf)
+
+
+def _symdiff_check(r: RigidityReport) -> SymdiffCheck:
+    e, f = r.counterexample, r._model
+    return SymdiffCheck(
+        vs_symmetral=symdiff_volume(e, f),
+        vs_reflected=symdiff_volume(e, reflect(f)),
+    )
+
+
+# lazily priced attribute -> how to price it; ``_model`` is the model set
+_EVIDENCE: dict[str, Callable[[RigidityReport], Any]] = {
+    "counterexample": lambda r: build_counterexample(r._profile, r.certificate),
+    "_model": lambda r: from_profile(r._profile),
+    "perimeter_check": _perimeter_check,
+    "symdiff_check": _symdiff_check,
+}
+
 
 def _nonrigid_report(
     p: Profile, cert: PartitionCertificate, method: str, checked: int = 0
 ) -> RigidityReport:
-    e = build_counterexample(p, cert)
-    f = from_profile(p)
-    pe = gauss_perimeter(e).total_gauss
-    pf = gauss_perimeter(f).total_gauss
     annotated = bool(p.annotations)
     notes = ()
     if annotated:
@@ -135,14 +183,9 @@ def _nonrigid_report(
         method=method,
         annotated=annotated,
         certificate=cert,
-        counterexample=e,
-        perimeter_check=PerimeterCheck(pe, pf, pe - pf),
-        symdiff_check=SymdiffCheck(
-            vs_symmetral=symdiff_volume(e, f),
-            vs_reflected=symdiff_volume(e, reflect(f)),
-        ),
         partitions_checked=checked,
         notes=notes,
+        _profile=p,
     )
 
 
@@ -277,20 +320,26 @@ def verify_equality_case(
 
 
 def exhaustive_search(
-    p: Profile, max_cells: int = 12, tolerance: float = 1e-9
+    p: Profile, max_cells: int = 12, tolerance: float = 0.0
 ) -> RigidityReport:
     """Price every non-trivial two-coloring of the G-cells.
 
     Enumerates all 2^g - 2 colorings in ascending bitmask order (bit k is
     the k-th G-cell in lexicographic order; set bits form the minus side)
-    and accepts the first whose crossing interfaces cost at most
-    ``tolerance`` while both mirrored-versus-kept mass differences stay
-    above 1e-12. The interface cost is the closed-form mirror cost
-    2*min(wedge, 1 - vee) per unit of base measure, which is what the
-    perimeter difference of the built competitor works out to; blocked
-    interfaces cost exactly zero. Instances with more than ``max_cells``
+    and accepts the first that crosses no unblocked interface. Blocked
+    interfaces cost exactly zero; an unblocked one has positive measure by
+    its structure and is never free, even where its float price
+    underflows to 0.0. Both sides of a coloring are non-empty, so an
+    accepted coloring separates. A positive ``tolerance`` is an opt-in
+    allowance: it also accepts colorings whose unblocked crossings cost at
+    most ``tolerance`` in total (their certificates do not separate),
+    priced by the closed-form mirror cost 2*min(wedge, 1 - vee) per unit
+    of base measure, which is what the perimeter difference of the built
+    competitor works out to. Instances with more than ``max_cells``
     G-cells are refused outright to keep the enumeration honest.
     """
+    if not tolerance >= 0.0:
+        raise DomainError(f"tolerance {tolerance!r} must be >= 0")
     g = p.g_cells()
     n = len(g)
     if n > max_cells:
@@ -300,32 +349,22 @@ def exhaustive_search(
         )
     sc = scene(p)
     bit = {cid: 1 << k for k, cid in enumerate(g)}
-    facet_terms = [
+    unblocked = [
         (bit[sf.cells[0]], bit[sf.cells[1]], sf.gauss * 2.0 * min(sf.wedge, 1.0 - sf.vee))
         for sf in sc.facets
-    ]
-    cell_terms = [
-        p.grid.cell_gauss(cid) * 2.0 * min(p.value(cid), 1.0 - p.value(cid))
-        for cid in g
+        if not sf.blocked
     ]
     checked = 0
     for mask in range(1, (1 << n) - 1):
         checked += 1
         cost = 0.0
-        for ba, bb, w in facet_terms:
+        for ba, bb, w in unblocked:
             if bool(mask & ba) != bool(mask & bb):
                 cost += w
-                if cost > tolerance:
+                # with no allowance, any unblocked crossing rejects the coloring
+                if not tolerance or cost > tolerance:
                     break
-        if cost > tolerance:
-            continue
-        minus_mass = math.fsum(
-            t for k, t in enumerate(cell_terms) if mask & (1 << k)
-        )
-        plus_mass = math.fsum(
-            t for k, t in enumerate(cell_terms) if not mask & (1 << k)
-        )
-        if minus_mass > 1e-12 and plus_mass > 1e-12:
+        else:
             minus = [cid for cid in g if mask & bit[cid]]
             cert = certificate_for(sc, minus)
             return _nonrigid_report(p, cert, "exhaustive-search", checked)

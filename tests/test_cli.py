@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from ehrhard import Grid, Profile, gauss_perimeter, phi, psi
+from ehrhard import Facet, Grid, Profile, SingularAnnotation, gauss_perimeter, phi, psi
 from ehrhard.cli import main
 from ehrhard.jsonio import columnar_from_json, columnar_to_json, profile_to_json
 from ehrhard.profiles import from_profile
@@ -30,6 +30,17 @@ def write_columnar(tmp_path, e, name="set.json"):
     path = tmp_path / name
     path.write_text(json.dumps(columnar_to_json(e)), encoding="utf-8")
     return str(path)
+
+
+def annotated_2d_profile():
+    """2x2 cells; blocked annotations on both axis-0 facets split the rows."""
+    g = Grid((-INF, 0.0, INF), (-INF, 0.5, INF))
+    values = {(0, 0): 0.3, (0, 1): 0.6, (1, 0): 0.4, (1, 1): 0.7}
+    annotations = [
+        SingularAnnotation(Facet(0, 1, 0), 0.0, 0.5),
+        SingularAnnotation(Facet(0, 1, 1), 0.0, 0.5),
+    ]
+    return Profile(g, values, annotations)
 
 
 # Whole output documents for nonrigid_profile(): any change to the report
@@ -110,6 +121,40 @@ CONNECTEDNESS_STEINER_DOC = {
         "kind": "steiner",
     },
     "witness": {"cells": [[0], [1], [2]], "tree_facets": [[0, 1, 0], [0, 2, 0]]},
+}
+
+# The rigidity document for annotated_2d_profile(): an annotated 2-D
+# NonRigid report with every evidence field and no private one.
+ANNOTATED_2D_RIGIDITY_DOC = {
+    "annotated": True,
+    "certificate": {
+        "interface_facets": [[0, 1, 0], [0, 1, 1]],
+        "minus_cells": [[0, 0], [0, 1]],
+        "minus_gauss": 0.5,
+        "plus_cells": [[1, 0], [1, 1]],
+        "plus_gauss": 0.5,
+        "unblocked_interface_measure": 0.0,
+    },
+    "counterexample": {
+        "grid": {"base_dim": 2, "breakpoints": [["-inf", 0.0, "inf"], ["-inf", 0.5, "inf"]]},
+        "sections": [
+            [[["-inf", -0.5244005127080409]], [["-inf", 0.2533471031357998]]],
+            [[[0.2533471031357998, "inf"]], [[-0.5244005127080407, "inf"]]],
+        ],
+    },
+    "method": "theorem",
+    "notes": [
+        "annotated profile: the mirrored competitor ties the perimeter only "
+        "asymptotically along refinements; the reported difference is for this grid"
+    ],
+    "partitions_checked": 0,
+    "perimeter_check": {
+        "candidate": 1.8847256986704175,
+        "difference": 0.5999999999999999,
+        "symmetral": 1.2847256986704176,
+    },
+    "symdiff_check": {"vs_reflected": 0.3691462461274014, "vs_symmetral": 0.33085375387259874},
+    "verdict": "NonRigid",
 }
 
 
@@ -222,6 +267,11 @@ class TestRigidity:
         ):
             assert main([*args, "--in", infile]) == 0
             assert json.loads(capsys.readouterr().out) == want
+
+    def test_exact_annotated_2d_document(self, tmp_path, capsys):
+        infile = write_profile(tmp_path, annotated_2d_profile())
+        assert main(["rigidity", "--in", infile]) == 0
+        assert json.loads(capsys.readouterr().out) == ANNOTATED_2D_RIGIDITY_DOC
 
     def test_tolerance_is_usage_error(self, tmp_path, capsys):
         infile = write_profile(tmp_path, nonrigid_profile())

@@ -256,6 +256,7 @@ class _Outer:
     cells: tuple[tuple[int, ...], ...]
     missing: Optional[_Inner] = None
     count: int = 0
+    _private: str = "never encoded"
 
 
 class TestEncoder:

@@ -2,18 +2,24 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ehrhard.rigidity
 from ehrhard import (
     ColumnarSet,
+    DomainError,
     EhrhardError,
     Facet,
     Grid,
     IntervalSet,
     PartitionError,
     Profile,
+    PerimeterCheck,
     ProfileError,
     SearchBoundError,
     SingularAnnotation,
+    SymdiffCheck,
     Verdict,
     build_counterexample,
     certificate_for,
@@ -24,9 +30,11 @@ from ehrhard import (
     from_profile,
     gauss_perimeter,
     psi,
+    reflect,
     rigidity_verdict,
     rigidity_verdict_planar,
     scene,
+    symdiff_volume,
     verify_equality_case,
 )
 from conftest import random_profile_1d
@@ -285,6 +293,133 @@ class TestExhaustiveSearch:
         assert exhaustive_search(p).rigid
         loose = exhaustive_search(p, tolerance=1e-2)
         assert not loose.rigid
+
+    def test_tolerance_must_be_nonnegative(self):
+        p = Profile(Grid((-INF, 0.0, INF)), {(0,): 0.5, (1,): 0.5})
+        for bad in (-1e-9, math.nan):
+            with pytest.raises(DomainError):
+                exhaustive_search(p, tolerance=bad)
+
+
+@st.composite
+def far_tail_profiles_1d(draw, max_cells=8):
+    """1-D profiles with breakpoints out to +-45, where cell masses and
+    facet weights underflow, and values that include 0 and 1."""
+    pts = draw(
+        st.lists(
+            st.floats(min_value=-45.0, max_value=45.0, allow_nan=False),
+            min_size=2,
+            max_size=max_cells + 1,
+            unique=True,
+        )
+    )
+    bps = sorted(pts)
+    if draw(st.booleans()):
+        bps[0] = -INF
+    if draw(st.booleans()):
+        bps[-1] = INF
+    grid = Grid(tuple(bps))
+    value = st.one_of(st.sampled_from((0.0, 1.0)), st.floats(min_value=0.0, max_value=1.0))
+    return Profile(grid, {cid: draw(value) for cid in grid.cells()})
+
+
+class TestFarTail:
+    """Both routes decide from structure: a cell or an interior facet has
+    positive measure even where its float measure underflows to 0.0."""
+
+    def test_underflowed_component_separates(self):
+        # G = {0, 2}; cell 2 has gamma mass phi(40) - phi(41) == 0.0
+        g = Grid((-INF, 0.0, 40.0, 41.0, INF))
+        p = Profile(g, {(0,): 0.5, (1,): 1.0, (2,): 0.5, (3,): 0.0})
+        assert g.cell_gauss((2,)) == 0.0
+        theorem, search = rigidity_verdict(p), exhaustive_search(p)
+        assert not theorem.rigid and not search.rigid
+        assert theorem.certificate == search.certificate
+        assert theorem.certificate.plus_gauss == 0.0
+        assert theorem.certificate.separating
+
+    def test_unblocked_facet_is_never_free(self):
+        # the facet at 6.5 prices at about 6.7e-10, under the old 1e-9 default
+        g = Grid((-INF, 6.0, 6.5, INF))
+        p = Profile(g, {cid: 0.5 for cid in g.cells()})
+        assert rigidity_verdict(p).rigid
+        assert exhaustive_search(p).rigid
+        loose = exhaustive_search(p, tolerance=1e-9)
+        assert not loose.rigid
+        assert loose.certificate.interface_facets == (Facet(0, 2, 0),)
+        assert not loose.certificate.separating
+
+    @settings(deadline=None)
+    @given(far_tail_profiles_1d())
+    def test_routes_agree_and_certificates_separate(self, p):
+        theorem, search = rigidity_verdict(p), exhaustive_search(p)
+        assert theorem.verdict is search.verdict
+        for report in (theorem, search):
+            if not report.rigid:
+                assert report.certificate.separating
+
+
+@pytest.fixture
+def priced(monkeypatch):
+    """Count the evidence calls made through ehrhard.rigidity."""
+    counts = dict.fromkeys(("build_counterexample", "gauss_perimeter", "symdiff_volume"), 0)
+    for name in counts:
+        real = getattr(ehrhard.rigidity, name)
+
+        def counted(*args, _real=real, _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(ehrhard.rigidity, name, counted)
+    return counts
+
+
+class TestLazyEvidence:
+    def test_verdicts_price_nothing(self, priced):
+        p = three_column(0.3, 1.0, 0.6)
+        reports = (rigidity_verdict(p), exhaustive_search(p), rigidity_verdict_planar(p))
+        assert all(r.certificate.separating for r in reports)
+        assert set(priced.values()) == {0}
+
+    def test_perimeter_check_prices_no_symdiff(self, priced):
+        report = rigidity_verdict(three_column(0.3, 1.0, 0.6))
+        assert report.perimeter_check.difference == 0.0
+        assert priced == {"build_counterexample": 1, "gauss_perimeter": 2, "symdiff_volume": 0}
+
+    def test_each_field_priced_once(self, priced):
+        p = three_column(0.3, 1.0, 0.6)
+        report = exhaustive_search(p)
+        first = (report.counterexample, report.perimeter_check, report.symdiff_check)
+        second = (report.counterexample, report.perimeter_check, report.symdiff_check)
+        assert all(a is b for a, b in zip(first, second))
+        assert priced == {"build_counterexample": 1, "gauss_perimeter": 2, "symdiff_volume": 2}
+
+    def test_values_match_eager_pricing(self):
+        p = three_column(0.3, 0.0, 0.6, [SingularAnnotation(Facet(0, 1, 0), 0.0, 0.5)])
+        report = rigidity_verdict(p)
+        e, f = build_counterexample(p, report.certificate), from_profile(p)
+        pe, pf = gauss_perimeter(e).total_gauss, gauss_perimeter(f).total_gauss
+        assert report.counterexample == e
+        assert report.perimeter_check == PerimeterCheck(pe, pf, pe - pf)
+        assert report.symdiff_check == SymdiffCheck(
+            symdiff_volume(e, f), symdiff_volume(e, reflect(f))
+        )
+
+    def test_rigid_report_has_no_evidence(self, priced):
+        report = rigidity_verdict(three_column(0.3, 0.5, 0.6))
+        assert report.rigid
+        assert report.counterexample is None
+        assert report.perimeter_check is None
+        assert report.symdiff_check is None
+        assert set(priced.values()) == {0}
+
+    def test_planar_report_carries_evidence(self):
+        p = three_column(0.3, 1.0, 0.6)
+        planar, theorem = rigidity_verdict_planar(p), rigidity_verdict(p)
+        assert planar.method == "planar-theorem"
+        assert planar.counterexample == theorem.counterexample
+        assert planar.perimeter_check == theorem.perimeter_check
+        assert planar.symdiff_check == theorem.symdiff_check
 
 
 class TestLevelRestriction:

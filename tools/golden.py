@@ -1,0 +1,91 @@
+"""Write the CLI's output on a fixed command matrix, one directory per command.
+
+Usage::
+
+    python3 tools/golden.py OUTDIR
+
+The matrix: ``catalog NAME --out DIR`` for every catalog entry, ``sweep``
+for every family, and on each entry's profile ``rigidity`` (three
+methods), ``counterexample``, ``connectedness`` (two kinds), ``render``
+(the profile and its model set), ``perimeter`` and ``symmetrize`` (two
+modes) of the model set. Each command's directory holds its ``stdout``,
+``stderr``, ``exit`` code and the files it wrote. The inputs are built by
+the library under test, from the ``src`` tree next to this script.
+
+Run it on two trees and compare them with ``diff -r``: equal trees mean
+byte-identical CLI output.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from ehrhard.catalog import catalog_names, run_entry  # noqa: E402
+from ehrhard.cli import main  # noqa: E402
+from ehrhard.jsonio import columnar_to_json, profile_to_json  # noqa: E402
+from ehrhard.profiles import from_profile  # noqa: E402
+
+SWEEP_FAMILIES = ("mistico", "unannotated", "koch")
+
+# label -> argv; "{profile}", "{model}" and "{out}" are filled in per entry.
+PROFILE_COMMANDS = {
+    "rigidity-theorem": ["rigidity", "--method", "theorem", "--in", "{profile}", "--out", "{out}"],
+    "rigidity-planar": ["rigidity", "--method", "planar", "--in", "{profile}", "--out", "{out}"],
+    "rigidity-search": ["rigidity", "--method", "search", "--in", "{profile}", "--out", "{out}"],
+    "counterexample": ["counterexample", "--in", "{profile}", "--out", "{out}"],
+    "connectedness-ehrhard": ["connectedness", "--kind", "ehrhard", "--in", "{profile}", "--out", "{out}"],
+    "connectedness-steiner": ["connectedness", "--kind", "steiner", "--in", "{profile}", "--out", "{out}"],
+    "render-profile": ["render", "--in", "{profile}", "--out", "{out}"],
+    "render-model": ["render", "--in", "{model}", "--out", "{out}"],
+    "perimeter": ["perimeter", "--in", "{model}", "--out", "{out}"],
+    "symmetrize-ehrhard": ["symmetrize", "--mode", "ehrhard", "--in", "{model}", "--out", "{out}"],
+    "symmetrize-steiner": ["symmetrize", "--mode", "steiner", "--in", "{model}", "--out", "{out}"],
+}
+
+
+def run(argv: list[str], where: Path) -> None:
+    """Run one CLI command in-process and record stdout, stderr and exit code."""
+    where.mkdir(parents=True, exist_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    (where / "stdout").write_text(out.getvalue(), encoding="utf-8")
+    (where / "stderr").write_text(err.getvalue(), encoding="utf-8")
+    (where / "exit").write_text(f"{code}\n", encoding="utf-8")
+
+
+def write_matrix(outdir: Path) -> None:
+    for name in catalog_names():
+        entry = outdir / "catalog" / name
+        run(["catalog", name, "--out", str(entry / "files")], entry)
+        inputs = outdir / "inputs" / name
+        inputs.mkdir(parents=True, exist_ok=True)
+        p = run_entry(name).profile
+        files = {"profile": inputs / "profile.json", "model": inputs / "model.json"}
+        files["profile"].write_text(json.dumps(profile_to_json(p)), encoding="utf-8")
+        files["model"].write_text(
+            json.dumps(columnar_to_json(from_profile(p))), encoding="utf-8"
+        )
+        for label, template in PROFILE_COMMANDS.items():
+            where = outdir / "profile" / name / label
+            fill = {k: str(v) for k, v in files.items()}
+            fill["out"] = str(where / "artifact")
+            run([arg.format(**fill) for arg in template], where)
+    for family in SWEEP_FAMILIES:
+        where = outdir / "sweep" / family
+        run(["sweep", "--family", family, "--out", str(where / "artifact")], where)
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit("usage: python3 tools/golden.py OUTDIR")
+    write_matrix(Path(sys.argv[1]))
