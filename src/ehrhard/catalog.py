@@ -15,12 +15,18 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .columnar import gauss_perimeter
-from .connectedness import complement_indecomposable, indecomposable
 from .errors import CatalogError
 from .gauss import gamma1, phi
 from .grids import Facet, Grid
 from .intervals import Interval
-from .profiles import Profile, SingularAnnotation, from_profile, g_boundary_gauss, scene
+from .profiles import (
+    Profile,
+    SingularAnnotation,
+    _model_one_piece,
+    from_profile,
+    g_boundary_gauss,
+    scene,
+)
 from .rigidity import (
     RigidityReport,
     Verdict,
@@ -330,9 +336,8 @@ def _mistico(resolution: Optional[float], seed: int) -> CatalogResult:
     ck = _Checks()
     ck.add("verdict-nonrigid", rep.verdict is Verdict.NONRIGID, rep.verdict.value)
     _sign_split_checks(ck, p, rep)
-    f = from_profile(p)
-    ck.add("set-one-piece", indecomposable(f), "")
-    ck.add("complement-one-piece", complement_indecomposable(f), "")
+    ck.add("set-one-piece", _model_one_piece(p, lambda v: v > 0.0), "")
+    ck.add("complement-one-piece", _model_one_piece(p, lambda v: v < 1.0, extended=True), "")
     pino = check_pino(p)
     ck.add("pino-fails", not pino.overall, f"passed={pino.passed}")
     excess = rep.perimeter_check.difference
@@ -379,9 +384,8 @@ def _mistico_hyperbola(resolution: Optional[float], seed: int) -> CatalogResult:
     ck = _Checks()
     ck.add("verdict-nonrigid", rep.verdict is Verdict.NONRIGID, rep.verdict.value)
     _sign_split_checks(ck, p, rep)
-    f = from_profile(p)
-    ck.add("set-one-piece", indecomposable(f), "")
-    ck.add("complement-one-piece", complement_indecomposable(f), "")
+    ck.add("set-one-piece", _model_one_piece(p, lambda v: v > 0.0), "")
+    ck.add("complement-one-piece", _model_one_piece(p, lambda v: v < 1.0, extended=True), "")
     full = sum(1 for v in values.values() if v == 1.0)
     ck.add(
         "steep-columns-saturate",

@@ -44,7 +44,9 @@ def _read_json(path: str) -> Any:
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # bad syntax, bytes that are not UTF-8, an integer over the parser's
+        # digit limit, or nesting deeper than the parser can recurse
         raise FormatError(f"invalid JSON in {path!r}: {exc}") from exc
     except OSError as exc:
         raise FormatError(f"cannot read {path!r}: {exc}") from exc

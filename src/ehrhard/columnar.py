@@ -277,15 +277,7 @@ def complement(e: ColumnarSet) -> ColumnarSet:
     The grid is extended with infinite end breakpoints where missing, so
     the exterior (where the set is empty) contributes full-line sections.
     """
-    axes = []
-    for bps in e.grid.axes:
-        ext = list(bps)
-        if ext[0] != -INF:
-            ext.insert(0, -INF)
-        if ext[-1] != INF:
-            ext.append(INF)
-        axes.append(tuple(ext))
-    big = Grid(*axes)
+    big = _extended_grid(e.grid)
     out: dict[CellId, IntervalSet] = {}
     for cid in big.cells():
         parent = _parent_cell(e.grid, big, cid)
@@ -293,6 +285,19 @@ def complement(e: ColumnarSet) -> ColumnarSet:
         if not s.is_empty:
             out[cid] = s
     return ColumnarSet._of_cells(big, out)
+
+
+def _extended_grid(grid: Grid) -> Grid:
+    """The grid with infinite end breakpoints added where missing."""
+    axes = []
+    for bps in grid.axes:
+        ext = list(bps)
+        if ext[0] != -INF:
+            ext.insert(0, -INF)
+        if ext[-1] != INF:
+            ext.append(INF)
+        axes.append(tuple(ext))
+    return Grid(*axes)
 
 
 def complement_facet_map(original: Grid, extended: Grid, f: Facet) -> Facet:

@@ -3,29 +3,41 @@
 Two notions live here. A *scene* is the combinatorial shadow of a profile:
 its cells with measures and in-G flags, plus the interfaces between G-cells
 with their one-sided value limits and a blocked flag. The scene graph (G-cells
-joined by unblocked interfaces of positive measure) decides essential
-connectedness: a two-coloring of its components with no unblocked interface
-between the colors certifies that the singular set essentially disconnects G.
+joined by unblocked interfaces) decides essential connectedness: a
+two-coloring of its components with no unblocked interface between the
+colors certifies that the singular set essentially disconnects G.
 
 Separately, a columnar set decomposes into *pieces*: per column, each
-interval of positive Gaussian mass is a node, and two pieces are adjacent
-when their columns share a facet and their sections overlap in positive
-mass. The set is indecomposable when the pieces form one component of
-positive total mass. Gamma-null pieces are invisible: they are null sets
-and cannot carry or break connections. Interior facets always have
-positive measure (a finite line and a non-degenerate span), so none is
-dropped, even where its float measure underflows to 0.
+interval of its section is a node, and two pieces are adjacent when their
+columns share an interior facet and their sections overlap. The set is
+indecomposable when the pieces form one component. Every decision is
+structural: an interval with lo < hi, an overlap with lo < hi and an
+interior facet (a finite line and a non-degenerate span) all have
+positive measure, even where a float measure underflows to 0.
+
+On the model set of a profile this reduces to cells. Its columns are
+``(psi(v), inf)``, the full line, or empty, and its complement's columns
+are ``(-inf, psi(v))``, the full line, or empty, so each occupied column
+is one piece and any two occupied neighbors overlap. The model set is
+one essential piece exactly when the cells with v > 0 are connected
+across the facets that are not severed, and its complement exactly when
+the cells with v < 1 are, on the grid extended to infinity (whose new
+cells count as v = 0). :func:`ehrhard.profiles._model_one_piece` decides
+these questions on a grid's row-major cell indices and its interior edge
+arrays (:meth:`ehrhard.grids.Grid.edges`).
+
+Every connectivity question, on scenes, pieces or cells, runs on one
+union-find over integers (:class:`Forest`); results keep their tuple ids.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Union
+from dataclasses import dataclass, field
+from typing import Iterable, Optional, Union
 
 from .columnar import ColumnarSet, complement, complement_facet_map
 from .errors import PartitionError
-from .gauss import phi
 from .grids import CellId, Facet
 from .intervals import Interval, IntervalSet
 
@@ -89,11 +101,16 @@ class Scene:
 class PartitionCertificate:
     """Two-coloring of the G-cells witnessing (non-)separation.
 
-    The certificate witnesses essential disconnection exactly when
-    ``unblocked_interface_measure`` is zero while both sides are
-    non-empty. A cell has positive Gaussian measure by its structure (a
-    non-degenerate span), so a non-empty side does too, even where
-    ``plus_gauss`` or ``minus_gauss`` underflows to 0.0.
+    The certificate witnesses essential disconnection exactly when no
+    unblocked interface crosses between the sides while both sides are
+    non-empty. Both tests read structure, not floats: an unblocked
+    interface has positive measure even where its float measure
+    underflows, so :func:`certificate_for` counts those interfaces in
+    ``_unblocked_crossings`` (a certificate built without the count falls
+    back to ``unblocked_interface_measure == 0.0``), and a cell has
+    positive Gaussian measure by its structure (a non-degenerate span),
+    so a non-empty side does too, even where ``plus_gauss`` or
+    ``minus_gauss`` underflows to 0.0.
     """
 
     plus_cells: tuple[CellId, ...]
@@ -102,14 +119,15 @@ class PartitionCertificate:
     unblocked_interface_measure: float
     plus_gauss: float
     minus_gauss: float
+    _unblocked_crossings: Optional[int] = field(default=None, repr=False)
 
     @property
     def separating(self) -> bool:
-        return (
-            self.unblocked_interface_measure == 0.0
-            and bool(self.plus_cells)
-            and bool(self.minus_cells)
-        )
+        if self._unblocked_crossings is None:
+            free = self.unblocked_interface_measure == 0.0
+        else:
+            free = self._unblocked_crossings == 0
+        return free and bool(self.plus_cells) and bool(self.minus_cells)
 
 
 @dataclass(frozen=True)
@@ -128,39 +146,43 @@ class SpanningStructure:
 # union-find
 
 
-class UnionFind:
-    """Disjoint-set forest with path compression and union by size."""
+class Forest:
+    """Union-find over the integers ``0 .. n-1`` in one flat list.
 
-    __slots__ = ("_parent", "_size")
+    ``find`` halves the path it walks. ``union`` hangs the larger root
+    under the smaller, so every root is the smallest member of its set:
+    the set holding 0 is rooted at 0, and :meth:`groups` lists the sets
+    by smallest member without sorting.
+    """
 
-    def __init__(self, items: Iterable) -> None:
-        self._parent = {x: x for x in items}
-        self._size = {x: 1 for x in self._parent}
+    __slots__ = ("parent",)
 
-    def find(self, x):
-        parent = self._parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
+    def __init__(self, n: int) -> None:
+        self.parent = list(range(n))
 
-    def union(self, a, b) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    def union(self, a: int, b: int) -> bool:
+        """Join the sets of ``a`` and ``b``; False when they were one already."""
+        a, b = self.find(a), self.find(b)
+        if a == b:
             return False
-        if self._size[ra] < self._size[rb]:
-            ra, rb = rb, ra
-        self._parent[rb] = ra
-        self._size[ra] += self._size[rb]
+        if a < b:
+            self.parent[b] = a
+        else:
+            self.parent[a] = b
         return True
 
-    def groups(self) -> list[list]:
-        out: dict = {}
-        for x in self._parent:
+    def groups(self) -> list[list[int]]:
+        """All sets, each ascending, ordered by smallest member."""
+        out: dict[int, list[int]] = {}
+        for x in range(len(self.parent)):
             out.setdefault(self.find(x), []).append(x)
-        return [sorted(v) for v in out.values()]
+        return list(out.values())
 
 
 # ----------------------------------------------------------------------
@@ -191,6 +213,7 @@ def certificate_for(scene: Scene, minus_cells: Iterable[CellId]) -> PartitionCer
         unblocked_interface_measure=math.fsum(unblocked),
         plus_gauss=math.fsum(gauss_of[c] for c in sorted(plus)),
         minus_gauss=math.fsum(gauss_of[c] for c in sorted(minus)),
+        _unblocked_crossings=len(unblocked),
     )
 
 
@@ -200,25 +223,26 @@ def essentially_disconnects(
     """Decide whether the blocked interfaces split G into separated parts.
 
     Components of the scene graph (G-cells joined by unblocked interfaces)
-    are computed by union-find. With two or more components the first
-    component (by smallest cell) becomes the minus side of a witnessing
-    certificate; otherwise a spanning structure of unblocked interfaces is
-    returned. Empty G is vacuously connected and yields an empty structure.
+    are computed by union-find over the G-cells' positions. With two or
+    more components the first component (by smallest cell) becomes the
+    minus side of a witnessing certificate; otherwise a spanning
+    structure of unblocked interfaces is returned. Empty G is vacuously
+    connected and yields an empty structure.
     """
     g = scene.g_cells()
     if not g:
         return False, SpanningStructure(cells=(), tree_facets=())
-    uf = UnionFind(g)
+    index = {cid: k for k, cid in enumerate(g)}
+    forest = Forest(len(g))
     tree: list[Facet] = []
     for sf in scene.facets:
-        if sf.blocked:
-            continue
-        if uf.union(sf.cells[0], sf.cells[1]):
+        if not sf.blocked and forest.union(index[sf.cells[0]], index[sf.cells[1]]):
             tree.append(sf.facet)
-    groups = sorted(uf.groups())
-    if len(groups) == 1:
+    if len(tree) == len(g) - 1:
         return False, SpanningStructure(cells=tuple(g), tree_facets=tuple(sorted(tree)))
-    return True, certificate_for(scene, groups[0])
+    find = forest.find
+    first = find(index[min(g)])
+    return True, certificate_for(scene, [cid for k, cid in enumerate(g) if find(k) == first])
 
 
 # ----------------------------------------------------------------------
@@ -228,13 +252,13 @@ PieceId = tuple[CellId, int]
 
 
 def indecomposable(e: ColumnarSet, severed_facets: Iterable[Facet] = ()) -> bool:
-    """True when the set is a single essential piece of positive mass.
+    """True when the set is a single essential piece.
 
     ``severed_facets`` removes specific interfaces from the adjacency (used
     by the sufficient-condition checkers to honor declared singular
     annotations); by default every interior facet may connect.
-    Empty and gamma-null sets are decomposable by convention (they carry
-    no positive mass to hold together).
+    The empty set is decomposable by convention (it carries no positive
+    mass to hold together).
     """
     comps = decompose_ids(e, severed_facets)
     return len(comps) == 1
@@ -245,46 +269,41 @@ def decompose_ids(
 ) -> list[list[PieceId]]:
     """Connected components of the piece graph, as lists of piece ids.
 
-    A piece is an interval of positive gamma1 mass, keyed by (cell, running
-    index); two pieces across a facet connect when their overlap has
-    positive mass. ``phi`` is taken once per piece endpoint: an overlap's
-    endpoints are endpoints of its two pieces.
+    A piece is one interval of a section, keyed by (cell, running index);
+    two pieces across an interior facet connect when their overlap is a
+    non-degenerate interval. Both tests are structural: an interval with
+    lo < hi has positive Gaussian mass even where its float mass
+    underflows to 0.0. Components are ordered by their smallest piece id.
     """
+    grid = e.grid
     ids: list[PieceId] = []
-    # cell -> [(piece number, lo, hi, phi(lo), phi(hi))], numbered in id order
-    by_cell: dict[CellId, list[tuple[int, float, float, float, float]]] = {}
+    # cell index -> [(piece number, lo, hi)], numbered in id order
+    by_cell: dict[int, list[tuple[int, float, float]]] = {}
     for cid in e.support():
+        by_cell[grid.cell_index(cid)] = pieces = []
         for k, iv in enumerate(e.section(cid)):
-            tail_lo, tail_hi = phi(iv.lo), phi(iv.hi)
-            if tail_lo - tail_hi > 0.0:
-                by_cell.setdefault(cid, []).append(
-                    (len(ids), iv.lo, iv.hi, tail_lo, tail_hi)
-                )
-                ids.append((cid, k))
+            pieces.append((len(ids), iv.lo, iv.hi))
+            ids.append((cid, k))
     if not ids:
         return []
-    severed = {Facet(f.axis, f.line, f.lateral) for f in severed_facets}
-    uf = UnionFind(range(len(ids)))
-    for f, lo_cid, hi_cid, _ in e.grid.adjacency(interior_only=True):
-        below = by_cell.get(lo_cid)
-        above = by_cell.get(hi_cid)
-        if below is None or above is None or f in severed:
+    severed = {grid.edge_index(f) for f in severed_facets}
+    forest = Forest(len(ids))
+    for k, (i, j) in enumerate(zip(*grid.edges())):
+        below = by_cell.get(i)
+        above = by_cell.get(j)
+        if below is None or above is None or k in severed:
             continue
-        for a, a_lo, a_hi, ta_lo, ta_hi in below:
-            for b, b_lo, b_hi, tb_lo, tb_hi in above:
-                # overlap (max of the lows, min of the highs) with its tails
-                lo, tail_lo = (b_lo, tb_lo) if b_lo > a_lo else (a_lo, ta_lo)
-                hi, tail_hi = (b_hi, tb_hi) if b_hi < a_hi else (a_hi, ta_hi)
-                if lo < hi and tail_lo - tail_hi > 0.0:
-                    uf.union(a, b)
-    return [[ids[k] for k in group] for group in sorted(uf.groups())]
+        for a, a_lo, a_hi in below:
+            for b, b_lo, b_hi in above:
+                if a_lo < b_hi and b_lo < a_hi:
+                    forest.union(a, b)
+    return [[ids[k] for k in group] for group in forest.groups()]
 
 
 def decompose(e: ColumnarSet, severed_facets: Iterable[Facet] = ()) -> list[ColumnarSet]:
     """Split the set into its essential pieces, as columnar sets.
 
-    Components are ordered by their smallest piece id. Gamma-null
-    intervals are dropped: they are null sets and belong to no component.
+    Components are ordered by their smallest piece id.
     """
     out = []
     for comp in decompose_ids(e, severed_facets):
@@ -307,7 +326,7 @@ def complement_indecomposable(
 
     ``severed_facets`` are given on the original grid and re-indexed onto
     the extended one. The complement of the full space is empty, hence
-    decomposable by the positive-mass convention.
+    decomposable by convention.
     """
     c = complement(e)
     remapped = [complement_facet_map(e.grid, c.grid, f) for f in severed_facets]

@@ -50,10 +50,12 @@ class Grid:
     The Gaussian measure helpers read two per-axis tables of doubles,
     built on the first measure query, not at construction: the gamma1
     mass ``phi(b[i]) - phi(b[i+1])`` of every cell side and the weight
-    ``exp(-z*z/2)`` of every grid line (0.0 on infinite lines).
+    ``exp(-z*z/2)`` of every grid line (0.0 on infinite lines). The
+    interior edge arrays of :meth:`edges` are built the same way, on first
+    use.
     """
 
-    __slots__ = ("_axes", "_shape", "_tables")
+    __slots__ = ("_axes", "_shape", "_tables", "_edges")
 
     def __init__(self, *axes: Sequence[float]) -> None:
         if not 1 <= len(axes) <= 2:
@@ -76,6 +78,7 @@ class Grid:
         self._axes = tuple(cooked)
         self._shape = tuple(len(a) - 1 for a in cooked)
         self._tables: Optional[tuple[_Table, _Table]] = None
+        self._edges: Optional[tuple[array, array]] = None
 
     # ------------------------------------------------------------------
 
@@ -131,6 +134,12 @@ class Grid:
     def cells(self) -> Iterator[CellId]:
         """All cells in lexicographic order."""
         return product(*(range(n) for n in self._shape))
+
+    def cell_index(self, cid: CellId) -> int:
+        """Position of the cell in :meth:`cells` order (row-major)."""
+        if len(cid) == 1:
+            return cid[0]
+        return cid[0] * self._shape[1] + cid[1]
 
     def check_cell(self, cid: CellId) -> CellId:
         cid = tuple(int(c) for c in cid)
@@ -202,6 +211,45 @@ class Grid:
                         below = None if lo is None else (lat, lo)
                         above = None if hi is None else (lat, hi)
                     yield Facet(axis, line, lat), below, above, w * mass
+
+    def edges(self) -> tuple[array, array]:
+        """The two cells of every interior facet, as :meth:`cell_index` values.
+
+        Position k of both arrays is the k-th interior facet in
+        :meth:`facets` order (:meth:`edge_index` maps a facet to it), and
+        ``(below[k], above[k])`` are its neighbors along the facet axis.
+        Built on the first call and shared by later ones; no measure is
+        read.
+        """
+        if self._edges is None:
+            below, above = array("l"), array("l")
+            if len(self._shape) == 1:
+                n = self._shape[0]
+                below.extend(range(n - 1))
+                above.extend(range(1, n))
+            else:
+                nx, ny = self._shape
+                # axis 0, line by line: cell (line - 1, lat) below (line, lat)
+                below.extend(range((nx - 1) * ny))
+                above.extend(range(ny, nx * ny))
+                # axis 1, line by line: cell (lat, line - 1) below (lat, line)
+                for line in range(1, ny):
+                    below.extend(range(line - 1, nx * ny, ny))
+                    above.extend(range(line, nx * ny, ny))
+            self._edges = (below, above)
+        return self._edges
+
+    def edge_index(self, f: Facet) -> Optional[int]:
+        """Position of the facet in :meth:`edges`; None unless it is interior."""
+        if len(self._shape) == 1:
+            n = self._shape[0]
+            return f.line - 1 if f.axis == 0 and 0 < f.line < n and f.lateral == 0 else None
+        nx, ny = self._shape
+        if f.axis == 0 and 0 < f.line < nx and 0 <= f.lateral < ny:
+            return (f.line - 1) * ny + f.lateral
+        if f.axis == 1 and 0 < f.line < ny and 0 <= f.lateral < nx:
+            return (nx - 1) * ny + (f.line - 1) * nx + f.lateral
+        return None
 
     def facet_cells(self, f: Facet) -> tuple[Optional[CellId], Optional[CellId]]:
         """Neighbor cells (below, above) along the facet axis; None = exterior."""

@@ -45,7 +45,10 @@ def decode_number(x: Any) -> float:
         return -INF
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise FormatError(f"expected a number or inf sentinel, got {x!r}")
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise FormatError(f"number with {len(str(x))} digits is out of float range") from exc
 
 
 # ----------------------------------------------------------------------

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
-from .columnar import ColumnarSet
-from .connectedness import Scene, SceneCell, SceneFacet
+from .columnar import ColumnarSet, _extended_grid, complement_facet_map
+from .connectedness import Forest, Scene, SceneCell, SceneFacet
 from .errors import ProfileError
 from .gauss import gamma1, psi
 from .grids import CellId, Facet, Grid
@@ -358,6 +358,48 @@ def from_profile(p: Profile) -> ColumnarSet:
         if v > 0.0:
             sections[cid] = IntervalSet.above(psi(v))
     return ColumnarSet._of_cells(p.grid, sections)
+
+
+def _model_one_piece(
+    p: Profile,
+    keep: Callable[[float], bool],
+    severed: Iterable[Facet] = (),
+    extended: bool = False,
+) -> bool:
+    """Whether the cells whose value passes ``keep`` form one component.
+
+    Cells connect across interior facets that are not ``severed``. This
+    is essential connectedness of a model-set region read on cells (see
+    :mod:`ehrhard.connectedness`): ``keep = v > 0`` gives
+    ``indecomposable(from_profile(p), severed)``, ``keep = t < v < 1 - t``
+    gives the same for the model set restricted to those cells, and
+    ``keep = v < 1`` with ``extended`` gives
+    ``complement_indecomposable(from_profile(p), severed)``. With
+    ``extended`` the grid first gets infinite end breakpoints like
+    :func:`~ehrhard.columnar.complement`, its new cells count as v = 0,
+    and ``severed`` is re-indexed onto it. With no cell kept there is no
+    component, and the answer is False.
+    """
+    grid = p.grid
+    if extended:
+        big = _extended_grid(grid)
+        shift = [int(a[0] != b[0]) for a, b in zip(grid.axes, big.axes)]
+        values = [
+            p._values.get(tuple(c - s for c, s in zip(cid, shift)), 0.0)
+            for cid in big.cells()
+        ]
+        severed = [complement_facet_map(grid, big, f) for f in severed]
+        grid = big
+    else:
+        values = list(p._values.values())  # grid.cells() order, which is row-major
+    inside = [keep(v) for v in values]
+    cut = {grid.edge_index(f) for f in severed}
+    forest = Forest(len(inside))
+    pieces = sum(inside)
+    for k, (i, j) in enumerate(zip(*grid.edges())):
+        if inside[i] and inside[j] and k not in cut and forest.union(i, j):
+            pieces -= 1
+    return pieces == 1
 
 
 def distribution(e: ColumnarSet) -> Profile:

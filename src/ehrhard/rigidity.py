@@ -28,16 +28,13 @@ from .columnar import (
     gauss_perimeter,
     halfline_classification,
     reflect,
-    restrict,
     symdiff_volume,
 )
 from .connectedness import (
     PartitionCertificate,
     SpanningStructure,
     certificate_for,
-    complement_indecomposable,
     essentially_disconnects,
-    indecomposable,
 )
 from .errors import (
     DomainError,
@@ -49,7 +46,7 @@ from .errors import (
 from .gauss import gamma1, psi
 from .grids import CellId, Facet
 from .intervals import IntervalSet
-from .profiles import Profile, approx_limits, from_profile, scene
+from .profiles import Profile, _model_one_piece, approx_limits, from_profile, scene
 
 __all__ = [
     "Verdict",
@@ -434,14 +431,12 @@ def check_pino(p: Profile, levels: Optional[Sequence[float]] = None) -> LevelRes
     for a, b in zip(ts, ts[1:]):
         if not b < a:
             raise ProfileError("levels must be strictly decreasing")
-    f = from_profile(p)
     passed = []
     for t in ts:
-        keep = [cid for cid in p.grid.cells() if t < p.value(cid) < 1.0 - t]
         severed = [
             a.facet for a in p.annotations if a.wedge <= t or a.vee >= 1.0 - t
         ]
-        passed.append(indecomposable(restrict(f, keep), severed))
+        passed.append(_model_one_piece(p, lambda v, t=t: t < v < 1.0 - t, severed))
     return LevelRestrictionReport(
         levels=ts, passed=tuple(passed), overall=all(passed)
     )
@@ -470,11 +465,10 @@ def check_gino(p: Profile) -> ComplementSplitReport:
     """
     if p.grid.base_dim != 1:
         raise ProfileError("complement split check needs a 1-D base")
-    f = from_profile(p)
     severed_low = [a.facet for a in p.annotations if a.wedge == 0.0]
     severed_high = [a.facet for a in p.annotations if a.vee == 1.0]
-    set_ok = indecomposable(f, severed_low)
-    comp_ok = complement_indecomposable(f, severed_high)
+    set_ok = _model_one_piece(p, lambda v: v > 0.0, severed_low)
+    comp_ok = _model_one_piece(p, lambda v: v < 1.0, severed_high, extended=True)
     return ComplementSplitReport(
         set_indecomposable=set_ok,
         complement_indecomposable=comp_ok,

@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from ehrhard import ColumnarSet, Grid, IntervalSet, Profile
+from ehrhard import ColumnarSet, Grid, IntervalSet, Profile, SingularAnnotation
 
 INF = math.inf
 
@@ -127,6 +127,17 @@ def random_profile_2d(
     )
     values = {cid: random_value(rng, p_extreme) for cid in grid.cells()}
     return Profile(grid, values)
+
+
+def random_annotated(rng: random.Random, p: Profile, p_annotate: float = 0.3) -> Profile:
+    """The profile with annotations on a random share of its interior
+    facets; each limit is 0, 1 or uniform, so some annotations block."""
+    annotations = []
+    for f in p.grid.facets(interior_only=True):
+        if rng.random() < p_annotate:
+            wedge, vee = sorted(rng.choice((0.0, 1.0, rng.random())) for _ in range(2))
+            annotations.append(SingularAnnotation(f, wedge, vee))
+    return Profile(p.grid, p.values, annotations)
 
 
 @pytest.fixture(scope="session")

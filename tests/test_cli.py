@@ -3,6 +3,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ehrhard import Facet, Grid, Profile, SingularAnnotation, gauss_perimeter, phi, psi
 from ehrhard.cli import main
@@ -218,6 +220,64 @@ class TestSetCommands:
     def test_missing_file_is_input_error(self, tmp_path, capsys):
         assert main(["perimeter", "--in", str(tmp_path / "nope.json")]) == 1
         assert "cannot read" in capsys.readouterr().err
+
+
+def _profile_bytes(mutate=None):
+    doc = profile_to_json(nonrigid_profile())
+    if mutate is not None:
+        mutate(doc)
+    return json.dumps(doc).encode("utf-8")
+
+
+BIG = 10**400
+
+
+def _big_value(doc):
+    doc["values"][0] = BIG
+
+
+def _big_breakpoint(doc):
+    doc["breakpoints"][0][1] = BIG
+
+
+BAD_INPUTS = {
+    "invalid-utf8": _profile_bytes()[:20] + b"\xff" + _profile_bytes()[20:],
+    "big-int-value": _profile_bytes(_big_value),
+    "big-int-breakpoint": _profile_bytes(_big_breakpoint),
+    "deep-nesting": b"[" * 100_000,
+}
+
+
+class TestByteBoundary:
+    """Malformed bytes end in a FormatError (exit 1), never a traceback."""
+
+    @pytest.mark.parametrize("command", ["rigidity", "connectedness", "render"])
+    @pytest.mark.parametrize("label", sorted(BAD_INPUTS))
+    def test_input_error(self, tmp_path, capsys, command, label):
+        path = tmp_path / "bad.json"
+        path.write_bytes(BAD_INPUTS[label])
+        assert main([command, "--in", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ehrhard: error:") and "Traceback" not in err
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.data(),
+        st.sampled_from(["rigidity", "connectedness", "render"]),
+    )
+    def test_mutated_bytes_exit_cleanly(self, tmp_path_factory, data, command):
+        raw = bytearray(_profile_bytes())
+        for _ in range(data.draw(st.integers(1, 4))):
+            at = data.draw(st.integers(0, len(raw)))
+            raw[at:at] = data.draw(
+                st.one_of(
+                    st.binary(min_size=1, max_size=3),
+                    st.integers(-(10**500), 10**500).map(lambda n: str(n).encode()),
+                )
+            )
+        path = tmp_path_factory.mktemp("fuzz") / "in.json"
+        path.write_bytes(bytes(raw))
+        assert main([command, "--in", str(path), "--out", str(path.with_suffix(".out"))]) in (0, 1)
 
 
 class TestRigidity:

@@ -24,7 +24,7 @@ from ehrhard import (
     scene,
     symdiff_volume,
 )
-from ehrhard.connectedness import UnionFind, decompose_ids
+from ehrhard.connectedness import Forest, decompose_ids
 from conftest import random_profile_1d
 
 INF = math.inf
@@ -41,20 +41,32 @@ def brute_force_disconnects(s):
     return False
 
 
-class TestUnionFind:
+class TestForest:
     def test_union_and_groups(self):
-        uf = UnionFind([1, 2, 3, 4])
-        assert uf.union(1, 2)
-        assert not uf.union(2, 1)
-        assert uf.union(3, 4)
-        assert uf.groups() == [[1, 2], [3, 4]]
-        uf.union(1, 4)
-        assert uf.groups() == [[1, 2, 3, 4]]
+        forest = Forest(5)
+        assert forest.union(3, 1)
+        assert not forest.union(1, 3)
+        assert forest.union(4, 2)
+        assert forest.groups() == [[0], [1, 3], [2, 4]]
+        assert forest.union(4, 3)
+        assert forest.groups() == [[0], [1, 2, 3, 4]]
 
-    def test_find_identity(self):
-        uf = UnionFind("ab")
-        assert uf.find("a") == "a"
-        assert uf.find("a") != uf.find("b")
+    def test_roots_are_smallest_members(self):
+        forest = Forest(6)
+        for a, b in ((5, 4), (4, 3), (3, 2), (2, 1)):
+            forest.union(a, b)
+        assert [forest.find(x) for x in range(6)] == [0, 1, 1, 1, 1, 1]
+        forest.union(5, 0)
+        assert {forest.find(x) for x in range(6)} == {0}
+
+    def test_find_halves_paths(self):
+        forest = Forest(5)
+        forest.parent[:] = [0, 0, 1, 2, 3]  # a chain 4 -> 3 -> 2 -> 1 -> 0
+        assert forest.find(4) == 0
+        assert forest.parent == [0, 0, 0, 2, 2]  # every other node skips one up
+
+    def test_empty(self):
+        assert Forest(0).groups() == []
 
 
 class TestSceneConnectivity:
@@ -107,6 +119,17 @@ class TestSceneConnectivity:
         s = scene(self.profile((0.3, 0.5, 0.6, 0.4)))
         with pytest.raises(PartitionError):
             certificate_for(s, [(9,)])
+
+    def test_underflowed_unblocked_facet_does_not_separate(self):
+        # the facet at 40 weighs exp(-800) == 0.0 but is unblocked
+        p = Profile(Grid((-INF, 40.0, 41.0, INF)), {(i,): 0.5 for i in range(3)})
+        s = scene(p)
+        cert = certificate_for(s, [(0,)])
+        assert cert.unblocked_interface_measure == 0.0
+        assert cert.interface_facets == (Facet(0, 1, 0),)
+        assert cert._unblocked_crossings == 1
+        assert not cert.separating
+        assert not essentially_disconnects(s)[0]
 
     def test_non_separating_certificate(self):
         s = scene(self.profile((0.3, 0.5, 0.6, 0.4)))
@@ -170,11 +193,21 @@ class TestDecompose:
         assert indecomposable(e)
         assert not indecomposable(e, severed_facets=[Facet(0, 1, 0)])
 
-    def test_null_pieces_invisible(self):
+    def test_far_tail_pieces_count(self):
+        # gamma1((200, 201)) underflows to 0.0, but the interval is
+        # non-degenerate, so it has positive measure and is a piece
         far = IntervalSet.of(200.0, 201.0)
         e = ColumnarSet(self.grid(), {(0,): far})
-        assert decompose_ids(e) == []
-        assert not indecomposable(e)
+        assert decompose_ids(e) == [[((0,), 0)]]
+        assert indecomposable(e)
+
+    def test_far_tail_overlap_connects(self):
+        # the overlap (200, 201) of the two columns is non-degenerate
+        e = ColumnarSet(
+            self.grid(),
+            {(0,): IntervalSet.of(199.0, 201.0), (1,): IntervalSet.of(200.0, 202.0)},
+        )
+        assert decompose_ids(e) == [[((0,), 0), ((1,), 0)]]
 
     def test_empty_set_decomposable(self):
         assert not indecomposable(ColumnarSet(self.grid(), {}))

@@ -278,3 +278,34 @@ class TestTables:
         assert g.facet_gauss(Facet(0, 0, 1)) == 0.0
         assert g.facet_lebesgue(Facet(0, 2, 0)) == 0.0
         assert [f for f, *_ in g.adjacency()] == list(g.facets())
+
+
+class TestEdges:
+    """The integer edge arrays are the interior adjacency on cell indices."""
+
+    @pytest.mark.parametrize("base_dim", [1, 2])
+    def test_edges_match_interior_adjacency(self, base_dim):
+        rng = random.Random(53 + base_dim)
+        for _ in range(60):
+            g = random_grid(rng, base_dim)
+            cells = list(g.cells())
+            assert [g.cell_index(c) for c in cells] == list(range(len(cells)))
+            below, above = g.edges()
+            interior = [(f, lo, hi) for f, lo, hi, _ in g.adjacency(interior_only=True)]
+            assert [(cells[i], cells[j]) for i, j in zip(below, above)] == [
+                (lo, hi) for _, lo, hi in interior
+            ]
+            assert [g.edge_index(f) for f, _, _ in interior] == list(range(len(interior)))
+            assert g.edges() is g.edges()
+
+    def test_edge_index_rejects_other_facets(self):
+        g = Grid((0.0, 1.0, 2.0), (-INF, 0.0, 1.0, INF))
+        assert g.edge_index(Facet(0, 1, 2)) == 2
+        assert g.edge_index(Facet(1, 2, 1)) == 3 + 2 + 1
+        for f in (Facet(0, 0, 0), Facet(0, 2, 0), Facet(1, 0, 0), Facet(1, 3, 0),
+                  Facet(0, 1, 3), Facet(1, 1, 2), Facet(2, 1, 0)):
+            assert g.edge_index(f) is None
+        line = Grid((0.0, 1.0, 2.0))
+        assert line.edge_index(Facet(0, 1, 0)) == 0
+        assert line.edge_index(Facet(0, 1, 1)) is None
+        assert [list(a) for a in line.edges()] == [[0], [1]]

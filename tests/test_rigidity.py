@@ -37,7 +37,10 @@ from ehrhard import (
     symdiff_volume,
     verify_equality_case,
 )
-from conftest import random_profile_1d
+from ehrhard.columnar import restrict
+from ehrhard.connectedness import complement_indecomposable, decompose_ids, indecomposable
+from ehrhard.profiles import _model_one_piece
+from conftest import random_annotated, random_profile_1d, random_profile_2d
 
 INF = math.inf
 
@@ -357,6 +360,68 @@ class TestFarTail:
         for report in (theorem, search):
             if not report.rigid:
                 assert report.certificate.separating
+
+
+@st.composite
+def family_profiles(draw):
+    """A profile of the conftest families: 1-D or 2-D, bare or annotated."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        p = random_profile_1d(rng, max_cells=8)
+    else:
+        p = random_profile_2d(rng)
+    if draw(st.booleans()):
+        p = random_annotated(rng, p)
+    return p
+
+
+def interval_pino(p, levels):
+    """check_pino's passes on the interval route: generic pieces of the
+    restricted model set."""
+    f = from_profile(p)
+    passed = []
+    for t in levels:
+        keep = [cid for cid in p.grid.cells() if t < p.value(cid) < 1.0 - t]
+        severed = [a.facet for a in p.annotations if a.wedge <= t or a.vee >= 1.0 - t]
+        passed.append(len(decompose_ids(restrict(f, keep), severed)) == 1)
+    return tuple(passed)
+
+
+class TestModelSetKernel:
+    """check_pino, check_gino and the one-piece checks decide on cells;
+    generic decompose_ids on from_profile/restrict/complement is the oracle."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.one_of(family_profiles(), far_tail_profiles_1d()), st.data())
+    def test_matches_interval_route(self, p, data):
+        auto = default_levels(p)
+        if auto[-1] > 0.0 and all(a > b for a, b in zip(auto, auto[1:])):
+            report = check_pino(p)
+            assert report.passed == interval_pino(p, auto)
+            assert report.overall == all(report.passed)
+        else:
+            # the default levels collapse when a G-value lies within a few
+            # subnormal steps of 0, and check_pino refuses them
+            with pytest.raises(ProfileError):
+                check_pino(p)
+        drawn = data.draw(st.lists(st.floats(1e-6, 0.499), min_size=1, max_size=3))
+        levels = tuple(sorted(set(drawn), reverse=True))
+        assert check_pino(p, levels).passed == interval_pino(p, levels)
+
+        f = from_profile(p)
+        facets = list(p.grid.facets())
+        severed = data.draw(st.lists(st.sampled_from(facets), max_size=4)) if facets else []
+        assert _model_one_piece(p, lambda v: v > 0.0, severed) == indecomposable(f, severed)
+        assert _model_one_piece(
+            p, lambda v: v < 1.0, severed, extended=True
+        ) == complement_indecomposable(f, severed)
+
+        if p.grid.base_dim == 1:
+            gino = check_gino(p)
+            low = [a.facet for a in p.annotations if a.wedge == 0.0]
+            high = [a.facet for a in p.annotations if a.vee == 1.0]
+            assert gino.set_indecomposable == indecomposable(f, low)
+            assert gino.complement_indecomposable == complement_indecomposable(f, high)
 
 
 @pytest.fixture
