@@ -22,7 +22,8 @@ from .intervals import Interval
 from .profiles import (
     Profile,
     SingularAnnotation,
-    _model_one_piece,
+    _complement_one_piece,
+    _set_one_piece,
     from_profile,
     g_boundary_gauss,
     scene,
@@ -336,8 +337,8 @@ def _mistico(resolution: Optional[float], seed: int) -> CatalogResult:
     ck = _Checks()
     ck.add("verdict-nonrigid", rep.verdict is Verdict.NONRIGID, rep.verdict.value)
     _sign_split_checks(ck, p, rep)
-    ck.add("set-one-piece", _model_one_piece(p, lambda v: v > 0.0), "")
-    ck.add("complement-one-piece", _model_one_piece(p, lambda v: v < 1.0, extended=True), "")
+    ck.add("set-one-piece", _set_one_piece(p), "")
+    ck.add("complement-one-piece", _complement_one_piece(p), "")
     pino = check_pino(p)
     ck.add("pino-fails", not pino.overall, f"passed={pino.passed}")
     excess = rep.perimeter_check.difference
@@ -384,8 +385,8 @@ def _mistico_hyperbola(resolution: Optional[float], seed: int) -> CatalogResult:
     ck = _Checks()
     ck.add("verdict-nonrigid", rep.verdict is Verdict.NONRIGID, rep.verdict.value)
     _sign_split_checks(ck, p, rep)
-    ck.add("set-one-piece", _model_one_piece(p, lambda v: v > 0.0), "")
-    ck.add("complement-one-piece", _model_one_piece(p, lambda v: v < 1.0, extended=True), "")
+    ck.add("set-one-piece", _set_one_piece(p), "")
+    ck.add("complement-one-piece", _complement_one_piece(p), "")
     full = sum(1 for v in values.values() if v == 1.0)
     ck.add(
         "steep-columns-saturate",

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 from .columnar import ColumnarSet, complement, complement_facet_map
 from .errors import PartitionError
@@ -106,11 +106,9 @@ class PartitionCertificate:
     non-empty. Both tests read structure, not floats: an unblocked
     interface has positive measure even where its float measure
     underflows, so :func:`certificate_for` counts those interfaces in
-    ``_unblocked_crossings`` (a certificate built without the count falls
-    back to ``unblocked_interface_measure == 0.0``), and a cell has
-    positive Gaussian measure by its structure (a non-degenerate span),
-    so a non-empty side does too, even where ``plus_gauss`` or
-    ``minus_gauss`` underflows to 0.0.
+    ``_unblocked_crossings``; and a cell has positive Gaussian measure by
+    its structure (a non-degenerate span), so a non-empty side does too,
+    even where ``plus_gauss`` or ``minus_gauss`` underflows to 0.0.
     """
 
     plus_cells: tuple[CellId, ...]
@@ -119,15 +117,15 @@ class PartitionCertificate:
     unblocked_interface_measure: float
     plus_gauss: float
     minus_gauss: float
-    _unblocked_crossings: Optional[int] = field(default=None, repr=False)
+    _unblocked_crossings: int = field(repr=False)
 
     @property
     def separating(self) -> bool:
-        if self._unblocked_crossings is None:
-            free = self.unblocked_interface_measure == 0.0
-        else:
-            free = self._unblocked_crossings == 0
-        return free and bool(self.plus_cells) and bool(self.minus_cells)
+        return (
+            self._unblocked_crossings == 0
+            and bool(self.plus_cells)
+            and bool(self.minus_cells)
+        )
 
 
 @dataclass(frozen=True)

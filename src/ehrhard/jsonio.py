@@ -48,7 +48,7 @@ def decode_number(x: Any) -> float:
     try:
         return float(x)
     except OverflowError as exc:  # an integer beyond the float range
-        raise FormatError(f"number with {len(str(x))} digits is out of float range") from exc
+        raise FormatError(f"integer of {x.bit_length()} bits is out of float range") from exc
 
 
 # ----------------------------------------------------------------------

@@ -402,6 +402,16 @@ def _model_one_piece(
     return pieces == 1
 
 
+def _set_one_piece(p: Profile, severed: Iterable[Facet] = ()) -> bool:
+    """``indecomposable(from_profile(p), severed)``, decided on cells."""
+    return _model_one_piece(p, lambda v: v > 0.0, severed)
+
+
+def _complement_one_piece(p: Profile, severed: Iterable[Facet] = ()) -> bool:
+    """``complement_indecomposable(from_profile(p), severed)``, decided on cells."""
+    return _model_one_piece(p, lambda v: v < 1.0, severed, extended=True)
+
+
 def distribution(e: ColumnarSet) -> Profile:
     """Profile of per-cell Gaussian masses of a columnar set."""
     values: dict[CellId, float] = {}

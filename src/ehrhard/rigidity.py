@@ -46,7 +46,15 @@ from .errors import (
 from .gauss import gamma1, psi
 from .grids import CellId, Facet
 from .intervals import IntervalSet
-from .profiles import Profile, _model_one_piece, approx_limits, from_profile, scene
+from .profiles import (
+    Profile,
+    _complement_one_piece,
+    _model_one_piece,
+    _set_one_piece,
+    approx_limits,
+    from_profile,
+    scene,
+)
 
 __all__ = [
     "Verdict",
@@ -467,8 +475,8 @@ def check_gino(p: Profile) -> ComplementSplitReport:
         raise ProfileError("complement split check needs a 1-D base")
     severed_low = [a.facet for a in p.annotations if a.wedge == 0.0]
     severed_high = [a.facet for a in p.annotations if a.vee == 1.0]
-    set_ok = _model_one_piece(p, lambda v: v > 0.0, severed_low)
-    comp_ok = _model_one_piece(p, lambda v: v < 1.0, severed_high, extended=True)
+    set_ok = _set_one_piece(p, severed_low)
+    comp_ok = _complement_one_piece(p, severed_high)
     return ComplementSplitReport(
         set_indecomposable=set_ok,
         complement_indecomposable=comp_ok,

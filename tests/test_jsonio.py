@@ -176,6 +176,18 @@ class TestProfiles:
             with pytest.raises(FormatError):
                 profile_from_json(dict(doc, annotations=bad))
 
+    @pytest.mark.parametrize("digits", [400, 5000])
+    def test_huge_integers(self, digits):
+        # past 4,300 digits str() of an int raises, so the message must not use it
+        huge = 10**digits
+        doc = profile_to_json(Profile(Grid((0.0, 1.0)), {(0,): 0.5}))
+        with pytest.raises(FormatError, match="out of float range"):
+            profile_from_json(dict(doc, values=[huge]))
+        with pytest.raises(FormatError, match="out of float range"):
+            profile_from_json(dict(doc, breakpoints=[[0.0, huge]]))
+        with pytest.raises(FormatError, match="out of float range"):
+            grid_from_json({"base_dim": 1, "breakpoints": [[0.0, huge]]})
+
 
 class TestColumnar:
     def test_round_trip_exact(self):
