@@ -29,6 +29,7 @@ from .profiles import (
     scene,
 )
 from .rigidity import (
+    EqualityCaseReport,
     RigidityReport,
     Verdict,
     check_gino,
@@ -62,29 +63,88 @@ class CatalogResult:
         return all(c.ok for c in self.checks)
 
 
-class _Checks:
-    def __init__(self) -> None:
-        self.items: list[CatalogCheck] = []
-
+class _Checks(list):
     def add(self, label: str, ok: bool, detail: str = "") -> None:
-        self.items.append(CatalogCheck(label=label, ok=bool(ok), detail=detail))
-
-    def done(self) -> tuple[CatalogCheck, ...]:
-        return tuple(self.items)
+        self.append(CatalogCheck(label=label, ok=bool(ok), detail=detail))
 
 
-def _no_resolution(name: str, resolution: Optional[float]) -> None:
-    if resolution is not None:
-        raise CatalogError(f"entry {name!r} does not take a resolution")
+# entry name -> runner(resolution, seed)
+_ENTRIES: dict[str, Callable[[Optional[float], int], CatalogResult]] = {}
+
+
+def _entry(name: str, default_resolution: Optional[float] = None) -> Callable:
+    """Register ``build(checks, h, seed) -> (profile, report, extras)`` as an entry.
+
+    The builder adds its checks to ``checks`` in order. An entry with no
+    default resolution refuses one, and its builder gets ``h = None``;
+    otherwise ``h`` is the given resolution or the default.
+    """
+
+    def register(build: Callable) -> Callable:
+        def run(resolution: Optional[float], seed: int) -> CatalogResult:
+            if default_resolution is None and resolution is not None:
+                raise CatalogError(f"entry {name!r} does not take a resolution")
+            ck = _Checks()
+            h = default_resolution if resolution is None else resolution
+            p, rep, extras = build(ck, h, seed)
+            return CatalogResult(name, p, rep, tuple(ck), extras)
+
+        _ENTRIES[name] = run
+        return build
+
+    return register
 
 
 def _step_count(name: str, span: float, resolution: float) -> int:
-    n = span / resolution
+    n = span / resolution if resolution > 0.0 else 0.0
     if abs(n - round(n)) > 1e-9 or round(n) < 2:
         raise CatalogError(
             f"entry {name!r}: resolution {resolution} does not tile a span of {span}"
         )
     return int(round(n))
+
+
+def _plate(
+    name: str, h: float, value: Callable[[float, float], float]
+) -> tuple[Grid, int, list[float], dict]:
+    """Square grid on [-1, 1]^2 at step ``h``, with 0 a breakpoint.
+
+    Returns the grid, its (even) step count ``n`` per axis, the cell
+    centres along an axis, and ``value(cx, cy)`` for every cell in
+    row-major order.
+    """
+    n = _step_count(name, 2.0, h)
+    if n % 2 != 0:
+        raise CatalogError(f"{name}: resolution must place a breakpoint at 0")
+    axis = Grid.regular(-1.0, 1.0, n)
+    centres = [0.5 * (axis[i] + axis[i + 1]) for i in range(n)]
+    values = {
+        (i, j): value(cx, cy) for i, cx in enumerate(centres) for j, cy in enumerate(centres)
+    }
+    return Grid(axis, axis), n, centres, values
+
+
+# ----------------------------------------------------------------------
+# checks shared by several entries
+
+
+def _verdict(ck: _Checks, rep: RigidityReport, expected: Verdict) -> None:
+    ck.add(f"verdict-{expected.value.lower()}", rep.verdict is expected, rep.verdict.value)
+
+
+def _planar(ck: _Checks, p: Profile, expected: Verdict) -> RigidityReport:
+    """The planar verdict, which the exhaustive search must agree with."""
+    rep = rigidity_verdict_planar(p)
+    search = exhaustive_search(p)
+    _verdict(ck, rep, expected)
+    ck.add("search-agrees", search.verdict is rep.verdict, search.verdict.value)
+    return rep
+
+
+def _equality(ck: _Checks, rep: RigidityReport, p: Profile) -> EqualityCaseReport:
+    eq = verify_equality_case(rep.counterexample, p)
+    ck.add("equality-case", eq.passed, f"difference={eq.perimeter_check.difference:.3e}")
+    return eq
 
 
 # ----------------------------------------------------------------------
@@ -96,16 +156,11 @@ def _three_column(values: tuple[float, float, float]) -> Profile:
     return Profile(grid, {(0,): values[0], (1,): values[1], (2,): values[2]})
 
 
-def _fig2_top(resolution: Optional[float], seed: int) -> CatalogResult:
-    _no_resolution("fig2-top", resolution)
+@_entry("fig2-top")
+def _fig2_top(ck: _Checks, h: None, seed: int):
     p = _three_column((0.3, 1.0, 0.6))
-    rep = rigidity_verdict_planar(p)
-    search = exhaustive_search(p)
-    ck = _Checks()
-    ck.add("verdict-nonrigid", rep.verdict is Verdict.NONRIGID, rep.verdict.value)
-    ck.add("search-agrees", search.verdict is rep.verdict, search.verdict.value)
-    eq = verify_equality_case(rep.counterexample, p)
-    ck.add("equality-case", eq.passed, f"difference={eq.perimeter_check.difference:.3e}")
+    rep = _planar(ck, p, Verdict.NONRIGID)
+    eq = _equality(ck, rep, p)
     ck.add(
         "properly-between",
         eq.symdiff_check.vs_symmetral > 1e-12 and eq.symdiff_check.vs_reflected > 1e-12,
@@ -119,72 +174,40 @@ def _fig2_top(resolution: Optional[float], seed: int) -> CatalogResult:
         {cert.minus_cells, cert.plus_cells} == {((0,),), ((2,),)},
         f"minus={cert.minus_cells}",
     )
-    return CatalogResult(
-        name="fig2-top",
-        profile=p,
-        report=rep,
-        checks=ck.done(),
-        extras={"excess": rep.perimeter_check.difference},
-    )
+    return p, rep, {"excess": rep.perimeter_check.difference}
 
 
-def _fig2_bottom(resolution: Optional[float], seed: int) -> CatalogResult:
-    _no_resolution("fig2-bottom", resolution)
+@_entry("fig2-bottom")
+def _fig2_bottom(ck: _Checks, h: None, seed: int):
     p = _three_column((0.3, 0.0, 0.6))
-    rep = rigidity_verdict_planar(p)
-    search = exhaustive_search(p)
-    ck = _Checks()
-    ck.add("verdict-nonrigid", rep.verdict is Verdict.NONRIGID, rep.verdict.value)
-    ck.add("search-agrees", search.verdict is rep.verdict, search.verdict.value)
-    eq = verify_equality_case(rep.counterexample, p)
-    ck.add("equality-case", eq.passed, f"difference={eq.perimeter_check.difference:.3e}")
+    rep = _planar(ck, p, Verdict.NONRIGID)
+    _equality(ck, rep, p)
     gino = check_gino(p)
     ck.add(
         "gino-fails-on-set",
         not gino.set_indecomposable and not gino.overall,
         f"set={gino.set_indecomposable}",
     )
-    return CatalogResult(
-        name="fig2-bottom",
-        profile=p,
-        report=rep,
-        checks=ck.done(),
-        extras={"excess": rep.perimeter_check.difference},
-    )
+    return p, rep, {"excess": rep.perimeter_check.difference}
 
 
 # ----------------------------------------------------------------------
 # 2-D plate with a blocked segment that fails to separate
 
 
-def _fig3_01_profile(h: float) -> Profile:
-    n = _step_count("fig3-01", 2.0, h)
-    if n % 2 != 0:
-        raise CatalogError("fig3-01: resolution must place a breakpoint at 0")
-    axis = Grid.regular(-1.0, 1.0, n)
-    grid = Grid(axis, axis)
-    values = {}
-    for i in range(n):
-        for j in range(n):
-            cx = 0.5 * (axis[i] + axis[i + 1])
-            cy = 0.5 * (axis[j] + axis[j + 1])
-            values[(i, j)] = 0.5 + 0.25 * cx * cy
-    annotations = []
+@_entry("fig3-01", default_resolution=0.25)
+def _fig3_01(ck: _Checks, h: float, seed: int):
+    grid, n, _, values = _plate("fig3-01", h, lambda cx, cy: 0.5 + 0.25 * cx * cy)
     mid = n // 2
-    for i in range(mid, n):
-        a, b = values[(i, mid - 1)], values[(i, mid)]
-        annotations.append(
-            SingularAnnotation(Facet(axis=1, line=mid, lateral=i), 0.0, max(a, b))
+    annotations = [
+        SingularAnnotation(
+            Facet(axis=1, line=mid, lateral=i), 0.0, max(values[(i, mid - 1)], values[(i, mid)])
         )
-    return Profile(grid, values, annotations)
-
-
-def _fig3_01(resolution: Optional[float], seed: int) -> CatalogResult:
-    h = 0.25 if resolution is None else resolution
-    p = _fig3_01_profile(h)
+        for i in range(mid, n)
+    ]
+    p = Profile(grid, values, annotations)
     rep = rigidity_verdict(p)
-    ck = _Checks()
-    ck.add("verdict-rigid", rep.verdict is Verdict.RIGID, rep.verdict.value)
+    _verdict(ck, rep, Verdict.RIGID)
     pino = check_pino(p)
     ck.add("pino-passes", pino.overall, f"levels={pino.levels}")
     sc = scene(p)
@@ -207,29 +230,19 @@ def _fig3_01(resolution: Optional[float], seed: int) -> CatalogResult:
         if cost <= 1e-9:
             positive = False
     ck.add("random-partitions-pay", positive, f"min cost={worst:.3e}")
-    return CatalogResult(
-        name="fig3-01",
-        profile=p,
-        report=rep,
-        checks=ck.done(),
-        extras={"g_cells": float(len(g)), "min_partition_cost": worst},
-    )
+    return p, rep, {"g_cells": float(len(g)), "min_partition_cost": worst}
 
 
 # ----------------------------------------------------------------------
 # spike annotation on the edge of G
 
 
-def _spikes(resolution: Optional[float], seed: int) -> CatalogResult:
-    _no_resolution("spikes", resolution)
+@_entry("spikes")
+def _spikes(ck: _Checks, h: None, seed: int):
     grid = Grid((-INF, -2.0, -1.0, 0.0, 1.0, 2.0, INF))
     values = {(0,): 0.0, (1,): 0.9, (2,): 0.6, (3,): 0.4, (4,): 0.2, (5,): 0.0}
     p = Profile(grid, values, [SingularAnnotation(Facet(0, 1, 0), 0.0, 1.0)])
-    rep = rigidity_verdict_planar(p)
-    search = exhaustive_search(p)
-    ck = _Checks()
-    ck.add("verdict-rigid", rep.verdict is Verdict.RIGID, rep.verdict.value)
-    ck.add("search-agrees", search.verdict is rep.verdict, search.verdict.value)
+    rep = _planar(ck, p, Verdict.RIGID)
     gino = check_gino(p)
     ck.add(
         "gino-fails-on-complement",
@@ -238,13 +251,7 @@ def _spikes(resolution: Optional[float], seed: int) -> CatalogResult:
     )
     pino = check_pino(p)
     ck.add("pino-passes", pino.overall, f"levels={pino.levels}")
-    return CatalogResult(
-        name="spikes",
-        profile=p,
-        report=rep,
-        checks=ck.done(),
-        extras={},
-    )
+    return p, rep, {}
 
 
 # ----------------------------------------------------------------------
@@ -254,14 +261,13 @@ def _spikes(resolution: Optional[float], seed: int) -> CatalogResult:
 _MARIA3_LEVELS = (0.25, 0.125, 0.0625, 0.03125)
 
 
-def _maria3(resolution: Optional[float], seed: int) -> CatalogResult:
-    _no_resolution("maria3", resolution)
+@_entry("maria3")
+def _maria3(ck: _Checks, h: None, seed: int):
     teeth = (0.5, 0.75, 0.5, 0.875, 0.5, 0.9375, 0.5, 0.96875, 0.5)
     grid = Grid(Grid.regular(-2.25, 2.25, len(teeth)))
     p = Profile(grid, {(i,): v for i, v in enumerate(teeth)})
     rep = rigidity_verdict_planar(p)
-    ck = _Checks()
-    ck.add("verdict-rigid", rep.verdict is Verdict.RIGID, rep.verdict.value)
+    _verdict(ck, rep, Verdict.RIGID)
     pino = check_pino(p, levels=_MARIA3_LEVELS)
     ck.add(
         "pino-fails-at-every-declared-level",
@@ -272,13 +278,7 @@ def _maria3(resolution: Optional[float], seed: int) -> CatalogResult:
     ck.add("pino-passes-at-fine-levels", auto.overall, f"levels={auto.levels}")
     gino = check_gino(p)
     ck.add("gino-passes", gino.overall, "")
-    return CatalogResult(
-        name="maria3",
-        profile=p,
-        report=rep,
-        checks=ck.done(),
-        extras={"declared_levels": _MARIA3_LEVELS},
-    )
+    return p, rep, {"declared_levels": _MARIA3_LEVELS}
 
 
 # ----------------------------------------------------------------------
@@ -286,40 +286,27 @@ def _maria3(resolution: Optional[float], seed: int) -> CatalogResult:
 
 
 def _mistico_profile(h: float) -> Profile:
-    n = _step_count("mistico", 2.0, h)
-    if n % 2 != 0:
-        raise CatalogError("mistico: resolution must place a breakpoint at 0")
-    axis = Grid.regular(-1.0, 1.0, n)
-    grid = Grid(axis, axis)
-    values = {}
-    for i in range(n):
-        for j in range(n):
-            cx = 0.5 * (axis[i] + axis[i + 1])
-            cy = 0.5 * (axis[j] + axis[j + 1])
-            values[(i, j)] = 1.0 - abs(cy) if cx > 0.0 else abs(cy)
-    annotations = []
+    grid, n, centres, values = _plate(
+        "mistico", h, lambda cx, cy: 1.0 - abs(cy) if cx > 0.0 else abs(cy)
+    )
     mid = n // 2
-    for i in range(n):
-        cx = 0.5 * (axis[i] + axis[i + 1])
-        if cx > 0.0:
-            annotations.append(
-                SingularAnnotation(Facet(1, mid, i), 1.0 - 0.5 * h, 1.0)
-            )
-        else:
-            annotations.append(SingularAnnotation(Facet(1, mid, i), 0.0, 0.5 * h))
+    annotations = [
+        SingularAnnotation(Facet(1, mid, i), 1.0 - 0.5 * h, 1.0)
+        if cx > 0.0
+        else SingularAnnotation(Facet(1, mid, i), 0.0, 0.5 * h)
+        for i, cx in enumerate(centres)
+    ]
     return Profile(grid, values, annotations)
 
 
-def _sign_split_checks(ck: _Checks, p: Profile, rep: RigidityReport) -> None:
+def _mistico_checks(ck: _Checks, p: Profile, rep: RigidityReport) -> None:
+    """The witness splits the plate at y = 0, while the model set and its
+    complement are each one piece."""
     cert = rep.certificate
     ys = p.grid.axes[1]
 
     def side_signs(cells) -> set:
-        out = set()
-        for i, j in cells:
-            cy = 0.5 * (ys[j] + ys[j + 1])
-            out.add(cy > 0.0)
-        return out
+        return {0.5 * (ys[j] + ys[j + 1]) > 0.0 for _, j in cells}
 
     minus_signs = side_signs(cert.minus_cells)
     plus_signs = side_signs(cert.plus_cells)
@@ -328,17 +315,16 @@ def _sign_split_checks(ck: _Checks, p: Profile, rep: RigidityReport) -> None:
         len(minus_signs) == 1 and len(plus_signs) == 1 and minus_signs != plus_signs,
         f"minus on top: {minus_signs}",
     )
-
-
-def _mistico(resolution: Optional[float], seed: int) -> CatalogResult:
-    h = 0.125 if resolution is None else resolution
-    p = _mistico_profile(h)
-    rep = rigidity_verdict(p)
-    ck = _Checks()
-    ck.add("verdict-nonrigid", rep.verdict is Verdict.NONRIGID, rep.verdict.value)
-    _sign_split_checks(ck, p, rep)
     ck.add("set-one-piece", _set_one_piece(p), "")
     ck.add("complement-one-piece", _complement_one_piece(p), "")
+
+
+@_entry("mistico", default_resolution=0.125)
+def _mistico(ck: _Checks, h: float, seed: int):
+    p = _mistico_profile(h)
+    rep = rigidity_verdict(p)
+    _verdict(ck, rep, Verdict.NONRIGID)
+    _mistico_checks(ck, p, rep)
     pino = check_pino(p)
     ck.add("pino-fails", not pino.overall, f"passed={pino.passed}")
     excess = rep.perimeter_check.difference
@@ -348,58 +334,28 @@ def _mistico(resolution: Optional[float], seed: int) -> CatalogResult:
         abs(excess - expected) <= 1e-9,
         f"excess={excess:.6e}, expected={expected:.6e}",
     )
-    return CatalogResult(
-        name="mistico",
-        profile=p,
-        report=rep,
-        checks=ck.done(),
-        extras={"h": h, "excess": excess},
+    return p, rep, {"h": h, "excess": excess}
+
+
+@_entry("mistico-hyperbola", default_resolution=0.125)
+def _mistico_hyperbola(ck: _Checks, h: float, seed: int):
+    grid, n, centres, values = _plate(
+        "mistico-hyperbola", h, lambda cx, cy: phi((-1.0 if cx > 0.0 else 1.0) / abs(cy))
     )
-
-
-def _mistico_hyperbola(resolution: Optional[float], seed: int) -> CatalogResult:
-    h = 0.125 if resolution is None else resolution
-    n = _step_count("mistico-hyperbola", 2.0, h)
-    if n % 2 != 0:
-        raise CatalogError("mistico-hyperbola: resolution must place a breakpoint at 0")
-    axis = Grid.regular(-1.0, 1.0, n)
-    grid = Grid(axis, axis)
-    values = {}
-    for i in range(n):
-        for j in range(n):
-            cx = 0.5 * (axis[i] + axis[i + 1])
-            cy = 0.5 * (axis[j] + axis[j + 1])
-            values[(i, j)] = phi(-1.0 / abs(cy)) if cx > 0.0 else phi(1.0 / abs(cy))
     mid = n // 2
     annotations = []
-    for i in range(n):
-        cx = 0.5 * (axis[i] + axis[i + 1])
-        lo = min(values[(i, mid - 1)], values[(i, mid)])
-        hi = max(values[(i, mid - 1)], values[(i, mid)])
-        if cx > 0.0:
-            annotations.append(SingularAnnotation(Facet(1, mid, i), lo, 1.0))
-        else:
-            annotations.append(SingularAnnotation(Facet(1, mid, i), 0.0, hi))
+    for i, cx in enumerate(centres):
+        pair = (values[(i, mid - 1)], values[(i, mid)])
+        limits = (min(pair), 1.0) if cx > 0.0 else (0.0, max(pair))
+        annotations.append(SingularAnnotation(Facet(1, mid, i), *limits))
     p = Profile(grid, values, annotations)
     rep = rigidity_verdict(p)
-    ck = _Checks()
-    ck.add("verdict-nonrigid", rep.verdict is Verdict.NONRIGID, rep.verdict.value)
-    _sign_split_checks(ck, p, rep)
-    ck.add("set-one-piece", _set_one_piece(p), "")
-    ck.add("complement-one-piece", _complement_one_piece(p), "")
+    _verdict(ck, rep, Verdict.NONRIGID)
+    _mistico_checks(ck, p, rep)
     full = sum(1 for v in values.values() if v == 1.0)
-    ck.add(
-        "steep-columns-saturate",
-        full > 0,
-        f"{full} cells round to mass 1 at this resolution",
-    )
-    return CatalogResult(
-        name="mistico-hyperbola",
-        profile=p,
-        report=rep,
-        checks=ck.done(),
-        extras={"h": h, "excess": rep.perimeter_check.difference, "saturated_cells": float(full)},
-    )
+    ck.add("steep-columns-saturate", full > 0, f"{full} cells round to mass 1 at this resolution")
+    extras = {"h": h, "excess": rep.perimeter_check.difference, "saturated_cells": float(full)}
+    return p, rep, extras
 
 
 # ----------------------------------------------------------------------
@@ -424,35 +380,24 @@ def _ring_profile(rings: int) -> Profile:
     return Profile(grid, values)
 
 
-def _gperfinito(resolution: Optional[float], seed: int) -> CatalogResult:
-    _no_resolution("gperfinito", resolution)
-    ck = _Checks()
-    boundaries = []
-    reports = {}
-    for k in (1, 2, 3):
-        pk = _ring_profile(k)
-        reports[k] = rigidity_verdict_planar(pk)
-        boundaries.append(g_boundary_gauss(pk))
-    ck.add("one-ring-rigid", reports[1].verdict is Verdict.RIGID, reports[1].verdict.value)
-    ck.add("two-rings-nonrigid", reports[2].verdict is Verdict.NONRIGID, reports[2].verdict.value)
-    ck.add("three-rings-nonrigid", reports[3].verdict is Verdict.NONRIGID, reports[3].verdict.value)
+@_entry("gperfinito")
+def _gperfinito(ck: _Checks, h: None, seed: int):
+    rings = [_ring_profile(k) for k in (1, 2, 3)]
+    reports = [rigidity_verdict_planar(pk) for pk in rings]
+    boundaries = [g_boundary_gauss(pk) for pk in rings]
+    ck.add("one-ring-rigid", reports[0].verdict is Verdict.RIGID, reports[0].verdict.value)
+    ck.add("two-rings-nonrigid", reports[1].verdict is Verdict.NONRIGID, reports[1].verdict.value)
+    ck.add("three-rings-nonrigid", reports[2].verdict is Verdict.NONRIGID, reports[2].verdict.value)
     ck.add(
         "boundary-grows-with-rings",
         boundaries[0] < boundaries[1] < boundaries[2],
         ", ".join(f"{b:.6f}" for b in boundaries),
     )
-    p3 = _ring_profile(3)
-    eq = verify_equality_case(reports[3].counterexample, p3)
-    ck.add("equality-case", eq.passed, f"difference={eq.perimeter_check.difference:.3e}")
-    fin = gauss_perimeter(from_profile(p3)).total_gauss
+    p, rep = rings[2], reports[2]
+    _equality(ck, rep, p)
+    fin = gauss_perimeter(from_profile(p)).total_gauss
     ck.add("perimeter-finite", math.isfinite(fin), f"{fin:.6f}")
-    return CatalogResult(
-        name="gperfinito",
-        profile=p3,
-        report=reports[3],
-        checks=ck.done(),
-        extras={"boundaries": tuple(boundaries)},
-    )
+    return p, rep, {"boundaries": tuple(boundaries)}
 
 
 # ----------------------------------------------------------------------
@@ -527,12 +472,11 @@ def _koch_profile(iterations: int, h: float) -> Profile:
     return Profile(grid, values, annotations)
 
 
-def _koch(resolution: Optional[float], seed: int) -> CatalogResult:
-    h = 0.125 if resolution is None else resolution
+@_entry("koch", default_resolution=0.125)
+def _koch(ck: _Checks, h: float, seed: int):
     p = _koch_profile(2, h)
     rep = rigidity_verdict(p)
-    ck = _Checks()
-    ck.add("verdict-nonrigid", rep.verdict is Verdict.NONRIGID, rep.verdict.value)
+    _verdict(ck, rep, Verdict.NONRIGID)
     cert = rep.certificate
     n = p.grid.shape[0]
     origin_cell = (n // 2, n // 2)
@@ -552,30 +496,11 @@ def _koch(resolution: Optional[float], seed: int) -> CatalogResult:
         len(p.annotations) > len(coarse.annotations),
         f"{len(coarse.annotations)} -> {len(p.annotations)}",
     )
-    return CatalogResult(
-        name="koch",
-        profile=p,
-        report=rep,
-        checks=ck.done(),
-        extras={"h": h, "annotated_facets": float(len(p.annotations))},
-    )
+    return p, rep, {"h": h, "annotated_facets": float(len(p.annotations))}
 
 
 # ----------------------------------------------------------------------
 # registry and sweeps
-
-
-_ENTRIES: dict[str, Callable[[Optional[float], int], CatalogResult]] = {
-    "fig2-top": _fig2_top,
-    "fig2-bottom": _fig2_bottom,
-    "fig3-01": _fig3_01,
-    "spikes": _spikes,
-    "maria3": _maria3,
-    "mistico": _mistico,
-    "mistico-hyperbola": _mistico_hyperbola,
-    "gperfinito": _gperfinito,
-    "koch": _koch,
-}
 
 
 def catalog_names() -> list[str]:
@@ -642,13 +567,9 @@ def sweep(family: str, resolutions: Optional[list[float]] = None) -> SweepResult
     if family == "mistico":
         hs = resolutions or [1 / 8, 1 / 16, 1 / 32, 1 / 64]
         rows, reports = _sweep_rows([(h, _mistico_profile(h)) for h in hs])
-        ck.add(
-            "all-nonrigid",
-            all(r.verdict is Verdict.NONRIGID for r in reports),
-            "",
-        )
+        ck.add("all-nonrigid", all(r.verdict is Verdict.NONRIGID for r in reports))
         decreasing = all(a.excess > b.excess for a, b in zip(rows, rows[1:]))
-        ck.add("excess-strictly-decreasing", decreasing, "")
+        ck.add("excess-strictly-decreasing", decreasing)
     elif family == "unannotated":
         hs = resolutions or [1 / 2, 1 / 4, 1 / 8, 1 / 16]
         base = _three_column((0.3, 1.0, 0.6))
@@ -660,16 +581,10 @@ def sweep(family: str, resolutions: Optional[list[float]] = None) -> SweepResult
         )
     elif family == "koch":
         iterations = [int(x) for x in (resolutions or [0, 1, 2, 3, 4])]
-        rows, reports = _sweep_rows(
-            [(float(j), _koch_profile(j, 1 / 32)) for j in iterations]
-        )
-        ck.add(
-            "all-nonrigid",
-            all(r.verdict is Verdict.NONRIGID for r in reports),
-            "",
-        )
+        rows, reports = _sweep_rows([(float(j), _koch_profile(j, 1 / 32)) for j in iterations])
+        ck.add("all-nonrigid", all(r.verdict is Verdict.NONRIGID for r in reports))
     else:
         raise CatalogError(
             f"unknown sweep family {family!r}; known: koch, mistico, unannotated"
         )
-    return SweepResult(family=family, rows=tuple(rows), checks=ck.done())
+    return SweepResult(family=family, rows=tuple(rows), checks=tuple(ck))

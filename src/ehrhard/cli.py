@@ -15,10 +15,10 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any, Optional, Sequence, TextIO
 
 from . import __version__
-from .catalog import catalog_names, run_entry, sweep
+from .catalog import CatalogCheck, catalog_names, run_entry, sweep
 from .columnar import ehrhard_symmetral, gauss_perimeter, steiner_symmetral
 from .errors import EhrhardError, FormatError
 from .gauss import phi, psi
@@ -63,6 +63,17 @@ def _write_text(path: str, text: str) -> None:
 
 def _write_json(path: str, data: Any) -> None:
     _write_text(path, json.dumps(data, indent=2, sort_keys=True))
+
+
+def _print_checks(
+    subject: str, checks: Sequence[CatalogCheck], file: Optional[TextIO] = None
+) -> None:
+    """One ``[ok  ]`` or ``[FAIL]`` line per check (stdout unless ``file``)."""
+    for c in checks:
+        line = f"[{'ok  ' if c.ok else 'FAIL'}] {subject}: {c.label}"
+        if c.detail:
+            line += f" ({c.detail})"
+        print(line, file=file)
 
 
 def _resolution(text: str) -> float:
@@ -164,12 +175,7 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
             print(name)
         return 0
     result = run_entry(args.name, resolution=args.resolution, seed=args.seed)
-    for c in result.checks:
-        mark = "ok  " if c.ok else "FAIL"
-        line = f"[{mark}] {result.name}: {c.label}"
-        if c.detail:
-            line += f" ({c.detail})"
-        print(line)
+    _print_checks(result.name, result.checks)
     if args.out is not None:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -180,9 +186,7 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
             "extras": result.extras,
             "report": to_json(result.report),
         }
-        (outdir / f"{result.name}.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8"
-        )
+        _write_json(str(outdir / f"{result.name}.json"), payload)
         with open(outdir / f"{result.name}.csv", "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["label", "ok", "detail"])
@@ -196,12 +200,7 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     result = sweep(args.family, args.resolutions)
-    for c in result.checks:
-        mark = "ok  " if c.ok else "FAIL"
-        line = f"[{mark}] sweep {result.family}: {c.label}"
-        if c.detail:
-            line += f" ({c.detail})"
-        print(line, file=sys.stderr)
+    _print_checks(f"sweep {result.family}", result.checks, sys.stderr)
     _write_text(args.out, result.csv())
     return 0 if result.passed else 2
 

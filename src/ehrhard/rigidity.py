@@ -149,14 +149,13 @@ class RigidityReport:
         return value
 
 
-def _perimeter_check(r: RigidityReport) -> PerimeterCheck:
-    pe = gauss_perimeter(r.counterexample).total_gauss
-    pf = gauss_perimeter(r._model).total_gauss
+def _perimeter_check(e: ColumnarSet, f: ColumnarSet) -> PerimeterCheck:
+    pe = gauss_perimeter(e).total_gauss
+    pf = gauss_perimeter(f).total_gauss
     return PerimeterCheck(pe, pf, pe - pf)
 
 
-def _symdiff_check(r: RigidityReport) -> SymdiffCheck:
-    e, f = r.counterexample, r._model
+def _symdiff_check(e: ColumnarSet, f: ColumnarSet) -> SymdiffCheck:
     return SymdiffCheck(
         vs_symmetral=symdiff_volume(e, f),
         vs_reflected=symdiff_volume(e, reflect(f)),
@@ -167,8 +166,8 @@ def _symdiff_check(r: RigidityReport) -> SymdiffCheck:
 _EVIDENCE: dict[str, Callable[[RigidityReport], Any]] = {
     "counterexample": lambda r: build_counterexample(r._profile, r.certificate),
     "_model": lambda r: from_profile(r._profile),
-    "perimeter_check": _perimeter_check,
-    "symdiff_check": _symdiff_check,
+    "perimeter_check": lambda r: _perimeter_check(r.counterexample, r._model),
+    "symdiff_check": lambda r: _symdiff_check(r.counterexample, r._model),
 }
 
 
@@ -302,25 +301,20 @@ def verify_equality_case(
     max_err = max(
         abs(gamma1(e.section(cid)) - p.value(cid)) for cid in p.grid.cells()
     )
-    pe = gauss_perimeter(e).total_gauss
-    pf = gauss_perimeter(f).total_gauss
-    diff = pe - pf
+    perimeter = _perimeter_check(e, f)
     classification = None
     halfline_total = None
-    if abs(diff) <= 1e-9:
+    if abs(perimeter.difference) <= 1e-9:
         classification = halfline_classification(e)
         halfline_total = classification.total
     return EqualityCaseReport(
         max_distribution_error=max_err,
         is_distributed=max_err <= 1e-12,
-        perimeter_check=PerimeterCheck(pe, pf, diff),
-        equality=abs(diff) <= tolerance,
+        perimeter_check=perimeter,
+        equality=abs(perimeter.difference) <= tolerance,
         classification=classification,
         halfline_total=halfline_total,
-        symdiff_check=SymdiffCheck(
-            vs_symmetral=symdiff_volume(e, f),
-            vs_reflected=symdiff_volume(e, reflect(f)),
-        ),
+        symdiff_check=_symdiff_check(e, f),
     )
 
 
@@ -392,8 +386,9 @@ class LevelRestrictionReport:
 
     For each level t the model set is cut down to the columns with
     t < v < 1 - t, interfaces whose declared limits leave that band are
-    severed, and the restriction must be one essential piece. ``overall``
-    (and truthiness) requires every level to pass.
+    severed, and the restriction must be one essential piece; a level
+    that drops a cell with 0 < v < 1 never passes. ``overall`` (and
+    truthiness) requires at least one level, and every level to pass.
     """
 
     levels: tuple[float, ...]
@@ -405,33 +400,38 @@ class LevelRestrictionReport:
 
 
 def default_levels(p: Profile) -> tuple[float, ...]:
-    """Three decreasing levels fitted under the profile's value range.
+    """Up to three decreasing levels fitted under the profile's value range.
 
-    The largest level is half the distance from the G-values to {0, 1}
-    (capped at 1/4), so even the coarsest restriction keeps every G-cell.
+    The largest level ``b`` is half the distance from the G-values to
+    {0, 1} (capped at 1/4), so even the coarsest restriction keeps every
+    G-cell. The levels are the positive values among ``b, b/4, b/16``,
+    which decrease strictly (a quarter of a positive double is smaller or
+    0): where that distance is subnormal the quarters round to 0 and are
+    left out, and where ``b`` itself rounds to 0 no level keeps every
+    G-cell and there are none.
     """
     margins = [min(v, 1.0 - v) for v in (p.value(c) for c in p.g_cells())]
     if not margins:
         return (0.25,)
     b = min(0.25, min(margins) / 2.0)
-    return (b, b / 4.0, b / 16.0)
+    return tuple(t for t in (b, b / 4.0, b / 16.0) if t > 0.0)
 
 
 def check_pino(p: Profile, levels: Optional[Sequence[float]] = None) -> LevelRestrictionReport:
     """Level-restriction connectivity check (sufficient for rigidity).
 
-    With the default levels, which keep every cell with 0 < v < 1 while
-    severing at least every blocked interface, a pass implies rigidity:
-    the restricted piece graph is a subgraph of the scene graph on the
-    same cells. Explicit levels trade that guarantee for control: a
-    coarse level restricts to fewer columns and can pass or fail on its
-    own terms. The converse fails either way; rigid profiles with tall
-    thin features fail every reasonable level choice.
+    A level passes only when it keeps every cell with 0 < v < 1; it
+    severs at least every blocked interface, so the restricted piece
+    graph is a subgraph of the scene graph on the same cells and a pass
+    implies rigidity. A coarse level that drops a G-cell fails. The
+    default levels keep every G-cell; where no positive level does (a
+    G-value within a subnormal step of 0 or 1) they are empty and the
+    report fails with no levels, while an explicit empty ``levels`` is an
+    error. The converse fails either way; rigid profiles with tall thin
+    features fail every reasonable level choice.
     """
-    if levels is None:
-        levels = default_levels(p)
-    ts = tuple(float(t) for t in levels)
-    if not ts:
+    ts = default_levels(p) if levels is None else tuple(float(t) for t in levels)
+    if not ts and levels is not None:
         raise ProfileError("need at least one level")
     for t in ts:
         if math.isnan(t) or not 0.0 < t < 0.5:
@@ -439,14 +439,19 @@ def check_pino(p: Profile, levels: Optional[Sequence[float]] = None) -> LevelRes
     for a, b in zip(ts, ts[1:]):
         if not b < a:
             raise ProfileError("levels must be strictly decreasing")
+    # a level keeps every G-value when it keeps the extreme ones (and an
+    # empty G loses no cell)
+    g = [p.value(c) for c in p.g_cells()]
+    lo, hi = min(g, default=0.5), max(g, default=0.5)
     passed = []
     for t in ts:
         severed = [
             a.facet for a in p.annotations if a.wedge <= t or a.vee >= 1.0 - t
         ]
-        passed.append(_model_one_piece(p, lambda v, t=t: t < v < 1.0 - t, severed))
+        keeps_g = t < lo < 1.0 - t and t < hi < 1.0 - t
+        passed.append(keeps_g and _model_one_piece(p, lambda v, t=t: t < v < 1.0 - t, severed))
     return LevelRestrictionReport(
-        levels=ts, passed=tuple(passed), overall=all(passed)
+        levels=ts, passed=tuple(passed), overall=bool(passed) and all(passed)
     )
 
 

@@ -17,6 +17,9 @@ EXPECTED_VERDICTS = {
     "koch": Verdict.NONRIGID,
 }
 
+# entries that take a resolution, and the grid step they use without one
+DEFAULT_RESOLUTIONS = {"fig3-01": 0.25, "mistico": 0.125, "mistico-hyperbola": 0.125, "koch": 0.125}
+
 
 def failing(result):
     return [f"{c.label}: {c.detail}" for c in result.checks if not c.ok]
@@ -35,6 +38,26 @@ class TestEntries:
             run_entry("mistico", resolution=0.3)
         with pytest.raises(CatalogError):
             run_entry("gperfinito", resolution=0.125)
+
+    @pytest.mark.parametrize("resolution", [0.0, -0.125, float("nan"), float("inf")])
+    def test_degenerate_resolution(self, resolution):
+        with pytest.raises(CatalogError, match="does not tile"):
+            run_entry("mistico", resolution=resolution)
+
+    def test_default_resolutions_name_entries(self):
+        assert set(DEFAULT_RESOLUTIONS) <= set(catalog_names())
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_resolution_rule(self, name):
+        h = DEFAULT_RESOLUTIONS.get(name)
+        if h is None:
+            for resolution in (0.125, 0.25, 0.5, 1.0):
+                with pytest.raises(CatalogError, match="does not take a resolution"):
+                    run_entry(name, resolution=resolution)
+        else:
+            default, explicit = run_entry(name), run_entry(name, resolution=h)
+            assert explicit.checks == default.checks
+            assert explicit.extras == default.extras
 
     @pytest.mark.parametrize("name", sorted(EXPECTED_VERDICTS))
     def test_entry_passes(self, name):

@@ -375,6 +375,10 @@ class TestCatalogCommands:
         assert main(["catalog", "mistico", "--resolution", "1/16"]) == 0
         capsys.readouterr()
 
+    def test_zero_resolution(self, capsys):
+        assert main(["catalog", "mistico", "--resolution", "0"]) == 1
+        assert "does not tile" in capsys.readouterr().err
+
     def test_sweep(self, tmp_path, capsys):
         out = tmp_path / "rows.csv"
         code = main(

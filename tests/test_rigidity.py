@@ -380,13 +380,14 @@ def family_profiles(draw):
 
 def interval_pino(p, levels):
     """check_pino's passes on the interval route: generic pieces of the
-    restricted model set."""
+    restricted model set, at levels that keep every G-cell."""
     f = from_profile(p)
+    g = set(p.g_cells())
     passed = []
     for t in levels:
         keep = [cid for cid in p.grid.cells() if t < p.value(cid) < 1.0 - t]
         severed = [a.facet for a in p.annotations if a.wedge <= t or a.vee >= 1.0 - t]
-        passed.append(len(decompose_ids(restrict(f, keep), severed)) == 1)
+        passed.append(g <= set(keep) and len(decompose_ids(restrict(f, keep), severed)) == 1)
     return tuple(passed)
 
 
@@ -398,13 +399,12 @@ class TestModelSetKernel:
     @given(st.one_of(family_profiles(), far_tail_profiles_1d()), st.data())
     def test_matches_interval_route(self, p, data):
         auto = default_levels(p)
-        # default levels that collapse (a G-value within a few subnormal
-        # steps of 0) are left out: what check_pino should report there is
-        # undecided
-        if auto[-1] > 0.0 and all(a > b for a, b in zip(auto, auto[1:])):
-            report = check_pino(p)
-            assert report.passed == interval_pino(p, auto)
-            assert report.overall == all(report.passed)
+        assert all(t > 0.0 for t in auto)
+        assert all(a > b for a, b in zip(auto, auto[1:]))
+        report = check_pino(p)
+        assert report.levels == auto
+        assert report.passed == interval_pino(p, auto)
+        assert report.overall == (bool(auto) and all(report.passed))
         drawn = data.draw(st.lists(st.floats(1e-6, 0.499), min_size=1, max_size=3))
         levels = tuple(sorted(set(drawn), reverse=True))
         assert check_pino(p, levels).passed == interval_pino(p, levels)
@@ -491,6 +491,27 @@ class TestLevelRestriction:
         p = Profile(Grid((-INF, 0.0, INF)), {(0,): 0.3, (1,): 0.7})
         assert default_levels(p) == (0.15, 0.0375, 0.0375 / 4.0)
         assert default_levels(three_column(0.0, 1.0, 0.0)) == (0.25,)
+
+    @pytest.mark.parametrize(
+        "v, levels", [(5e-324, ()), (1e-323, (5e-324,)), (2e-323, (1e-323,))]
+    )
+    def test_subnormal_margin_keeps_positive_levels(self, v, levels):
+        # b/4 and b/16 round to 0 here; b itself does for v = 5e-324
+        p = Profile(Grid((-INF, 0.0, INF)), {(0,): v, (1,): 0.5})
+        assert default_levels(p) == levels
+        report = check_pino(p)
+        assert report.levels == levels
+        assert report.passed == interval_pino(p, levels)
+        assert report.overall == bool(levels)
+
+    def test_level_dropping_a_g_cell_fails(self):
+        # at t = 5e-324 the restriction keeps only the 0.5 column, which is
+        # one piece, but G is split by the empty middle column
+        p = Profile(Grid((-INF, 0.0, 1.0, INF)), {(0,): 5e-324, (1,): 0.0, (2,): 0.5})
+        assert not rigidity_verdict(p).rigid
+        report = check_pino(p, levels=(5e-324,))
+        assert report.passed == (False,)
+        assert not report
 
     def test_level_validation(self):
         p = Profile(Grid((-INF, 0.0, INF)), {(0,): 0.3, (1,): 0.7})

@@ -5,8 +5,8 @@ Usage::
     python3 tools/srcstats.py
 
 Counts every line of every ``.py`` file under ``src/`` (blank lines and
-comments included) and imports the package from that tree to count
-``ehrhard.__all__``.
+comments included), in total and per module, and imports the package
+from that tree to count ``ehrhard.__all__``.
 """
 
 from __future__ import annotations
@@ -22,8 +22,10 @@ import ehrhard  # noqa: E402
 
 def main() -> None:
     files = sorted(SRC.rglob("*.py"))
-    lines = sum(len(f.read_text(encoding="utf-8").splitlines()) for f in files)
-    print(f"src lines: {lines} in {len(files)} files")
+    counts = {f: len(f.read_text(encoding="utf-8").splitlines()) for f in files}
+    print(f"src lines: {sum(counts.values())} in {len(files)} files")
+    for f, n in counts.items():
+        print(f"  {n:6d}  {f.relative_to(SRC)}")
     print(f"ehrhard.__all__: {len(ehrhard.__all__)} names")
 
 
