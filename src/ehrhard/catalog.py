@@ -71,6 +71,9 @@ class _Checks(list):
 # entry name -> runner(resolution, seed)
 _ENTRIES: dict[str, Callable[[Optional[float], int], CatalogResult]] = {}
 
+# what an entry's builder returns: its profile, its report and its extras
+_Built = tuple[Profile, RigidityReport, dict]
+
 
 def _entry(name: str, default_resolution: Optional[float] = None) -> Callable:
     """Register ``build(checks, h, seed) -> (profile, report, extras)`` as an entry.
@@ -80,7 +83,7 @@ def _entry(name: str, default_resolution: Optional[float] = None) -> Callable:
     otherwise ``h`` is the given resolution or the default.
     """
 
-    def register(build: Callable) -> Callable:
+    def register(build: Callable[[_Checks, Optional[float], int], _Built]) -> Callable:
         def run(resolution: Optional[float], seed: int) -> CatalogResult:
             if default_resolution is None and resolution is not None:
                 raise CatalogError(f"entry {name!r} does not take a resolution")
@@ -157,7 +160,7 @@ def _three_column(values: tuple[float, float, float]) -> Profile:
 
 
 @_entry("fig2-top")
-def _fig2_top(ck: _Checks, h: None, seed: int):
+def _fig2_top(ck: _Checks, h: None, seed: int) -> _Built:
     p = _three_column((0.3, 1.0, 0.6))
     rep = _planar(ck, p, Verdict.NONRIGID)
     eq = _equality(ck, rep, p)
@@ -178,7 +181,7 @@ def _fig2_top(ck: _Checks, h: None, seed: int):
 
 
 @_entry("fig2-bottom")
-def _fig2_bottom(ck: _Checks, h: None, seed: int):
+def _fig2_bottom(ck: _Checks, h: None, seed: int) -> _Built:
     p = _three_column((0.3, 0.0, 0.6))
     rep = _planar(ck, p, Verdict.NONRIGID)
     _equality(ck, rep, p)
@@ -196,7 +199,7 @@ def _fig2_bottom(ck: _Checks, h: None, seed: int):
 
 
 @_entry("fig3-01", default_resolution=0.25)
-def _fig3_01(ck: _Checks, h: float, seed: int):
+def _fig3_01(ck: _Checks, h: float, seed: int) -> _Built:
     grid, n, _, values = _plate("fig3-01", h, lambda cx, cy: 0.5 + 0.25 * cx * cy)
     mid = n // 2
     annotations = [
@@ -238,7 +241,7 @@ def _fig3_01(ck: _Checks, h: float, seed: int):
 
 
 @_entry("spikes")
-def _spikes(ck: _Checks, h: None, seed: int):
+def _spikes(ck: _Checks, h: None, seed: int) -> _Built:
     grid = Grid((-INF, -2.0, -1.0, 0.0, 1.0, 2.0, INF))
     values = {(0,): 0.0, (1,): 0.9, (2,): 0.6, (3,): 0.4, (4,): 0.2, (5,): 0.0}
     p = Profile(grid, values, [SingularAnnotation(Facet(0, 1, 0), 0.0, 1.0)])
@@ -262,7 +265,7 @@ _MARIA3_LEVELS = (0.25, 0.125, 0.0625, 0.03125)
 
 
 @_entry("maria3")
-def _maria3(ck: _Checks, h: None, seed: int):
+def _maria3(ck: _Checks, h: None, seed: int) -> _Built:
     teeth = (0.5, 0.75, 0.5, 0.875, 0.5, 0.9375, 0.5, 0.96875, 0.5)
     grid = Grid(Grid.regular(-2.25, 2.25, len(teeth)))
     p = Profile(grid, {(i,): v for i, v in enumerate(teeth)})
@@ -320,7 +323,7 @@ def _mistico_checks(ck: _Checks, p: Profile, rep: RigidityReport) -> None:
 
 
 @_entry("mistico", default_resolution=0.125)
-def _mistico(ck: _Checks, h: float, seed: int):
+def _mistico(ck: _Checks, h: float, seed: int) -> _Built:
     p = _mistico_profile(h)
     rep = rigidity_verdict(p)
     _verdict(ck, rep, Verdict.NONRIGID)
@@ -338,7 +341,7 @@ def _mistico(ck: _Checks, h: float, seed: int):
 
 
 @_entry("mistico-hyperbola", default_resolution=0.125)
-def _mistico_hyperbola(ck: _Checks, h: float, seed: int):
+def _mistico_hyperbola(ck: _Checks, h: float, seed: int) -> _Built:
     grid, n, centres, values = _plate(
         "mistico-hyperbola", h, lambda cx, cy: phi((-1.0 if cx > 0.0 else 1.0) / abs(cy))
     )
@@ -381,7 +384,7 @@ def _ring_profile(rings: int) -> Profile:
 
 
 @_entry("gperfinito")
-def _gperfinito(ck: _Checks, h: None, seed: int):
+def _gperfinito(ck: _Checks, h: None, seed: int) -> _Built:
     rings = [_ring_profile(k) for k in (1, 2, 3)]
     reports = [rigidity_verdict_planar(pk) for pk in rings]
     boundaries = [g_boundary_gauss(pk) for pk in rings]
@@ -473,7 +476,7 @@ def _koch_profile(iterations: int, h: float) -> Profile:
 
 
 @_entry("koch", default_resolution=0.125)
-def _koch(ck: _Checks, h: float, seed: int):
+def _koch(ck: _Checks, h: float, seed: int) -> _Built:
     p = _koch_profile(2, h)
     rep = rigidity_verdict(p)
     _verdict(ck, rep, Verdict.NONRIGID)
