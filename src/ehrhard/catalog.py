@@ -98,8 +98,17 @@ def _entry(name: str, default_resolution: Optional[float] = None) -> Callable:
     return register
 
 
+# most grid steps per axis an entry builds: 4x the cells of mistico at h = 1/64
+_MAX_STEPS = 256
+
+
 def _step_count(name: str, span: float, resolution: float) -> int:
     n = span / resolution if resolution > 0.0 else 0.0
+    if n > _MAX_STEPS:  # before any grid is built; also catches an infinite count
+        raise CatalogError(
+            f"entry {name!r}: resolution {resolution} needs {n:.3g} steps over a span "
+            f"of {span}; at most {_MAX_STEPS} are allowed"
+        )
     if abs(n - round(n)) > 1e-9 or round(n) < 2:
         raise CatalogError(
             f"entry {name!r}: resolution {resolution} does not tile a span of {span}"

@@ -7,6 +7,18 @@ joined by unblocked interfaces) decides essential connectedness: a
 two-coloring of its components with no unblocked interface between the
 colors certifies that the singular set essentially disconnects G.
 
+The decision and the certificates read a scene as flat data: each cell's
+in-G flag, and per interface between G-cells its key, its two cell
+indices, its limits and its blocked flag. The verdict and the exhaustive
+search of :mod:`ehrhard.rigidity` and :func:`ehrhard.render.render_profile`
+get that data straight from a profile's grid edges
+(:func:`ehrhard.profiles._scene_links`) and build no :class:`Scene`; cell
+ids, facets and measures are read back only for what a report carries.
+The :class:`Scene` dataclasses are a view of the same data for JSON, the
+``connectedness`` command and tests, and :func:`essentially_disconnects`
+and :func:`certificate_for` on a scene run the same decision and the same
+certificate builder.
+
 Separately, a columnar set decomposes into *pieces*: per column, each
 interval of its section is a node, and two pieces are adjacent when their
 columns share an interior facet and their sections overlap. The set is
@@ -34,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Union
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from .columnar import ColumnarSet, complement, complement_facet_map
 from .errors import PartitionError
@@ -86,6 +98,10 @@ class Scene:
     ``"steiner"`` scenes take G = {v > 0} and block only wedge 0.
     Every interface between two G-cells is kept: it has positive base
     measure by its structure, even where ``gauss`` underflows to 0.0.
+    Cells come in lexicographic order and facets in sorted order, as
+    :func:`ehrhard.profiles.scene` builds them. A scene is a view for
+    JSON, the ``connectedness`` command and tests; the verdict and the
+    search decide on the flat data it is built from.
     """
 
     kind: str
@@ -187,30 +203,73 @@ class Forest:
 # essential connectedness of scenes
 
 
+class _FlatScene(NamedTuple):
+    """A scene as flat data: what the decision and the certificates read.
+
+    Cell ``i`` has id ``ids[i]`` and in-G flag ``in_g[i]``, in
+    lexicographic order. ``links`` has one ``(key, i, j, wedge, vee,
+    blocked)`` per interface between G-cells, ascending by key, which is
+    also facet order. ``facet`` and ``facet_gauss`` read an interface's
+    facet and measure from its key, and ``cell_gauss`` a cell's measure
+    from its index, only for what a report carries.
+    """
+
+    ids: Sequence[CellId]
+    in_g: Sequence[bool]
+    links: list[tuple[int, int, int, float, float, bool]]
+    facet: Callable[[int], Facet]
+    facet_gauss: Callable[[int], float]
+    cell_gauss: Callable[[int], float]
+
+
+def _flat(scene: Scene) -> _FlatScene:
+    """A scene built by :func:`ehrhard.profiles.scene` as flat data."""
+    cells, facets = scene.cells, scene.facets
+    index = {c.id: i for i, c in enumerate(cells)}
+    links = [
+        (e, index[sf.cells[0]], index[sf.cells[1]], sf.wedge, sf.vee, sf.blocked)
+        for e, sf in enumerate(facets)
+    ]
+    return _FlatScene(
+        ids=[c.id for c in cells],
+        in_g=[c.in_g for c in cells],
+        links=links,
+        facet=lambda e: facets[e].facet,
+        facet_gauss=lambda e: facets[e].gauss,
+        cell_gauss=lambda i: cells[i].gauss,
+    )
+
+
 def certificate_for(scene: Scene, minus_cells: Iterable[CellId]) -> PartitionCertificate:
     """Build the certificate for a given minus-side among the scene's G-cells."""
-    g = scene.g_cells()
+    flat = _flat(scene)
+    g_index = {cid: i for i, cid in enumerate(flat.ids) if flat.in_g[i]}
     minus = {tuple(c) for c in minus_cells}
-    gset = set(g)
-    if not minus <= gset:
+    if not minus <= g_index.keys():
         raise PartitionError("minus side contains cells outside G")
-    plus = gset - minus
+    return _certificate(flat, {g_index[c] for c in minus})
+
+
+def _certificate(flat: _FlatScene, minus: set[int]) -> PartitionCertificate:
+    """The certificate whose minus side is the G-cells at indices ``minus``."""
+    ids, cell_gauss = flat.ids, flat.cell_gauss
+    g = [i for i, inside in enumerate(flat.in_g) if inside]
+    plus = [i for i in g if i not in minus]
+    minus_side = [i for i in g if i in minus]
     interface = []
     unblocked = []
-    for sf in scene.facets:
-        a, b = sf.cells
-        if (a in minus) != (b in minus):
-            interface.append(sf.facet)
-            if not sf.blocked:
-                unblocked.append(sf.gauss)
-    gauss_of = {c.id: c.gauss for c in scene.cells}
+    for key, i, j, _, _, blocked in flat.links:
+        if (i in minus) != (j in minus):
+            interface.append(flat.facet(key))
+            if not blocked:
+                unblocked.append(flat.facet_gauss(key))
     return PartitionCertificate(
-        plus_cells=tuple(sorted(plus)),
-        minus_cells=tuple(sorted(minus)),
-        interface_facets=tuple(sorted(interface)),
+        plus_cells=tuple(ids[i] for i in plus),
+        minus_cells=tuple(ids[i] for i in minus_side),
+        interface_facets=tuple(interface),
         unblocked_interface_measure=math.fsum(unblocked),
-        plus_gauss=math.fsum(gauss_of[c] for c in sorted(plus)),
-        minus_gauss=math.fsum(gauss_of[c] for c in sorted(minus)),
+        plus_gauss=math.fsum(cell_gauss(i) for i in plus),
+        minus_gauss=math.fsum(cell_gauss(i) for i in minus_side),
         _unblocked_crossings=len(unblocked),
     )
 
@@ -221,26 +280,35 @@ def essentially_disconnects(
     """Decide whether the blocked interfaces split G into separated parts.
 
     Components of the scene graph (G-cells joined by unblocked interfaces)
-    are computed by union-find over the G-cells' positions. With two or
+    are computed by union-find over the cells' positions. With two or
     more components the first component (by smallest cell) becomes the
     minus side of a witnessing certificate; otherwise a spanning
     structure of unblocked interfaces is returned. Empty G is vacuously
     connected and yields an empty structure.
     """
-    g = scene.g_cells()
+    return _decide(_flat(scene))
+
+
+def _decide(
+    flat: _FlatScene,
+) -> tuple[bool, Union[PartitionCertificate, SpanningStructure]]:
+    """:func:`essentially_disconnects` on a scene's flat data."""
+    g = [i for i, inside in enumerate(flat.in_g) if inside]
     if not g:
         return False, SpanningStructure(cells=(), tree_facets=())
-    index = {cid: k for k, cid in enumerate(g)}
-    forest = Forest(len(g))
-    tree: list[Facet] = []
-    for sf in scene.facets:
-        if not sf.blocked and forest.union(index[sf.cells[0]], index[sf.cells[1]]):
-            tree.append(sf.facet)
+    forest = Forest(len(flat.in_g))
+    tree = []
+    for key, i, j, _, _, blocked in flat.links:
+        if not blocked and forest.union(i, j):
+            tree.append(key)
     if len(tree) == len(g) - 1:
-        return False, SpanningStructure(cells=tuple(g), tree_facets=tuple(sorted(tree)))
+        ids = flat.ids
+        return False, SpanningStructure(
+            cells=tuple(ids[i] for i in g), tree_facets=tuple(map(flat.facet, tree))
+        )
     find = forest.find
-    first = find(index[min(g)])
-    return True, certificate_for(scene, [cid for k, cid in enumerate(g) if find(k) == first])
+    first = find(g[0])
+    return True, _certificate(flat, {i for i in g if find(i) == first})
 
 
 # ----------------------------------------------------------------------

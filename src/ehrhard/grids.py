@@ -251,6 +251,26 @@ class Grid:
             return (nx - 1) * ny + (f.line - 1) * nx + f.lateral
         return None
 
+    def edge_facet(self, k: int) -> Facet:
+        """The interior facet at position ``k`` of :meth:`edges`.
+
+        The inverse of :meth:`edge_index`: interior facets come in sorted
+        order, so ascending positions give sorted facets.
+        """
+        if len(self._shape) == 1:
+            if 0 <= k < self._shape[0] - 1:
+                return Facet(0, k + 1, 0)
+        else:
+            nx, ny = self._shape
+            across = (nx - 1) * ny
+            if 0 <= k < across:
+                line, lat = divmod(k, ny)
+                return Facet(0, line + 1, lat)
+            if 0 <= k - across < (ny - 1) * nx:
+                line, lat = divmod(k - across, nx)
+                return Facet(1, line + 1, lat)
+        raise GridError(f"edge position {k} outside grid of shape {self._shape}")
+
     def facet_cells(self, f: Facet) -> tuple[Optional[CellId], Optional[CellId]]:
         """Neighbor cells (below, above) along the facet axis; None = exterior."""
         self._check_facet(f)

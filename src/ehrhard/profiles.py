@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional
 
 from .columnar import ColumnarSet, _extended_grid, complement_facet_map
-from .connectedness import Forest, Scene, SceneCell, SceneFacet
+from .connectedness import Forest, Scene, SceneCell, SceneFacet, _FlatScene
 from .errors import ProfileError
 from .gauss import gamma1, psi
 from .grids import CellId, Facet, Grid
@@ -113,8 +113,8 @@ class Profile:
         return self._ann_map.get(facet)
 
     def g_cells(self) -> list[CellId]:
-        """Cells with 0 < v < 1, in lexicographic order."""
-        return [cid for cid in sorted(self._values) if 0.0 < self._values[cid] < 1.0]
+        """Cells with 0 < v < 1, in lexicographic order (the stored order)."""
+        return [cid for cid, v in self._values.items() if 0.0 < v < 1.0]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Profile):
@@ -295,6 +295,47 @@ def jump_interfaces(p: Profile) -> list[JumpInterface]:
 # scenes and model sets
 
 
+def _scene_links(p: Profile, kind: str = "ehrhard") -> _FlatScene:
+    """The scene of the profile as flat data (see :func:`scene`).
+
+    Walks the interior edges of the grid once, keeping those between two
+    G-cells, keyed by their :meth:`~ehrhard.grids.Grid.edges` position.
+    An interface is blocked when its limits (an annotation overrides the
+    cell values) have wedge 0 or, for an Ehrhard scene, vee 1.
+    """
+    if kind not in ("ehrhard", "steiner"):
+        raise ProfileError(f"unknown scene kind {kind!r}")
+    grid = p.grid
+    ids = list(p._values)  # grid.cells() order, which is row-major
+    values = list(p._values.values())
+    ehrhard = kind == "ehrhard"
+    in_g = [0.0 < v < 1.0 for v in values] if ehrhard else [v > 0.0 for v in values]
+    declared = {grid.edge_index(a.facet): a for a in p._annotations}
+    n = len(values)
+    # a 1-D grid's edges are (k, k + 1); not building its cached arrays
+    # keeps thousands of small 1-D grids light
+    pairs = zip(range(n - 1), range(1, n)) if grid.base_dim == 1 else zip(*grid.edges())
+    links = []
+    for k, (i, j) in enumerate(pairs):
+        if in_g[i] and in_g[j]:
+            ann = declared.get(k)
+            if ann is not None:
+                wedge, vee = ann.wedge, ann.vee
+            else:
+                wedge, vee = values[i], values[j]
+                if vee < wedge:
+                    wedge, vee = vee, wedge
+            links.append((k, i, j, wedge, vee, wedge == 0.0 or (ehrhard and vee == 1.0)))
+    return _FlatScene(
+        ids=ids,
+        in_g=in_g,
+        links=links,
+        facet=grid.edge_facet,
+        facet_gauss=lambda k: grid.facet_gauss(grid.edge_facet(k)),
+        cell_gauss=lambda i: grid.cell_gauss(ids[i]),
+    )
+
+
 def scene(p: Profile, kind: str = "ehrhard") -> Scene:
     """Combinatorial scene of the profile for the chosen symmetrization.
 
@@ -303,48 +344,36 @@ def scene(p: Profile, kind: str = "ehrhard") -> Scene:
     and block only interfaces pinched to 0. Only interfaces between two
     G-cells appear, all of them: an interior facet has positive base
     measure by its structure (a finite line and a non-degenerate span),
-    even where its float measure underflows to 0.
+    even where its float measure underflows to 0. The scene is a view of
+    the flat data that the verdict and the search decide on.
     """
-    if kind not in ("ehrhard", "steiner"):
-        raise ProfileError(f"unknown scene kind {kind!r}")
-    grid = p.grid
-    cells = []
-    in_g: dict[CellId, bool] = {}
-    for cid, v in p._values.items():
-        flag = (0.0 < v < 1.0) if kind == "ehrhard" else v > 0.0
-        in_g[cid] = flag
-        cells.append(
-            SceneCell(
-                id=cid,
-                value=v,
-                in_g=flag,
-                gauss=grid.cell_gauss(cid),
-                lebesgue=grid.cell_lebesgue(cid),
-            )
+    flat = _scene_links(p, kind)
+    grid, ids = p.grid, flat.ids
+    cells = tuple(
+        SceneCell(
+            id=cid,
+            value=v,
+            in_g=flag,
+            gauss=grid.cell_gauss(cid),
+            lebesgue=grid.cell_lebesgue(cid),
         )
+        for cid, v, flag in zip(ids, p._values.values(), flat.in_g)
+    )
     facets = []
-    for f, lo_cid, hi_cid, mass in grid.adjacency(interior_only=True):
-        if not (in_g[lo_cid] and in_g[hi_cid]):
-            continue
-        wedge, vee = _facet_limits(p, f, lo_cid, hi_cid)
-        blocked = wedge == 0.0 or (kind == "ehrhard" and vee == 1.0)
+    for k, i, j, wedge, vee, blocked in flat.links:
+        f = grid.edge_facet(k)
         facets.append(
             SceneFacet(
                 facet=f,
-                cells=(lo_cid, hi_cid),
-                gauss=mass,
+                cells=(ids[i], ids[j]),
+                gauss=grid.facet_gauss(f),
                 wedge=wedge,
                 vee=vee,
                 blocked=blocked,
                 annotated=f in p._ann_map,
             )
         )
-    return Scene(
-        kind=kind,
-        base_dim=grid.base_dim,
-        cells=tuple(cells),
-        facets=tuple(facets),
-    )
+    return Scene(kind=kind, base_dim=grid.base_dim, cells=cells, facets=tuple(facets))
 
 
 def from_profile(p: Profile) -> ColumnarSet:

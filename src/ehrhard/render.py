@@ -16,7 +16,7 @@ from typing import Optional
 
 from .columnar import ColumnarSet
 from .gauss import gamma1
-from .profiles import Profile, from_profile, scene
+from .profiles import Profile, _scene_links, from_profile
 from .rigidity import RigidityReport
 
 WIDTH = 640
@@ -128,11 +128,11 @@ def render_profile(p: Profile, report: Optional[RigidityReport] = None) -> str:
     minus: tuple = ()
     if report is not None and report.certificate is not None:
         minus = report.certificate.minus_cells
-    if p.grid.base_dim == 2:
-        sc = scene(p)
-        blocked = [sf.facet for sf in sc.facets if sf.blocked]
+    grid = p.grid
+    blocked = [grid.edge_facet(k) for k, _, _, _, _, b in _scene_links(p).links if b]
+    if grid.base_dim == 2:
         return _render_base_heatmap(
-            p.grid,
+            grid,
             p.values,
             blocked=blocked,
             minus_cells=set(map(tuple, minus)),
@@ -142,12 +142,9 @@ def render_profile(p: Profile, report: Optional[RigidityReport] = None) -> str:
     if report is not None and report.counterexample is not None:
         target = report.counterexample
     svg = render_columnar(target, minus_cells=minus)
-    sc = scene(p)
     decorations = []
-    for sf in sc.facets:
-        if not sf.blocked:
-            continue
-        z = p.grid.facet_coordinate(sf.facet)
+    for f in blocked:
+        z = grid.facet_coordinate(f)
         if -VIEW <= z <= VIEW:
             decorations.append(_line(_px(z), _py(-VIEW), _px(z), _py(VIEW), _BLOCKED, dashed=True))
     if decorations:

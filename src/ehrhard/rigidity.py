@@ -30,12 +30,7 @@ from .columnar import (
     reflect,
     symdiff_volume,
 )
-from .connectedness import (
-    PartitionCertificate,
-    SpanningStructure,
-    certificate_for,
-    essentially_disconnects,
-)
+from .connectedness import PartitionCertificate, SpanningStructure, _certificate, _decide
 from .errors import (
     DomainError,
     EhrhardError,
@@ -50,10 +45,10 @@ from .profiles import (
     Profile,
     _complement_one_piece,
     _model_one_piece,
+    _scene_links,
     _set_one_piece,
     approx_limits,
     from_profile,
-    scene,
 )
 
 __all__ = [
@@ -194,12 +189,15 @@ def _nonrigid_report(
 
 
 def rigidity_verdict(p: Profile) -> RigidityReport:
-    """Decide rigidity through essential connectedness of the scene graph."""
-    sc = scene(p)
-    disconnected, witness = essentially_disconnects(sc)
+    """Decide rigidity through essential connectedness of the scene graph.
+
+    Decided on the grid's edge arrays; no :class:`~ehrhard.connectedness.Scene`
+    is built.
+    """
+    disconnected, witness = _decide(_scene_links(p))
     if not disconnected:
         notes = ()
-        if not sc.g_cells():
+        if not witness.cells:
             notes = ("no cells with 0 < v < 1: rigid vacuously",)
         return RigidityReport(
             verdict=Verdict.RIGID,
@@ -339,19 +337,20 @@ def exhaustive_search(
     """
     if not tolerance >= 0.0:
         raise DomainError(f"tolerance {tolerance!r} must be >= 0")
-    g = p.g_cells()
+    flat = _scene_links(p)
+    g = [i for i, inside in enumerate(flat.in_g) if inside]
     n = len(g)
     if n > max_cells:
         raise SearchBoundError(
             f"exhaustive search over {n} cells with 0 < v < 1 exceeds the bound "
             f"of {max_cells}; pass a larger max_cells to force it"
         )
-    sc = scene(p)
-    bit = {cid: 1 << k for k, cid in enumerate(g)}
+    bit = {i: 1 << k for k, i in enumerate(g)}
+    # prices matter only under an allowance; with none, any crossing rejects
     unblocked = [
-        (bit[sf.cells[0]], bit[sf.cells[1]], sf.gauss * 2.0 * min(sf.wedge, 1.0 - sf.vee))
-        for sf in sc.facets
-        if not sf.blocked
+        (bit[i], bit[j], flat.facet_gauss(key) * 2.0 * min(wedge, 1.0 - vee) if tolerance else 0.0)
+        for key, i, j, wedge, vee, blocked in flat.links
+        if not blocked
     ]
     checked = 0
     for mask in range(1, (1 << n) - 1):
@@ -364,8 +363,7 @@ def exhaustive_search(
                 if not tolerance or cost > tolerance:
                     break
         else:
-            minus = [cid for cid in g if mask & bit[cid]]
-            cert = certificate_for(sc, minus)
+            cert = _certificate(flat, {i for i in g if mask & bit[i]})
             return _nonrigid_report(p, cert, "exhaustive-search", checked)
     return RigidityReport(
         verdict=Verdict.RIGID,

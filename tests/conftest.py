@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+import ehrhard.catalog
 from ehrhard import ColumnarSet, Grid, IntervalSet, Profile, SingularAnnotation
 
 INF = math.inf
@@ -146,3 +147,20 @@ def verdict_suite() -> list[Profile]:
     verdict-agreement, equality-case, and sufficient-condition criteria."""
     rng = random.Random(20260817)
     return [random_profile_1d(rng) for _ in range(10_000)]
+
+
+class _NoGrid:
+    """Stands in for Grid where building one fails the test."""
+
+    def __init__(self, *axes):
+        raise AssertionError("a grid was built")
+
+    @staticmethod
+    def regular(lo, hi, cells):
+        raise AssertionError(f"a grid axis of {cells} cells was built")
+
+
+@pytest.fixture
+def no_catalog_grid(monkeypatch):
+    """Make any grid that ehrhard.catalog builds fail the test."""
+    monkeypatch.setattr(ehrhard.catalog, "Grid", _NoGrid)

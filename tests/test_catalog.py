@@ -1,7 +1,7 @@
 import pytest
 
 from ehrhard import CatalogError, Verdict, gamma1
-from ehrhard.catalog import catalog_names, koch_snowflake, run_entry, sweep
+from ehrhard.catalog import _MAX_STEPS, _step_count, catalog_names, koch_snowflake, run_entry, sweep
 from ehrhard.intervals import IntervalSet
 from ehrhard.render import render_columnar, render_profile
 
@@ -43,6 +43,21 @@ class TestEntries:
     def test_degenerate_resolution(self, resolution):
         with pytest.raises(CatalogError, match="does not tile"):
             run_entry("mistico", resolution=resolution)
+
+    @pytest.mark.parametrize("resolution", [1e-300, 1 / 100000, 5e-324, 2 / 258])
+    def test_tiny_resolution_builds_no_grid(self, resolution, no_catalog_grid):
+        for name in DEFAULT_RESOLUTIONS:
+            with pytest.raises(CatalogError, match="at most 256 are allowed"):
+                run_entry(name, resolution=resolution)
+        with pytest.raises(CatalogError, match="at most 256 are allowed"):
+            sweep("mistico", [resolution])
+
+    def test_step_cap(self):
+        assert _MAX_STEPS == 256
+        assert _step_count("mistico", 2.0, 2 / 256) == 256
+        assert _step_count("koch", 3.0, 1 / 32) == 96
+        with pytest.raises(CatalogError, match="needs 258 steps"):
+            _step_count("mistico", 2.0, 2 / 258)
 
     def test_default_resolutions_name_entries(self):
         assert set(DEFAULT_RESOLUTIONS) <= set(catalog_names())

@@ -379,6 +379,13 @@ class TestCatalogCommands:
         assert main(["catalog", "mistico", "--resolution", "0"]) == 1
         assert "does not tile" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("resolution", ["1e-300", "1/100000"])
+    def test_tiny_resolution(self, capsys, no_catalog_grid, resolution):
+        assert main(["catalog", "mistico", "--resolution", resolution]) == 1
+        assert "at most 256 are allowed" in capsys.readouterr().err
+        assert main(["sweep", "--family", "mistico", "--resolutions", resolution]) == 1
+        assert "at most 256 are allowed" in capsys.readouterr().err
+
     def test_sweep(self, tmp_path, capsys):
         out = tmp_path / "rows.csv"
         code = main(

@@ -298,6 +298,38 @@ class TestEdges:
             assert [g.edge_index(f) for f, _, _ in interior] == list(range(len(interior)))
             assert g.edges() is g.edges()
 
+    @pytest.mark.parametrize(
+        "axes",
+        [
+            ((0.0, 1.0),),
+            ((-INF, -1.0, 0.5, 2.0, INF),),
+            ((0.0, 1.0), (0.0, 1.0)),
+            ((0.0, 1.0), (-INF, 0.0, 1.0, 2.0, INF)),
+            ((-INF, 0.0, 1.0, 2.0, INF), (0.0, 1.0)),
+            ((0.0, 1.0, 2.0), (-INF, 0.0, 1.0, INF)),
+        ],
+        ids=["1-D single cell", "1-D infinite ends", "1x1", "1xn", "nx1", "2x3"],
+    )
+    def test_edge_facet_inverts_edge_index(self, axes):
+        g = Grid(*axes)
+        interior = list(g.facets(interior_only=True))
+        assert len(interior) == len(g.edges()[0])
+        assert [g.edge_facet(k) for k in range(len(interior))] == interior
+        assert [g.edge_index(g.edge_facet(k)) for k in range(len(interior))] == list(
+            range(len(interior))
+        )
+        for k in (-1, len(interior)):
+            with pytest.raises(GridError):
+                g.edge_facet(k)
+
+    @pytest.mark.parametrize("base_dim", [1, 2])
+    def test_edge_facet_on_random_grids(self, base_dim):
+        rng = random.Random(59 + base_dim)
+        for _ in range(60):
+            g = random_grid(rng, base_dim)
+            interior = list(g.facets(interior_only=True))
+            assert [g.edge_facet(k) for k in range(len(interior))] == interior
+
     def test_edge_index_rejects_other_facets(self):
         g = Grid((0.0, 1.0, 2.0), (-INF, 0.0, 1.0, INF))
         assert g.edge_index(Facet(0, 1, 2)) == 2

@@ -21,7 +21,7 @@ from ehrhard import (
     psi,
     scene,
 )
-from conftest import random_profile_1d
+from conftest import random_annotated, random_profile_1d, random_profile_2d
 
 INF = math.inf
 
@@ -106,7 +106,28 @@ class TestProfileConstruction:
         assert three_column(0.3, 1.0, 0.6) != "not a profile"
 
 
+def inner_point(axis):
+    """A coordinate strictly inside the first cell of a breakpoint axis."""
+    a, b = axis[0], axis[1]
+    if math.isinf(a):
+        return b - 0.5
+    if math.isinf(b):
+        return a + 0.5
+    return 0.5 * (a + b)
+
+
 class TestSplitAndRefine:
+    def test_g_cells_in_lexicographic_order(self):
+        rng = random.Random(71)
+        for _ in range(40):
+            p = random_profile_2d(rng)
+            xs, ys = p.grid.axes
+            for q in (p, p.split_cell(0, inner_point(xs)), p.split_cell(1, inner_point(ys)),
+                      p.refined(0.5), random_profile_1d(rng).refined(0.25)):
+                g = q.g_cells()
+                assert g == sorted(g)
+                assert g == [c for c in q.grid.cells() if 0.0 < q.value(c) < 1.0]
+
     def test_split_copies_values(self):
         p = three_column(0.3, 1.0, 0.6)
         q = p.split_cell(0, 0.0)
@@ -283,6 +304,22 @@ class TestScene:
         assert by_facet[Facet(0, 1, 0)].gauss == pytest.approx(math.exp(-0.5))
         cell = next(c for c in s.cells if c.id == (1,))
         assert cell.gauss == pytest.approx(0.6826894921370859, rel=1e-15)
+
+
+    def test_facets_follow_interior_adjacency(self):
+        rng = random.Random(19)
+        for _ in range(40):
+            base = random_profile_2d(rng) if rng.random() < 0.5 else random_profile_1d(rng)
+            p = random_annotated(rng, base)
+            for kind in ("ehrhard", "steiner"):
+                s = scene(p, kind)
+                assert [c.id for c in s.cells] == list(p.grid.cells())
+                in_g = {c.id: c.in_g for c in s.cells}
+                assert [(sf.facet, sf.cells, sf.gauss) for sf in s.facets] == [
+                    (f, (lo, hi), mass)
+                    for f, lo, hi, mass in p.grid.adjacency(interior_only=True)
+                    if in_g[lo] and in_g[hi]
+                ]
 
 
 class TestModelSets:

@@ -1,11 +1,14 @@
+import json
 import math
 import random
+from contextlib import suppress
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ehrhard.profiles
 import ehrhard.rigidity
 from ehrhard import (
     ColumnarSet,
@@ -27,6 +30,7 @@ from ehrhard import (
     check_gino,
     check_pino,
     default_levels,
+    essentially_disconnects,
     exhaustive_search,
     from_profile,
     gauss_perimeter,
@@ -38,9 +42,12 @@ from ehrhard import (
     symdiff_volume,
     verify_equality_case,
 )
+from ehrhard.cli import main
 from ehrhard.columnar import restrict
 from ehrhard.connectedness import complement_indecomposable, decompose_ids, indecomposable
+from ehrhard.jsonio import profile_to_json
 from ehrhard.profiles import _complement_one_piece, _set_one_piece
+from ehrhard.render import render_profile
 from conftest import random_annotated, random_profile_1d, random_profile_2d
 
 INF = math.inf
@@ -587,3 +594,84 @@ class TestComplementSplit:
             p = random_profile_1d(rng, max_cells=8)
             if check_gino(p):
                 assert rigidity_verdict(p).rigid
+
+
+@pytest.fixture
+def scene_builds(monkeypatch):
+    """Count SceneCell constructions: every Scene build makes one per cell."""
+    count = [0]
+    real = ehrhard.profiles.SceneCell
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ehrhard.profiles, "SceneCell", counted)
+    return count
+
+
+class TestSceneFree:
+    """The verdict, the search and render_profile decide on flat edge data;
+    a Scene is built only where a caller reads one."""
+
+    def test_decisions_build_no_scene(self, scene_builds):
+        rng = random.Random(88)
+        for _ in range(30):
+            for base in (random_profile_1d(rng, max_cells=8), random_profile_2d(rng)):
+                p = random_annotated(rng, base)
+                report = rigidity_verdict(p)
+                with suppress(SearchBoundError):
+                    exhaustive_search(p)
+                if p.grid.base_dim == 1:
+                    rigidity_verdict_planar(p)
+                render_profile(p)
+                render_profile(p, report)
+        assert scene_builds[0] == 0
+        scene(p)
+        assert scene_builds[0] == len(list(p.grid.cells()))
+
+    def test_connectedness_command_builds_a_scene(self, scene_builds, tmp_path, capsys):
+        infile = tmp_path / "profile.json"
+        infile.write_text(json.dumps(profile_to_json(three_column(0.3, 0.5, 0.6))))
+        assert main(["connectedness", "--in", str(infile)]) == 0
+        assert json.loads(capsys.readouterr().out)["disconnects"] is False
+        assert scene_builds[0] == 3
+
+
+def drawn_blocked(p):
+    """The facets render_profile(p) draws as blocked, in drawing order."""
+    seen = []
+    real = Grid.facet_coordinate
+
+    def spy(grid, f):
+        seen.append(f)
+        return real(grid, f)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Grid, "facet_coordinate", spy)
+        render_profile(p)
+    return seen
+
+
+class TestFlatRoutes:
+    """The flat routes agree with the public scene API."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.one_of(family_profiles(), far_tail_profiles_1d()))
+    def test_match_scene_api(self, p):
+        sc = scene(p)
+        disconnected, witness = essentially_disconnects(sc)
+        theorem = rigidity_verdict(p)
+        assert theorem.rigid == (not disconnected)
+        if theorem.rigid:
+            assert theorem.connectivity == witness
+        else:
+            assert theorem.certificate == witness
+        reports = [theorem]
+        if len(p.g_cells()) <= 12:
+            reports += [exhaustive_search(p), exhaustive_search(p, tolerance=1e-2)]
+        for report in reports:
+            if not report.rigid:
+                cert = report.certificate
+                assert cert == certificate_for(sc, cert.minus_cells)
+        assert drawn_blocked(p) == [sf.facet for sf in sc.facets if sf.blocked]
