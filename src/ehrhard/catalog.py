@@ -32,6 +32,7 @@ from .rigidity import (
     EqualityCaseReport,
     RigidityReport,
     Verdict,
+    _mirror_cost,
     check_gino,
     check_pino,
     exhaustive_search,
@@ -98,17 +99,25 @@ def _entry(name: str, default_resolution: Optional[float] = None) -> Callable:
     return register
 
 
-# most grid steps per axis an entry builds: 4x the cells of mistico at h = 1/64
+# most grid steps per axis an entry or sweep builds: 4x the cells of mistico at h = 1/64
 _MAX_STEPS = 256
+# most curve iterations a koch sweep builds: iteration 6 has 12,288 vertices
+_MAX_KOCH_ITERATIONS = 6
 
 
-def _step_count(name: str, span: float, resolution: float) -> int:
+def _steps(what: str, span: float, resolution: float) -> float:
+    """Steps of ``resolution`` over ``span`` (0 unless it is positive), at most the cap."""
     n = span / resolution if resolution > 0.0 else 0.0
     if n > _MAX_STEPS:  # before any grid is built; also catches an infinite count
         raise CatalogError(
-            f"entry {name!r}: resolution {resolution} needs {n:.3g} steps over a span "
+            f"{what}: resolution {resolution} needs {n:.3g} steps over a span "
             f"of {span}; at most {_MAX_STEPS} are allowed"
         )
+    return n
+
+
+def _step_count(name: str, span: float, resolution: float) -> int:
+    n = _steps(f"entry {name!r}", span, resolution)
     if abs(n - round(n)) > 1e-9 or round(n) < 2:
         raise CatalogError(
             f"entry {name!r}: resolution {resolution} does not tile a span of {span}"
@@ -234,7 +243,7 @@ def _fig3_01(ck: _Checks, h: float, seed: int) -> _Built:
         if not minus or len(minus) == len(g):
             continue
         cost = math.fsum(
-            sf.gauss * 2.0 * min(sf.wedge, 1.0 - sf.vee)
+            _mirror_cost(sf.gauss, sf.wedge, sf.vee)
             for sf in sc.facets
             if (sf.cells[0] in minus) != (sf.cells[1] in minus)
         )
@@ -573,7 +582,9 @@ def sweep(family: str, resolutions: Optional[list[float]] = None) -> SweepResult
     strictly), ``unannotated`` (grid steps over a staircase with no
     annotations; the excess must stay below 1e-10), and ``koch`` (the h
     column carries the curve iteration index at a fixed 1/32 grid; every
-    iteration must stay non-rigid).
+    iteration must stay non-rigid). A step past :data:`_MAX_STEPS`, or a
+    koch iteration outside 0..:data:`_MAX_KOCH_ITERATIONS`, raises
+    :class:`CatalogError` before any profile is built.
     """
     ck = _Checks()
     if family == "mistico":
@@ -584,6 +595,8 @@ def sweep(family: str, resolutions: Optional[list[float]] = None) -> SweepResult
         ck.add("excess-strictly-decreasing", decreasing)
     elif family == "unannotated":
         hs = resolutions or [1 / 2, 1 / 4, 1 / 8, 1 / 16]
+        for h in hs:
+            _steps("sweep family 'unannotated'", 2.0, h)  # refined splits the cell (-1, 1)
         base = _three_column((0.3, 1.0, 0.6))
         rows, reports = _sweep_rows([(h, base.refined(h)) for h in hs])
         ck.add(
@@ -592,7 +605,14 @@ def sweep(family: str, resolutions: Optional[list[float]] = None) -> SweepResult
             ", ".join(f"{r.excess:.2e}" for r in rows),
         )
     elif family == "koch":
-        iterations = [int(x) for x in (resolutions or [0, 1, 2, 3, 4])]
+        iterations = resolutions or [0, 1, 2, 3, 4]
+        for x in iterations:
+            if x not in range(_MAX_KOCH_ITERATIONS + 1):
+                raise CatalogError(
+                    f"sweep family 'koch': iteration {x!r} must be an integer "
+                    f"from 0 to {_MAX_KOCH_ITERATIONS}"
+                )
+        iterations = [int(x) for x in iterations]
         rows, reports = _sweep_rows([(float(j), _koch_profile(j, 1 / 32)) for j in iterations])
         ck.add("all-nonrigid", all(r.verdict is Verdict.NONRIGID for r in reports))
     else:

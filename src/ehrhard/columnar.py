@@ -278,9 +278,11 @@ def complement(e: ColumnarSet) -> ColumnarSet:
     the exterior (where the set is empty) contributes full-line sections.
     """
     big = _extended_grid(e.grid)
+    shift = _extension_shift(e.grid, big)
     out: dict[CellId, IntervalSet] = {}
     for cid in big.cells():
-        parent = _parent_cell(e.grid, big, cid)
+        # a cell outside the original grid has no parent section
+        parent = tuple(c - d for c, d in zip(cid, shift))
         s = e._sections.get(parent, _EMPTY).complement()
         if not s.is_empty:
             out[cid] = s
@@ -300,12 +302,14 @@ def _extended_grid(grid: Grid) -> Grid:
     return Grid(*axes)
 
 
+def _extension_shift(original: Grid, extended: Grid) -> tuple[int, ...]:
+    """Per axis, 1 where ``extended`` has an added -inf breakpoint, else 0."""
+    return tuple(int(a[0] != b[0]) for a, b in zip(original.axes, extended.axes))
+
+
 def complement_facet_map(original: Grid, extended: Grid, f: Facet) -> Facet:
     """Re-index a facet of ``original`` on the extended grid of its complement."""
-    shift = [
-        1 if original.axes[k][0] != extended.axes[k][0] else 0
-        for k in range(original.base_dim)
-    ]
+    shift = _extension_shift(original, extended)
     lat = f.lateral + (shift[1 - f.axis] if original.base_dim == 2 else 0)
     return Facet(f.axis, f.line + shift[f.axis], lat)
 

@@ -8,16 +8,16 @@ two-coloring of its components with no unblocked interface between the
 colors certifies that the singular set essentially disconnects G.
 
 The decision and the certificates read a scene as flat data: each cell's
-in-G flag, and per interface between G-cells its key, its two cell
-indices, its limits and its blocked flag. The verdict and the exhaustive
-search of :mod:`ehrhard.rigidity` and :func:`ehrhard.render.render_profile`
-get that data straight from a profile's grid edges
-(:func:`ehrhard.profiles._scene_links`) and build no :class:`Scene`; cell
-ids, facets and measures are read back only for what a report carries.
-The :class:`Scene` dataclasses are a view of the same data for JSON, the
-``connectedness`` command and tests, and :func:`essentially_disconnects`
-and :func:`certificate_for` on a scene run the same decision and the same
-certificate builder.
+in-G flag, and per interface between G-cells its edge position on the
+grid, its two cell indices, its limits and its blocked flag. One walk of
+the grid's interior edges (``Profile._scene_links``) yields that data, and
+every caller decides on it: the verdict and the exhaustive search of
+:mod:`ehrhard.rigidity`, :func:`ehrhard.render.render_profile`, and
+:func:`essentially_disconnects` and :func:`certificate_for`, which walk the
+profile a :class:`Scene` views. Cell ids, facets and measures are read
+back from the grid only for what a report carries. The :class:`Scene`
+dataclasses are a view of the same walk for JSON, the ``connectedness``
+command and tests.
 
 Separately, a columnar set decomposes into *pieces*: per column, each
 interval of its section is a node, and two pieces are adjacent when their
@@ -35,8 +35,8 @@ one essential piece exactly when the cells with v > 0 are connected
 across the facets that are not severed, and its complement exactly when
 the cells with v < 1 are, on the grid extended to infinity (whose new
 cells count as v = 0). :func:`ehrhard.profiles._model_one_piece` decides
-these questions on a grid's row-major cell indices and its interior edge
-arrays (:meth:`ehrhard.grids.Grid.edges`).
+these questions on a grid's row-major cell indices and its interior edges
+(:meth:`ehrhard.grids.Grid.edges`).
 
 Every connectivity question, on scenes, pieces or cells, runs on one
 union-find over integers (:class:`Forest`); results keep their tuple ids.
@@ -46,12 +46,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, Union
 
 from .columnar import ColumnarSet, complement, complement_facet_map
 from .errors import PartitionError
-from .grids import CellId, Facet
+from .grids import CellId, Facet, Grid
 from .intervals import Interval, IntervalSet
+
+if TYPE_CHECKING:
+    from .profiles import Profile
 
 INF = math.inf
 
@@ -99,15 +102,17 @@ class Scene:
     Every interface between two G-cells is kept: it has positive base
     measure by its structure, even where ``gauss`` underflows to 0.0.
     Cells come in lexicographic order and facets in sorted order, as
-    :func:`ehrhard.profiles.scene` builds them. A scene is a view for
-    JSON, the ``connectedness`` command and tests; the verdict and the
-    search decide on the flat data it is built from.
+    :func:`ehrhard.profiles.scene` builds them. A scene is a view, for
+    JSON, the ``connectedness`` command and tests, of the profile in
+    ``_profile`` (left out of equality, ``repr`` and JSON), on whose walk
+    the scene's decision and certificates run.
     """
 
     kind: str
     base_dim: int
     cells: tuple[SceneCell, ...]
     facets: tuple[SceneFacet, ...]
+    _profile: Profile = field(repr=False, compare=False)
 
     def g_cells(self) -> list[CellId]:
         return [c.id for c in self.cells if c.in_g]
@@ -206,43 +211,23 @@ class Forest:
 class _FlatScene(NamedTuple):
     """A scene as flat data: what the decision and the certificates read.
 
-    Cell ``i`` has id ``ids[i]`` and in-G flag ``in_g[i]``, in
-    lexicographic order. ``links`` has one ``(key, i, j, wedge, vee,
-    blocked)`` per interface between G-cells, ascending by key, which is
-    also facet order. ``facet`` and ``facet_gauss`` read an interface's
-    facet and measure from its key, and ``cell_gauss`` a cell's measure
-    from its index, only for what a report carries.
+    Cell ``i`` of ``grid`` has id ``ids[i]`` and in-G flag ``in_g[i]``, in
+    row-major (lexicographic) order. ``links`` has one ``(key, i, j,
+    wedge, vee, blocked)`` per interface between G-cells, where ``key`` is
+    the interface's :meth:`~ehrhard.grids.Grid.edges` position, ascending,
+    which is also facet order. Facets and measures are read from ``grid``,
+    only for what a report carries.
     """
 
+    grid: Grid
     ids: Sequence[CellId]
     in_g: Sequence[bool]
     links: list[tuple[int, int, int, float, float, bool]]
-    facet: Callable[[int], Facet]
-    facet_gauss: Callable[[int], float]
-    cell_gauss: Callable[[int], float]
-
-
-def _flat(scene: Scene) -> _FlatScene:
-    """A scene built by :func:`ehrhard.profiles.scene` as flat data."""
-    cells, facets = scene.cells, scene.facets
-    index = {c.id: i for i, c in enumerate(cells)}
-    links = [
-        (e, index[sf.cells[0]], index[sf.cells[1]], sf.wedge, sf.vee, sf.blocked)
-        for e, sf in enumerate(facets)
-    ]
-    return _FlatScene(
-        ids=[c.id for c in cells],
-        in_g=[c.in_g for c in cells],
-        links=links,
-        facet=lambda e: facets[e].facet,
-        facet_gauss=lambda e: facets[e].gauss,
-        cell_gauss=lambda i: cells[i].gauss,
-    )
 
 
 def certificate_for(scene: Scene, minus_cells: Iterable[CellId]) -> PartitionCertificate:
     """Build the certificate for a given minus-side among the scene's G-cells."""
-    flat = _flat(scene)
+    flat = scene._profile._scene_links(scene.kind)
     g_index = {cid: i for i, cid in enumerate(flat.ids) if flat.in_g[i]}
     minus = {tuple(c) for c in minus_cells}
     if not minus <= g_index.keys():
@@ -252,7 +237,7 @@ def certificate_for(scene: Scene, minus_cells: Iterable[CellId]) -> PartitionCer
 
 def _certificate(flat: _FlatScene, minus: set[int]) -> PartitionCertificate:
     """The certificate whose minus side is the G-cells at indices ``minus``."""
-    ids, cell_gauss = flat.ids, flat.cell_gauss
+    grid, ids = flat.grid, flat.ids
     g = [i for i, inside in enumerate(flat.in_g) if inside]
     plus = [i for i in g if i not in minus]
     minus_side = [i for i in g if i in minus]
@@ -260,16 +245,17 @@ def _certificate(flat: _FlatScene, minus: set[int]) -> PartitionCertificate:
     unblocked = []
     for key, i, j, _, _, blocked in flat.links:
         if (i in minus) != (j in minus):
-            interface.append(flat.facet(key))
+            f = grid.edge_facet(key)
+            interface.append(f)
             if not blocked:
-                unblocked.append(flat.facet_gauss(key))
+                unblocked.append(grid.facet_gauss(f))
     return PartitionCertificate(
         plus_cells=tuple(ids[i] for i in plus),
         minus_cells=tuple(ids[i] for i in minus_side),
         interface_facets=tuple(interface),
         unblocked_interface_measure=math.fsum(unblocked),
-        plus_gauss=math.fsum(cell_gauss(i) for i in plus),
-        minus_gauss=math.fsum(cell_gauss(i) for i in minus_side),
+        plus_gauss=math.fsum(grid.cell_gauss(ids[i]) for i in plus),
+        minus_gauss=math.fsum(grid.cell_gauss(ids[i]) for i in minus_side),
         _unblocked_crossings=len(unblocked),
     )
 
@@ -280,13 +266,13 @@ def essentially_disconnects(
     """Decide whether the blocked interfaces split G into separated parts.
 
     Components of the scene graph (G-cells joined by unblocked interfaces)
-    are computed by union-find over the cells' positions. With two or
-    more components the first component (by smallest cell) becomes the
-    minus side of a witnessing certificate; otherwise a spanning
-    structure of unblocked interfaces is returned. Empty G is vacuously
-    connected and yields an empty structure.
+    are computed by union-find over the cells' positions, on a walk of the
+    profile the scene views. With two or more components the first
+    component (by smallest cell) becomes the minus side of a witnessing
+    certificate; otherwise a spanning structure of unblocked interfaces is
+    returned. Empty G is vacuously connected and yields an empty structure.
     """
-    return _decide(_flat(scene))
+    return _decide(scene._profile._scene_links(scene.kind))
 
 
 def _decide(
@@ -304,7 +290,7 @@ def _decide(
     if len(tree) == len(g) - 1:
         ids = flat.ids
         return False, SpanningStructure(
-            cells=tuple(ids[i] for i in g), tree_facets=tuple(map(flat.facet, tree))
+            cells=tuple(ids[i] for i in g), tree_facets=tuple(map(flat.grid.edge_facet, tree))
         )
     find = forest.find
     first = find(g[0])

@@ -14,6 +14,7 @@ import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from typing import Iterator, Optional, Sequence
 
@@ -51,8 +52,8 @@ class Grid:
     built on the first measure query, not at construction: the gamma1
     mass ``phi(b[i]) - phi(b[i+1])`` of every cell side and the weight
     ``exp(-z*z/2)`` of every grid line (0.0 on infinite lines). The
-    interior edge arrays of :meth:`edges` are built the same way, on first
-    use.
+    interior edge arrays of a 2-D grid's :meth:`edges` are built the same
+    way, on first use.
     """
 
     __slots__ = ("_axes", "_shape", "_tables", "_edges")
@@ -212,39 +213,38 @@ class Grid:
                         above = None if hi is None else (lat, hi)
                     yield Facet(axis, line, lat), below, above, w * mass
 
-    def edges(self) -> tuple[array, array]:
+    def _plane(self) -> tuple[int, int]:
+        """The shape as ``(nx, ny)``, a 1-D grid of n cells counting as ``(n, 1)``."""
+        return self._shape if len(self._shape) == 2 else (self._shape[0], 1)
+
+    def edges(self) -> tuple[Sequence[int], Sequence[int]]:
         """The two cells of every interior facet, as :meth:`cell_index` values.
 
-        Position k of both arrays is the k-th interior facet in
+        Position k of both sequences is the k-th interior facet in
         :meth:`facets` order (:meth:`edge_index` maps a facet to it), and
         ``(below[k], above[k])`` are its neighbors along the facet axis.
-        Built on the first call and shared by later ones; no measure is
-        read.
+        1-D grids of n cells share one pair ``(range(n - 1), range(1, n))``;
+        a 2-D grid builds two integer arrays on the first call and keeps
+        them. No measure is read.
         """
+        if len(self._shape) == 1:
+            return _line_edges(self._shape[0])
         if self._edges is None:
+            nx, ny = self._shape
             below, above = array("l"), array("l")
-            if len(self._shape) == 1:
-                n = self._shape[0]
-                below.extend(range(n - 1))
-                above.extend(range(1, n))
-            else:
-                nx, ny = self._shape
-                # axis 0, line by line: cell (line - 1, lat) below (line, lat)
-                below.extend(range((nx - 1) * ny))
-                above.extend(range(ny, nx * ny))
-                # axis 1, line by line: cell (lat, line - 1) below (lat, line)
-                for line in range(1, ny):
-                    below.extend(range(line - 1, nx * ny, ny))
-                    above.extend(range(line, nx * ny, ny))
+            # axis 0, line by line: cell (line - 1, lat) below (line, lat)
+            below.extend(range((nx - 1) * ny))
+            above.extend(range(ny, nx * ny))
+            # axis 1, line by line: cell (lat, line - 1) below (lat, line)
+            for line in range(1, ny):
+                below.extend(range(line - 1, nx * ny, ny))
+                above.extend(range(line, nx * ny, ny))
             self._edges = (below, above)
         return self._edges
 
     def edge_index(self, f: Facet) -> Optional[int]:
         """Position of the facet in :meth:`edges`; None unless it is interior."""
-        if len(self._shape) == 1:
-            n = self._shape[0]
-            return f.line - 1 if f.axis == 0 and 0 < f.line < n and f.lateral == 0 else None
-        nx, ny = self._shape
+        nx, ny = self._plane()
         if f.axis == 0 and 0 < f.line < nx and 0 <= f.lateral < ny:
             return (f.line - 1) * ny + f.lateral
         if f.axis == 1 and 0 < f.line < ny and 0 <= f.lateral < nx:
@@ -257,18 +257,14 @@ class Grid:
         The inverse of :meth:`edge_index`: interior facets come in sorted
         order, so ascending positions give sorted facets.
         """
-        if len(self._shape) == 1:
-            if 0 <= k < self._shape[0] - 1:
-                return Facet(0, k + 1, 0)
-        else:
-            nx, ny = self._shape
-            across = (nx - 1) * ny
-            if 0 <= k < across:
-                line, lat = divmod(k, ny)
-                return Facet(0, line + 1, lat)
-            if 0 <= k - across < (ny - 1) * nx:
-                line, lat = divmod(k - across, nx)
-                return Facet(1, line + 1, lat)
+        nx, ny = self._plane()
+        across = (nx - 1) * ny
+        if 0 <= k < across:
+            line, lat = divmod(k, ny)
+            return Facet(0, line + 1, lat)
+        if 0 <= k - across < (ny - 1) * nx:
+            line, lat = divmod(k - across, nx)
+            return Facet(1, line + 1, lat)
         raise GridError(f"edge position {k} outside grid of shape {self._shape}")
 
     def facet_cells(self, f: Facet) -> tuple[Optional[CellId], Optional[CellId]]:
@@ -352,3 +348,9 @@ class Grid:
         if i < 0 or i >= len(bps) - 1:
             return None
         return i
+
+
+@cache
+def _line_edges(n: int) -> tuple[range, range]:
+    """:meth:`Grid.edges` of every 1-D grid with ``n`` cells: k is below k + 1."""
+    return range(n - 1), range(1, n)

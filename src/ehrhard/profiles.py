@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional
 
-from .columnar import ColumnarSet, _extended_grid, complement_facet_map
+from .columnar import ColumnarSet, _extended_grid, _extension_shift, complement_facet_map
 from .connectedness import Forest, Scene, SceneCell, SceneFacet, _FlatScene
 from .errors import ProfileError
 from .gauss import gamma1, psi
@@ -130,6 +130,35 @@ class Profile:
             f"Profile({self._grid!r}, {len(self.g_cells())} G-cells, "
             f"{len(self._annotations)} annotations)"
         )
+
+    def _scene_links(self, kind: str = "ehrhard") -> _FlatScene:
+        """The scene of the profile as flat data (see :func:`scene`).
+
+        Walks the interior edges of the grid once, keeping those between
+        two G-cells, keyed by their :meth:`~ehrhard.grids.Grid.edges`
+        position. An interface is blocked when its limits (an annotation
+        overrides the cell values) have wedge 0 or, for an Ehrhard scene,
+        vee 1.
+        """
+        if kind not in ("ehrhard", "steiner"):
+            raise ProfileError(f"unknown scene kind {kind!r}")
+        grid = self._grid
+        values = list(self._values.values())  # grid.cells() order, which is row-major
+        ehrhard = kind == "ehrhard"
+        in_g = [0.0 < v < 1.0 for v in values] if ehrhard else [v > 0.0 for v in values]
+        declared = {grid.edge_index(a.facet): a for a in self._annotations}
+        links = []
+        for k, (i, j) in enumerate(zip(*grid.edges())):
+            if in_g[i] and in_g[j]:
+                ann = declared.get(k)
+                if ann is not None:
+                    wedge, vee = ann.wedge, ann.vee
+                else:
+                    wedge, vee = values[i], values[j]
+                    if vee < wedge:
+                        wedge, vee = vee, wedge
+                links.append((k, i, j, wedge, vee, wedge == 0.0 or (ehrhard and vee == 1.0)))
+        return _FlatScene(grid=grid, ids=list(self._values), in_g=in_g, links=links)
 
     # ------------------------------------------------------------------
     # grid surgery
@@ -295,47 +324,6 @@ def jump_interfaces(p: Profile) -> list[JumpInterface]:
 # scenes and model sets
 
 
-def _scene_links(p: Profile, kind: str = "ehrhard") -> _FlatScene:
-    """The scene of the profile as flat data (see :func:`scene`).
-
-    Walks the interior edges of the grid once, keeping those between two
-    G-cells, keyed by their :meth:`~ehrhard.grids.Grid.edges` position.
-    An interface is blocked when its limits (an annotation overrides the
-    cell values) have wedge 0 or, for an Ehrhard scene, vee 1.
-    """
-    if kind not in ("ehrhard", "steiner"):
-        raise ProfileError(f"unknown scene kind {kind!r}")
-    grid = p.grid
-    ids = list(p._values)  # grid.cells() order, which is row-major
-    values = list(p._values.values())
-    ehrhard = kind == "ehrhard"
-    in_g = [0.0 < v < 1.0 for v in values] if ehrhard else [v > 0.0 for v in values]
-    declared = {grid.edge_index(a.facet): a for a in p._annotations}
-    n = len(values)
-    # a 1-D grid's edges are (k, k + 1); not building its cached arrays
-    # keeps thousands of small 1-D grids light
-    pairs = zip(range(n - 1), range(1, n)) if grid.base_dim == 1 else zip(*grid.edges())
-    links = []
-    for k, (i, j) in enumerate(pairs):
-        if in_g[i] and in_g[j]:
-            ann = declared.get(k)
-            if ann is not None:
-                wedge, vee = ann.wedge, ann.vee
-            else:
-                wedge, vee = values[i], values[j]
-                if vee < wedge:
-                    wedge, vee = vee, wedge
-            links.append((k, i, j, wedge, vee, wedge == 0.0 or (ehrhard and vee == 1.0)))
-    return _FlatScene(
-        ids=ids,
-        in_g=in_g,
-        links=links,
-        facet=grid.edge_facet,
-        facet_gauss=lambda k: grid.facet_gauss(grid.edge_facet(k)),
-        cell_gauss=lambda i: grid.cell_gauss(ids[i]),
-    )
-
-
 def scene(p: Profile, kind: str = "ehrhard") -> Scene:
     """Combinatorial scene of the profile for the chosen symmetrization.
 
@@ -347,7 +335,7 @@ def scene(p: Profile, kind: str = "ehrhard") -> Scene:
     even where its float measure underflows to 0. The scene is a view of
     the flat data that the verdict and the search decide on.
     """
-    flat = _scene_links(p, kind)
+    flat = p._scene_links(kind)
     grid, ids = p.grid, flat.ids
     cells = tuple(
         SceneCell(
@@ -373,7 +361,7 @@ def scene(p: Profile, kind: str = "ehrhard") -> Scene:
                 annotated=f in p._ann_map,
             )
         )
-    return Scene(kind=kind, base_dim=grid.base_dim, cells=cells, facets=tuple(facets))
+    return Scene(kind, grid.base_dim, cells, tuple(facets), _profile=p)
 
 
 def from_profile(p: Profile) -> ColumnarSet:
@@ -412,7 +400,7 @@ def _model_one_piece(
     grid = p.grid
     if extended:
         big = _extended_grid(grid)
-        shift = [int(a[0] != b[0]) for a, b in zip(grid.axes, big.axes)]
+        shift = _extension_shift(grid, big)
         values = [
             p._values.get(tuple(c - s for c, s in zip(cid, shift)), 0.0)
             for cid in big.cells()

@@ -16,7 +16,7 @@ from typing import Optional
 
 from .columnar import ColumnarSet
 from .gauss import gamma1
-from .profiles import Profile, _scene_links, from_profile
+from .profiles import Profile, from_profile
 from .rigidity import RigidityReport
 
 WIDTH = 640
@@ -129,7 +129,7 @@ def render_profile(p: Profile, report: Optional[RigidityReport] = None) -> str:
     if report is not None and report.certificate is not None:
         minus = report.certificate.minus_cells
     grid = p.grid
-    blocked = [grid.edge_facet(k) for k, _, _, _, _, b in _scene_links(p).links if b]
+    blocked = [grid.edge_facet(k) for k, _, _, _, _, b in p._scene_links().links if b]
     if grid.base_dim == 2:
         return _render_base_heatmap(
             grid,

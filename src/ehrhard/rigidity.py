@@ -45,7 +45,6 @@ from .profiles import (
     Profile,
     _complement_one_piece,
     _model_one_piece,
-    _scene_links,
     _set_one_piece,
     approx_limits,
     from_profile,
@@ -191,10 +190,10 @@ def _nonrigid_report(
 def rigidity_verdict(p: Profile) -> RigidityReport:
     """Decide rigidity through essential connectedness of the scene graph.
 
-    Decided on the grid's edge arrays; no :class:`~ehrhard.connectedness.Scene`
+    Decided on the grid's edges; no :class:`~ehrhard.connectedness.Scene`
     is built.
     """
-    disconnected, witness = _decide(_scene_links(p))
+    disconnected, witness = _decide(p._scene_links())
     if not disconnected:
         notes = ()
         if not witness.cells:
@@ -316,6 +315,11 @@ def verify_equality_case(
     )
 
 
+def _mirror_cost(gauss: float, wedge: float, vee: float) -> float:
+    """Perimeter cost of mirroring across an interface; 0 exactly when it is blocked."""
+    return gauss * 2.0 * min(wedge, 1.0 - vee)
+
+
 def exhaustive_search(
     p: Profile, max_cells: int = 12, tolerance: float = 0.0
 ) -> RigidityReport:
@@ -337,7 +341,7 @@ def exhaustive_search(
     """
     if not tolerance >= 0.0:
         raise DomainError(f"tolerance {tolerance!r} must be >= 0")
-    flat = _scene_links(p)
+    flat = p._scene_links()
     g = [i for i, inside in enumerate(flat.in_g) if inside]
     n = len(g)
     if n > max_cells:
@@ -346,10 +350,11 @@ def exhaustive_search(
             f"of {max_cells}; pass a larger max_cells to force it"
         )
     bit = {i: 1 << k for k, i in enumerate(g)}
+    facet_gauss, edge_facet = flat.grid.facet_gauss, flat.grid.edge_facet
     # prices matter only under an allowance; with none, any crossing rejects
     unblocked = [
-        (bit[i], bit[j], flat.facet_gauss(key) * 2.0 * min(wedge, 1.0 - vee) if tolerance else 0.0)
-        for key, i, j, wedge, vee, blocked in flat.links
+        (bit[i], bit[j], _mirror_cost(facet_gauss(edge_facet(k)), w, v) if tolerance else 0.0)
+        for k, i, j, w, v, blocked in flat.links
         if not blocked
     ]
     checked = 0

@@ -164,3 +164,14 @@ class _NoGrid:
 def no_catalog_grid(monkeypatch):
     """Make any grid that ehrhard.catalog builds fail the test."""
     monkeypatch.setattr(ehrhard.catalog, "Grid", _NoGrid)
+
+
+@pytest.fixture
+def no_sweep_build(monkeypatch):
+    """Make refining a profile or building a snowflake polygon fail the test."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep profile was built")
+
+    monkeypatch.setattr(Profile, "refined", refuse)
+    monkeypatch.setattr(ehrhard.catalog, "koch_snowflake", refuse)

@@ -1,7 +1,15 @@
 import pytest
 
 from ehrhard import CatalogError, Verdict, gamma1
-from ehrhard.catalog import _MAX_STEPS, _step_count, catalog_names, koch_snowflake, run_entry, sweep
+from ehrhard.catalog import (
+    _MAX_KOCH_ITERATIONS,
+    _MAX_STEPS,
+    _step_count,
+    catalog_names,
+    koch_snowflake,
+    run_entry,
+    sweep,
+)
 from ehrhard.intervals import IntervalSet
 from ehrhard.render import render_columnar, render_profile
 
@@ -140,6 +148,32 @@ class TestSweeps:
         result = sweep("koch", resolutions=[0, 1])
         assert result.passed, failing(result)
         assert [r.h for r in result.rows] == [0.0, 1.0]
+
+    # each is refused before any profile or polygon is built
+    @pytest.mark.parametrize(
+        "family, resolutions",
+        [
+            ("unannotated", [1e-300]),
+            ("unannotated", [1e-6]),
+            ("unannotated", [1 / 2, 1 / 256]),
+            ("unannotated", [2 / (_MAX_STEPS + 1)]),
+            ("koch", [2.5]),
+            ("koch", [-1]),
+            ("koch", [0, _MAX_KOCH_ITERATIONS + 1]),
+            ("koch", [12]),
+        ],
+    )
+    def test_unbuildable_resolution_refused(self, no_sweep_build, family, resolutions):
+        with pytest.raises(CatalogError, match=f"sweep family '{family}'"):
+            sweep(family, resolutions)
+
+    def test_caps_admit_their_bound(self):
+        assert _MAX_KOCH_ITERATIONS >= 4
+        result = sweep("unannotated", [2 / _MAX_STEPS])
+        assert result.passed, failing(result)
+        result = sweep("koch", [float(_MAX_KOCH_ITERATIONS)])
+        assert result.passed, failing(result)
+        assert [r.h for r in result.rows] == [float(_MAX_KOCH_ITERATIONS)]
 
     def test_csv_shape(self):
         result = sweep("mistico", resolutions=[1 / 8])

@@ -386,6 +386,21 @@ class TestCatalogCommands:
         assert main(["sweep", "--family", "mistico", "--resolutions", resolution]) == 1
         assert "at most 256 are allowed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "family, resolution",
+        [
+            ("unannotated", "1e-300"),
+            ("unannotated", "1e-6"),
+            ("unannotated", "2/257"),
+            ("koch", "2.5"),
+            ("koch", "-1"),
+            ("koch", "7"),
+        ],
+    )
+    def test_unbuildable_sweep(self, capsys, no_sweep_build, family, resolution):
+        assert main(["sweep", "--family", family, "--resolutions", resolution]) == 1
+        assert f"sweep family '{family}'" in capsys.readouterr().err
+
     def test_sweep(self, tmp_path, capsys):
         out = tmp_path / "rows.csv"
         code = main(

@@ -341,3 +341,7 @@ class TestEdges:
         assert line.edge_index(Facet(0, 1, 0)) == 0
         assert line.edge_index(Facet(0, 1, 1)) is None
         assert [list(a) for a in line.edges()] == [[0], [1]]
+
+    def test_line_grids_share_edges(self):
+        assert Grid((0, 1, 2)).edges() is Grid((5, 6, 7)).edges()
+        assert Grid((0, 1, 2)).edges() is not Grid((0, 1, 2, 3)).edges()

@@ -21,6 +21,7 @@ from ehrhard import (
     psi,
     scene,
 )
+from ehrhard.jsonio import to_json
 from conftest import random_annotated, random_profile_1d, random_profile_2d
 
 INF = math.inf
@@ -305,6 +306,26 @@ class TestScene:
         cell = next(c for c in s.cells if c.id == (1,))
         assert cell.gauss == pytest.approx(0.6826894921370859, rel=1e-15)
 
+
+    def test_equal_profiles_give_equal_scenes(self):
+        a, b = (
+            Profile(
+                Grid((-INF, -1.0, 1.0, INF)),
+                {(0,): 0.3, (1,): 0.5, (2,): 0.6},
+                [SingularAnnotation(Facet(0, 1, 0), 0.0, 0.5)],
+            )
+            for _ in range(2)
+        )
+        assert a == b and a is not b
+        assert scene(a) == scene(b)
+        assert hash(scene(a)) == hash(scene(b))
+        assert scene(a) != scene(a, kind="steiner")
+
+    def test_profile_stays_out_of_repr_and_json(self):
+        p = three_column(0.3, 0.5, 0.6)
+        s = scene(p)
+        assert "Profile" not in repr(s) and "_profile" not in repr(s)
+        assert set(to_json(s)) == {"kind", "base_dim", "cells", "facets"}
 
     def test_facets_follow_interior_adjacency(self):
         rng = random.Random(19)
