@@ -125,6 +125,14 @@ def _step_count(name: str, span: float, resolution: float) -> int:
     return int(round(n))
 
 
+def _plate_steps(name: str, h: float) -> int:
+    """Steps per axis of the square plate at step ``h``; even, so 0 is a breakpoint."""
+    n = _step_count(name, 2.0, h)
+    if n % 2 != 0:
+        raise CatalogError(f"{name}: resolution must place a breakpoint at 0")
+    return n
+
+
 def _plate(
     name: str, h: float, value: Callable[[float, float], float]
 ) -> tuple[Grid, int, list[float], dict]:
@@ -134,9 +142,7 @@ def _plate(
     centres along an axis, and ``value(cx, cy)`` for every cell in
     row-major order.
     """
-    n = _step_count(name, 2.0, h)
-    if n % 2 != 0:
-        raise CatalogError(f"{name}: resolution must place a breakpoint at 0")
+    n = _plate_steps(name, h)
     axis = Grid.regular(-1.0, 1.0, n)
     centres = [0.5 * (axis[i] + axis[i + 1]) for i in range(n)]
     values = {
@@ -582,13 +588,17 @@ def sweep(family: str, resolutions: Optional[list[float]] = None) -> SweepResult
     strictly), ``unannotated`` (grid steps over a staircase with no
     annotations; the excess must stay below 1e-10), and ``koch`` (the h
     column carries the curve iteration index at a fixed 1/32 grid; every
-    iteration must stay non-rigid). A step past :data:`_MAX_STEPS`, or a
-    koch iteration outside 0..:data:`_MAX_KOCH_ITERATIONS`, raises
-    :class:`CatalogError` before any profile is built.
+    iteration must stay non-rigid). Every resolution is checked before
+    the first profile is built: a step that is not positive, one past
+    :data:`_MAX_STEPS`, a mistico step that does not tile the plate, or a
+    koch iteration outside 0..:data:`_MAX_KOCH_ITERATIONS` raises
+    :class:`CatalogError`.
     """
     ck = _Checks()
     if family == "mistico":
         hs = resolutions or [1 / 8, 1 / 16, 1 / 32, 1 / 64]
+        for h in hs:
+            _plate_steps("mistico", h)
         rows, reports = _sweep_rows([(h, _mistico_profile(h)) for h in hs])
         ck.add("all-nonrigid", all(r.verdict is Verdict.NONRIGID for r in reports))
         decreasing = all(a.excess > b.excess for a, b in zip(rows, rows[1:]))
@@ -596,6 +606,10 @@ def sweep(family: str, resolutions: Optional[list[float]] = None) -> SweepResult
     elif family == "unannotated":
         hs = resolutions or [1 / 2, 1 / 4, 1 / 8, 1 / 16]
         for h in hs:
+            if not h > 0.0:  # also NaN
+                raise CatalogError(
+                    f"sweep family 'unannotated': resolution {h} must be positive"
+                )
             _steps("sweep family 'unannotated'", 2.0, h)  # refined splits the cell (-1, 1)
         base = _three_column((0.3, 1.0, 0.6))
         rows, reports = _sweep_rows([(h, base.refined(h)) for h in hs])

@@ -20,7 +20,7 @@ from enum import Enum
 from typing import Iterable, Mapping, Optional
 
 from .errors import DomainError, GridError
-from .gauss import gamma1, gauss_weight, gaussian_barycenter, psi
+from .gauss import gamma1, gauss_weight, gaussian_barycenter, phi, psi
 from .grids import CellId, Facet, Grid
 from .intervals import IntervalSet
 
@@ -162,38 +162,71 @@ def gauss_perimeter(e: ColumnarSet) -> PerimeterBreakdown:
     Faces whose symmetric difference is empty are omitted. Iteration
     order (cells, then facets, lexicographically) fixes the summation
     order, so results are bit-reproducible.
+
+    Every symmetric-difference endpoint is a section endpoint, so ``phi``
+    is taken once per distinct section endpoint per call and read back
+    for every column and face mass, term by term as ``gamma1`` sums
+    them. Where both neighbors of a facet are single intervals, the
+    endpoints of their symmetric difference are found directly, with no
+    :meth:`~ehrhard.intervals.IntervalSet.symdiff` object.
     """
     g = e.grid
+    sections = e._sections
+    # every section as (lo, hi) pairs; the exterior and unoccupied cells have none
+    pairs_of = {cid: s.to_pairs() for cid, s in sections.items()}
+    ends = {t for pairs in pairs_of.values() for pair in pairs for t in pair}
+    tail = {t: phi(t) for t in ends}
+    weight = {t: gauss_weight(t) for t in ends}
+
+    def measure(pairs: list[tuple[float, float]]) -> tuple[float, float]:
+        """gamma1 and length of disjoint intervals, summed as ``gamma1`` and
+        :meth:`~ehrhard.intervals.IntervalSet.length` sum them."""
+        if len(pairs) == 1:
+            # fsum of one term is that term (never -0.0: tails are >= +0.0)
+            ((lo, hi),) = pairs
+            return tail[lo] - tail[hi], hi - lo
+        return (
+            math.fsum(tail[lo] - tail[hi] for lo, hi in pairs),
+            math.fsum(hi - lo for lo, hi in pairs),
+        )
+
     horizontal: list[HorizontalFace] = []
     for cid in e.support():
         area_g = g.cell_gauss(cid)
         area_l = g.cell_lebesgue(cid)
-        for t, normal in e.section(cid).finite_endpoints():
+        for t, normal in sections[cid].finite_endpoints():
             horizontal.append(
                 HorizontalFace(
                     cell=cid,
                     level=t,
                     normal=normal,
-                    gauss=area_g * gauss_weight(t),
+                    gauss=area_g * weight[t],
                     lebesgue=area_l,
                 )
             )
 
-    # the exterior (cell None) and unoccupied cells have the empty section
-    sections = e._sections
-    column_mass = {cid: gamma1(s) for cid, s in sections.items()}
+    column_mass = {cid: measure(pairs)[0] for cid, pairs in pairs_of.items()}
     vertical: list[VerticalFace] = []
     for f, lo_cid, hi_cid, facet_mass in g.adjacency():
-        diff = sections.get(lo_cid, _EMPTY).symdiff(sections.get(hi_cid, _EMPTY))
-        if diff.is_empty:
+        a = pairs_of.get(lo_cid, ())
+        b = pairs_of.get(hi_cid, ())
+        if len(a) == 1 and len(b) == 1:
+            if a == b:
+                continue
+            pairs = _single_symdiff(*a[0], *b[0])
+        elif a and b:
+            pairs = sections[lo_cid].symdiff(sections[hi_cid]).to_pairs()
+        else:
+            pairs = a or b  # the symmetric difference with the empty section
+        if not pairs:
             continue
-        mass = gamma1(diff)
+        mass, length = measure(pairs)
         vertical.append(
             VerticalFace(
                 facet=f,
                 section_symdiff=mass,
                 gauss=facet_mass * mass,
-                lebesgue=g.facet_lebesgue(f) * diff.length(),
+                lebesgue=g.facet_lebesgue(f) * length,
                 normal=+1 if column_mass.get(hi_cid, 0.0) >= column_mass.get(lo_cid, 0.0) else -1,
             )
         )
@@ -211,6 +244,27 @@ def gauss_perimeter(e: ColumnarSet) -> PerimeterBreakdown:
         total_gauss=hg + vg,
         total_lebesgue=total_l,
     )
+
+
+def _single_symdiff(a1: float, a2: float, b1: float, b2: float) -> list[tuple[float, float]]:
+    """``IntervalSet.of(a1, a2).symdiff(IntervalSet.of(b1, b2)).to_pairs()``.
+
+    A shared endpoint cancels: equal lower (or upper) ends leave one
+    interval between the other two, and touching intervals merge over
+    the shared point. Otherwise the four sorted ends bound two intervals.
+    """
+    if a1 == b1:
+        if a2 == b2:
+            return []
+        return [(a2, b2) if a2 < b2 else (b2, a2)]
+    if a2 == b2:
+        return [(a1, b1) if a1 < b1 else (b1, a1)]
+    if a2 == b1:
+        return [(a1, b2)]
+    if b2 == a1:
+        return [(b1, a2)]
+    t0, t1, t2, t3 = sorted((a1, a2, b1, b2))
+    return [(t0, t1), (t2, t3)]
 
 
 # ----------------------------------------------------------------------

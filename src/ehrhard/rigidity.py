@@ -38,9 +38,8 @@ from .errors import (
     ProfileError,
     SearchBoundError,
 )
-from .gauss import gamma1, psi
-from .grids import CellId, Facet
-from .intervals import IntervalSet
+from .gauss import gamma1
+from .grids import Facet
 from .profiles import (
     Profile,
     _complement_one_piece,
@@ -158,7 +157,7 @@ def _symdiff_check(e: ColumnarSet, f: ColumnarSet) -> SymdiffCheck:
 
 # lazily priced attribute -> how to price it; ``_model`` is the model set
 _EVIDENCE: dict[str, Callable[[RigidityReport], Any]] = {
-    "counterexample": lambda r: build_counterexample(r._profile, r.certificate),
+    "counterexample": lambda r: _mirror(r._model, r.certificate),
     "_model": lambda r: from_profile(r._profile),
     "perimeter_check": lambda r: _perimeter_check(r.counterexample, r._model),
     "symdiff_check": lambda r: _symdiff_check(r.counterexample, r._model),
@@ -245,6 +244,8 @@ def build_counterexample(p: Profile, cert: PartitionCertificate) -> ColumnarSet:
     empty cells stay empty. The result has the same column masses as the
     model set; it ties the perimeter exactly when the certificate's
     crossing interfaces are all blocked and the profile is unannotated.
+    A report's ``counterexample`` is the same set, mirrored from the
+    model set the report already holds.
     """
     g = set(p.g_cells())
     plus = {tuple(c) for c in cert.plus_cells}
@@ -253,18 +254,20 @@ def build_counterexample(p: Profile, cert: PartitionCertificate) -> ColumnarSet:
         raise PartitionError("certificate sides overlap")
     if (plus | minus) != g:
         raise PartitionError("certificate sides must partition the cells with 0 < v < 1")
-    sections: dict[CellId, IntervalSet] = {}
-    for cid in p.grid.cells():
-        v = p.value(cid)
-        if v == 0.0:
-            continue
-        if v == 1.0:
-            sections[cid] = IntervalSet.line()
-        elif cid in minus:
-            sections[cid] = IntervalSet.below(-psi(v))
-        else:
-            sections[cid] = IntervalSet.above(psi(v))
-    return ColumnarSet._of_cells(p.grid, sections)
+    return _mirror(from_profile(p), cert)
+
+
+def _mirror(model: ColumnarSet, cert: PartitionCertificate) -> ColumnarSet:
+    """The model set with its minus-side columns reflected through height 0.
+
+    Reflecting (psi(v), inf) gives (-inf, -psi(v)), the same floats as
+    ``IntervalSet.below(-psi(v))``; every other column is shared.
+    """
+    minus = {tuple(c) for c in cert.minus_cells}
+    return ColumnarSet._of_cells(
+        model.grid,
+        {cid: s.reflect() if cid in minus else s for cid, s in model._sections.items()},
+    )
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import pytest
 
+import ehrhard.catalog
 from ehrhard import CatalogError, Verdict, gamma1
 from ehrhard.catalog import (
     _MAX_KOCH_ITERATIONS,
@@ -166,6 +167,26 @@ class TestSweeps:
     def test_unbuildable_resolution_refused(self, no_sweep_build, family, resolutions):
         with pytest.raises(CatalogError, match=f"sweep family '{family}'"):
             sweep(family, resolutions)
+
+    @pytest.mark.parametrize("resolution", [0.0, -1.0, float("nan")])
+    def test_non_positive_step_refused(self, no_sweep_build, resolution):
+        for resolutions in ([resolution], [1 / 2, resolution]):
+            with pytest.raises(CatalogError, match="sweep family 'unannotated'.*must be positive"):
+                sweep("unannotated", resolutions)
+
+    @pytest.mark.parametrize("bad", [1e-300, 0.0, float("nan"), 0.3, 2 / 3])
+    def test_every_mistico_step_checked_before_a_build(self, monkeypatch, bad):
+        built = []
+        real = ehrhard.catalog._mistico_profile
+
+        def counted(h):
+            built.append(h)
+            return real(h)
+
+        monkeypatch.setattr(ehrhard.catalog, "_mistico_profile", counted)
+        with pytest.raises(CatalogError):
+            sweep("mistico", [1 / 64, bad])
+        assert built == []
 
     def test_caps_admit_their_bound(self):
         assert _MAX_KOCH_ITERATIONS >= 4

@@ -401,6 +401,11 @@ class TestCatalogCommands:
         assert main(["sweep", "--family", family, "--resolutions", resolution]) == 1
         assert f"sweep family '{family}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("resolution", ["0", "-0.5"])
+    def test_non_positive_sweep_step(self, capsys, no_sweep_build, resolution):
+        assert main(["sweep", "--family", "unannotated", "--resolutions", "1/2", resolution]) == 1
+        assert "sweep family 'unannotated'" in capsys.readouterr().err
+
     def test_sweep(self, tmp_path, capsys):
         out = tmp_path / "rows.csv"
         code = main(

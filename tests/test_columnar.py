@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ehrhard import (
     ColumnarSet,
@@ -10,11 +12,15 @@ from ehrhard import (
     Grid,
     GridError,
     HalflineClass,
+    HorizontalFace,
     IntervalSet,
+    PerimeterBreakdown,
+    VerticalFace,
     common_refinement,
     complement,
     complement_facet_map,
     ehrhard_symmetral,
+    from_profile,
     gamma1,
     gauss_perimeter,
     gauss_volume,
@@ -26,10 +32,12 @@ from ehrhard import (
     psi,
     reflect,
     restrict,
+    rigidity_verdict,
     steiner_symmetral,
     symdiff_volume,
 )
-from conftest import random_columnar
+from ehrhard.catalog import _mistico_profile
+from conftest import random_annotated, random_columnar, random_profile_2d
 
 INF = math.inf
 
@@ -156,6 +164,119 @@ class TestPerimeter:
             if not 0.0 < v < 1.0:
                 continue
             assert gauss_perimeter(e).total_gauss >= isoperimetric_bound(v) - 1e-9
+
+
+def reference_perimeter(e):
+    """gauss_perimeter as one symdiff and one gamma1 per facet and one
+    gamma1 per column, with the same faces in the same summation order."""
+    g = e.grid
+    sections = e.sections
+    horizontal = [
+        HorizontalFace(cid, t, normal, g.cell_gauss(cid) * gauss_weight(t), g.cell_lebesgue(cid))
+        for cid in e.support()
+        for t, normal in sections[cid].finite_endpoints()
+    ]
+    column_mass = {cid: gamma1(s) for cid, s in sections.items()}
+    vertical = []
+    for f, lo_cid, hi_cid, facet_mass in g.adjacency():
+        diff = sections.get(lo_cid, IntervalSet()).symdiff(sections.get(hi_cid, IntervalSet()))
+        if diff.is_empty:
+            continue
+        mass = gamma1(diff)
+        heavier_above = column_mass.get(hi_cid, 0.0) >= column_mass.get(lo_cid, 0.0)
+        vertical.append(
+            VerticalFace(
+                f,
+                mass,
+                facet_mass * mass,
+                g.facet_lebesgue(f) * diff.length(),
+                +1 if heavier_above else -1,
+            )
+        )
+    hg = math.fsum(face.gauss for face in horizontal)
+    vg = math.fsum(face.gauss for face in vertical)
+    total_l = math.fsum([face.lebesgue for face in horizontal] + [face.lebesgue for face in vertical])
+    return PerimeterBreakdown(tuple(horizontal), tuple(vertical), hg, vg, hg + vg, total_l)
+
+
+def assert_same_perimeter(e):
+    got, want = gauss_perimeter(e), reference_perimeter(e)
+    assert got == want
+    assert repr(got) == repr(want)  # == alone equates 0.0 and -0.0
+
+
+# few endpoints, so neighbouring sections share, touch and cross them often
+ENDPOINTS = (-INF, -1.5, -0.0, 0.0, 0.5, 1.5, INF)
+POOLED_GRIDS = (
+    LINE_GRID,
+    SPLIT_GRID,
+    Grid((-1.0, 0.0, 1.0, 2.0)),
+    Grid((-INF, 0.0, INF), (-1.0, 0.5, INF)),
+    Grid((0.0, 1.0), (-INF, -1.0, 0.0, 1.0)),
+)
+
+
+@st.composite
+def pooled_sections(draw):
+    pts = sorted(draw(st.lists(st.sampled_from(ENDPOINTS), max_size=6)))
+    return IntervalSet.from_pairs((lo, hi) for lo, hi in zip(pts[::2], pts[1::2]) if lo < hi)
+
+
+@st.composite
+def pooled_columnar(draw):
+    """Sets whose sections come from a palette of at most three, so that
+    neighbours are often equal; -0.0 and 0.0 both occur as endpoints."""
+    grid = draw(st.sampled_from(POOLED_GRIDS))
+    palette = draw(st.lists(pooled_sections(), min_size=1, max_size=3))
+    return ColumnarSet(grid, {cid: draw(st.sampled_from(palette)) for cid in grid.cells()})
+
+
+seeded_columnar = st.integers(0, 2**32 - 1).map(lambda seed: random_columnar(random.Random(seed)))
+
+
+class TestPerimeterBitIdentity:
+    """gauss_perimeter equals the per-facet symdiff loop bit for bit."""
+
+    @settings(deadline=None, max_examples=400)
+    @given(st.one_of(pooled_columnar(), seeded_columnar))
+    def test_matches_reference(self, e):
+        assert_same_perimeter(e)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 2**32 - 1))
+    def test_matches_reference_on_model_sets(self, seed):
+        rng = random.Random(seed)
+        p = random_annotated(rng, random_profile_2d(rng))
+        f = from_profile(p)
+        report = rigidity_verdict(p)
+        for e in (f, complement(f), report.counterexample):
+            if e is not None:
+                assert_same_perimeter(e)
+
+    def test_matches_reference_on_a_catalog_grid(self):
+        p = _mistico_profile(1 / 16)
+        f = from_profile(p)
+        for e in (f, rigidity_verdict(p).counterexample, complement(f), reflect(f)):
+            assert_same_perimeter(e)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ((-INF, 0.0), (-INF, -0.0)),  # equal up to the sign of zero
+            ((-INF, 0.0), (-0.0, INF)),  # touching at a signed zero
+            ((-INF, 1.0), (1.0, INF)),  # touching: the full line
+            ((-1.0, 0.5), (0.5, 1.5)),  # touching at a finite point
+            ((0.0, 1.0), (0.0, 2.0)),  # shared lower end
+            ((-1.0, INF), (0.5, INF)),  # shared upper end
+            ((-1.0, 0.5), (0.0, 1.5)),  # overlapping
+            ((-1.0, 1.5), (0.0, 0.5)),  # nested
+            ((-INF, -1.0), (1.0, INF)),  # disjoint
+        ],
+    )
+    def test_single_interval_neighbours(self, a, b):
+        for lo, hi in ((a, b), (b, a)):
+            e = ColumnarSet(SPLIT_GRID, {(0,): IntervalSet.of(*lo), (1,): IntervalSet.of(*hi)})
+            assert_same_perimeter(e)
 
 
 class TestReflect:

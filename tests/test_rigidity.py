@@ -432,8 +432,9 @@ class TestModelSetKernel:
 
 @pytest.fixture
 def priced(monkeypatch):
-    """Count the evidence calls made through ehrhard.rigidity."""
-    counts = dict.fromkeys(("build_counterexample", "gauss_perimeter", "symdiff_volume"), 0)
+    """Count the evidence calls made through ehrhard.rigidity; ``_mirror``
+    builds the competitor from the model set."""
+    counts = dict.fromkeys(("_mirror", "gauss_perimeter", "symdiff_volume"), 0)
     for name in counts:
         real = getattr(ehrhard.rigidity, name)
 
@@ -455,7 +456,7 @@ class TestLazyEvidence:
     def test_perimeter_check_prices_no_symdiff(self, priced):
         report = rigidity_verdict(three_column(0.3, 1.0, 0.6))
         assert report.perimeter_check.difference == 0.0
-        assert priced == {"build_counterexample": 1, "gauss_perimeter": 2, "symdiff_volume": 0}
+        assert priced == {"_mirror": 1, "gauss_perimeter": 2, "symdiff_volume": 0}
 
     def test_each_field_priced_once(self, priced):
         p = three_column(0.3, 1.0, 0.6)
@@ -463,7 +464,7 @@ class TestLazyEvidence:
         first = (report.counterexample, report.perimeter_check, report.symdiff_check)
         second = (report.counterexample, report.perimeter_check, report.symdiff_check)
         assert all(a is b for a, b in zip(first, second))
-        assert priced == {"build_counterexample": 1, "gauss_perimeter": 2, "symdiff_volume": 2}
+        assert priced == {"_mirror": 1, "gauss_perimeter": 2, "symdiff_volume": 2}
 
     def test_values_match_eager_pricing(self):
         p = three_column(0.3, 0.0, 0.6, [SingularAnnotation(Facet(0, 1, 0), 0.0, 0.5)])
@@ -474,6 +475,19 @@ class TestLazyEvidence:
         assert report.perimeter_check == PerimeterCheck(pe, pf, pe - pf)
         assert report.symdiff_check == SymdiffCheck(
             symdiff_volume(e, f), symdiff_volume(e, reflect(f))
+        )
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.one_of(family_profiles(), far_tail_profiles_1d()))
+    def test_competitor_equals_public_one(self, p):
+        report = rigidity_verdict(p)
+        if report.rigid:
+            return
+        public = build_counterexample(p, report.certificate)
+        assert report.counterexample == public
+        # == alone equates 0.0 and -0.0
+        assert repr(sorted(report.counterexample.sections.items())) == repr(
+            sorted(public.sections.items())
         )
 
     def test_rigid_report_has_no_evidence(self, priced):
