@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Optional
 from .errors import DomainError, GridError
 from .gauss import gamma1, gauss_weight, gaussian_barycenter, phi, psi
 from .grids import CellId, Facet, Grid
-from .intervals import IntervalSet
+from .intervals import IntervalSet, _lebesgue_sum, _pairs, _xor
 
 INF = math.inf
 _EMPTY = IntervalSet()
@@ -104,7 +104,7 @@ def gauss_volume(e: ColumnarSet) -> float:
 def lebesgue_volume(e: ColumnarSet) -> float:
     """Lebesgue measure of the set; inf when any occupied column is unbounded."""
     g = e.grid
-    return math.fsum(
+    return _lebesgue_sum(
         g.cell_lebesgue(cid) * e.section(cid).length() for cid in e.support()
     )
 
@@ -166,28 +166,26 @@ def gauss_perimeter(e: ColumnarSet) -> PerimeterBreakdown:
     Every symmetric-difference endpoint is a section endpoint, so ``phi``
     is taken once per distinct section endpoint per call and read back
     for every column and face mass, term by term as ``gamma1`` sums
-    them. Where both neighbors of a facet are single intervals, the
-    endpoints of their symmetric difference are found directly, with no
-    :meth:`~ehrhard.intervals.IntervalSet.symdiff` object.
+    them.
     """
     g = e.grid
     sections = e._sections
-    # every section as (lo, hi) pairs; the exterior and unoccupied cells have none
-    pairs_of = {cid: s.to_pairs() for cid, s in sections.items()}
-    ends = {t for pairs in pairs_of.values() for pair in pairs for t in pair}
-    tail = {t: phi(t) for t in ends}
-    weight = {t: gauss_weight(t) for t in ends}
+    # every section's endpoint tuple; the exterior and unoccupied cells have none
+    ends_of = {cid: s._ends for cid, s in sections.items()}
+    points = {t for ends in ends_of.values() for t in ends}
+    tail = {t: phi(t) for t in points}
+    weight = {t: gauss_weight(t) for t in points}
 
-    def measure(pairs: list[tuple[float, float]]) -> tuple[float, float]:
-        """gamma1 and length of disjoint intervals, summed as ``gamma1`` and
+    def measure(ends: tuple[float, ...]) -> tuple[float, float]:
+        """gamma1 and length of a set's endpoints, summed as ``gamma1`` and
         :meth:`~ehrhard.intervals.IntervalSet.length` sum them."""
-        if len(pairs) == 1:
+        if len(ends) == 2:
             # fsum of one term is that term (never -0.0: tails are >= +0.0)
-            ((lo, hi),) = pairs
+            lo, hi = ends
             return tail[lo] - tail[hi], hi - lo
         return (
-            math.fsum(tail[lo] - tail[hi] for lo, hi in pairs),
-            math.fsum(hi - lo for lo, hi in pairs),
+            math.fsum(tail[lo] - tail[hi] for lo, hi in _pairs(ends)),
+            _lebesgue_sum(hi - lo for lo, hi in _pairs(ends)),
         )
 
     horizontal: list[HorizontalFace] = []
@@ -205,22 +203,13 @@ def gauss_perimeter(e: ColumnarSet) -> PerimeterBreakdown:
                 )
             )
 
-    column_mass = {cid: measure(pairs)[0] for cid, pairs in pairs_of.items()}
+    column_mass = {cid: measure(ends)[0] for cid, ends in ends_of.items()}
     vertical: list[VerticalFace] = []
     for f, lo_cid, hi_cid, facet_mass in g.adjacency():
-        a = pairs_of.get(lo_cid, ())
-        b = pairs_of.get(hi_cid, ())
-        if len(a) == 1 and len(b) == 1:
-            if a == b:
-                continue
-            pairs = _single_symdiff(*a[0], *b[0])
-        elif a and b:
-            pairs = sections[lo_cid].symdiff(sections[hi_cid]).to_pairs()
-        else:
-            pairs = a or b  # the symmetric difference with the empty section
-        if not pairs:
+        diff = _xor(ends_of.get(lo_cid, ()), ends_of.get(hi_cid, ()))
+        if not diff:
             continue
-        mass, length = measure(pairs)
+        mass, length = measure(diff)
         vertical.append(
             VerticalFace(
                 facet=f,
@@ -233,7 +222,7 @@ def gauss_perimeter(e: ColumnarSet) -> PerimeterBreakdown:
 
     hg = math.fsum(face.gauss for face in horizontal)
     vg = math.fsum(face.gauss for face in vertical)
-    total_l = math.fsum(
+    total_l = _lebesgue_sum(
         [face.lebesgue for face in horizontal] + [face.lebesgue for face in vertical]
     )
     return PerimeterBreakdown(
@@ -244,27 +233,6 @@ def gauss_perimeter(e: ColumnarSet) -> PerimeterBreakdown:
         total_gauss=hg + vg,
         total_lebesgue=total_l,
     )
-
-
-def _single_symdiff(a1: float, a2: float, b1: float, b2: float) -> list[tuple[float, float]]:
-    """``IntervalSet.of(a1, a2).symdiff(IntervalSet.of(b1, b2)).to_pairs()``.
-
-    A shared endpoint cancels: equal lower (or upper) ends leave one
-    interval between the other two, and touching intervals merge over
-    the shared point. Otherwise the four sorted ends bound two intervals.
-    """
-    if a1 == b1:
-        if a2 == b2:
-            return []
-        return [(a2, b2) if a2 < b2 else (b2, a2)]
-    if a2 == b2:
-        return [(a1, b1) if a1 < b1 else (b1, a1)]
-    if a2 == b1:
-        return [(a1, b2)]
-    if b2 == a1:
-        return [(b1, a2)]
-    t0, t1, t2, t3 = sorted((a1, a2, b1, b2))
-    return [(t0, t1), (t2, t3)]
 
 
 # ----------------------------------------------------------------------

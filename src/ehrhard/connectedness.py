@@ -51,7 +51,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, Union
 from .columnar import ColumnarSet, complement, complement_facet_map
 from .errors import PartitionError
 from .grids import CellId, Facet, Grid
-from .intervals import Interval, IntervalSet
+from .intervals import _of_ends
 
 if TYPE_CHECKING:
     from .profiles import Profile
@@ -333,8 +333,8 @@ def decompose_ids(
     by_cell: dict[int, list[tuple[int, float, float]]] = {}
     for cid in e.support():
         by_cell[grid.cell_index(cid)] = pieces = []
-        for k, iv in enumerate(e.section(cid)):
-            pieces.append((len(ids), iv.lo, iv.hi))
+        for k, (lo, hi) in enumerate(e.section(cid).to_pairs()):
+            pieces.append((len(ids), lo, hi))
             ids.append((cid, k))
     if not ids:
         return []
@@ -359,13 +359,14 @@ def decompose(e: ColumnarSet, severed_facets: Iterable[Facet] = ()) -> list[Colu
     """
     out = []
     for comp in decompose_ids(e, severed_facets):
-        sections: dict[CellId, list[Interval]] = {}
+        # a component lists its pieces in id order, so each cell's endpoints
+        # stay increasing; pieces of one canonical section never touch
+        sections: dict[CellId, list[float]] = {}
         for cid, k in comp:
-            sections.setdefault(cid, []).append(e.section(cid).intervals[k])
+            sections.setdefault(cid, []).extend(e._sections[cid]._ends[2 * k : 2 * k + 2])
         out.append(
-            ColumnarSet(
-                e.grid,
-                {cid: IntervalSet(ivs) for cid, ivs in sections.items()},
+            ColumnarSet._of_cells(
+                e.grid, {cid: _of_ends(tuple(ends)) for cid, ends in sections.items()}
             )
         )
     return out

@@ -88,17 +88,18 @@ def psi(p: float) -> float:
     return t
 
 
-def _pieces(s: SetLike) -> Iterable[Interval]:
+def _pieces(s: SetLike) -> Iterable[tuple[float, float]]:
+    """The (lo, hi) pairs of a set or an interval."""
     if isinstance(s, Interval):
-        return (s,)
+        return ((s.lo, s.hi),)
     if isinstance(s, IntervalSet):
-        return s.intervals
+        return s.to_pairs()
     raise DomainError(f"expected IntervalSet or Interval, got {type(s).__name__}")
 
 
 def gamma1(s: SetLike) -> float:
     """Standard Gaussian measure of an interval set on the line."""
-    return math.fsum(phi(iv.lo) - phi(iv.hi) for iv in _pieces(s))
+    return math.fsum(phi(lo) - phi(hi) for lo, hi in _pieces(s))
 
 
 def gaussian_barycenter(s: SetLike) -> float:
@@ -112,7 +113,7 @@ def gaussian_barycenter(s: SetLike) -> float:
     mass = gamma1(s)
     if mass <= 0.0:
         raise DomainError("gaussian_barycenter: set has zero Gaussian measure")
-    num = math.fsum(gauss_weight(iv.lo) - gauss_weight(iv.hi) for iv in _pieces(s))
+    num = math.fsum(gauss_weight(lo) - gauss_weight(hi) for lo, hi in _pieces(s))
     return num / SQRT_TAU / mass
 
 

@@ -1,11 +1,18 @@
 """Canonical finite unions of open intervals on the extended real line.
 
 Sets of reals appear in this package only up to Lebesgue/Gauss null sets,
-which fixes the canonical form used here: every set is a sorted tuple of
-disjoint open intervals with exact float endpoints (``-inf``/``inf``
-allowed, NaN rejected), and intervals that share an endpoint are merged,
-since the missing point is null. Endpoints are never snapped or rounded;
-all arithmetic is exact float comparison.
+which fixes the canonical form used here: a set is stored as one strictly
+increasing tuple of exact float endpoints ``(lo0, hi0, lo1, hi1, ...)``
+(``-inf``/``inf`` allowed, NaN rejected). Intervals that share an endpoint
+are merged, since the missing point is null, so no endpoint repeats.
+Endpoints are never snapped or rounded; all arithmetic is exact float
+comparison. :class:`Interval` objects are built only when asked for.
+
+Every endpoint of either of two sets flips membership of their symmetric
+difference, and an endpoint both share flips it twice, which leaves only a
+null point. So on canonical sets the symmetric difference is the XOR of
+the two endpoint sequences (:func:`_xor`), and the complement is the XOR
+with ``(-inf, inf)``.
 """
 
 from __future__ import annotations
@@ -24,6 +31,15 @@ def _ext(x: float, what: str) -> float:
     if math.isnan(x):
         raise DomainError(f"{what} must not be NaN")
     return x
+
+
+def _lebesgue_sum(lengths: Iterable[float]) -> float:
+    """``math.fsum`` of non-negative lengths, inf where the sum passes the
+    float range (``fsum`` raises there, even with an infinite term)."""
+    try:
+        return math.fsum(lengths)
+    except OverflowError:
+        return INF
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,20 +77,43 @@ def _interval(lo: float, hi: float) -> Interval:
     return iv
 
 
-def _canonical_set(ivs: tuple[Interval, ...]) -> "IntervalSet":
-    """Set over intervals already in canonical form (no sort, no checks)."""
+def _pairs(ends: tuple[float, ...]) -> Iterator[tuple[float, float]]:
+    """The (lo, hi) pairs of an endpoint tuple."""
+    return zip(ends[::2], ends[1::2])
+
+
+def _of_ends(ends: tuple[float, ...]) -> "IntervalSet":
+    """Set over an endpoint tuple already in canonical form (no checks)."""
     s = _new(IntervalSet)
-    s._ivs = ivs
+    s._ends = ends
     return s
+
+
+def _xor(a: tuple[float, ...], b: tuple[float, ...]) -> tuple[float, ...]:
+    """Endpoints of the symmetric difference of two canonical endpoint tuples.
+
+    The merged endpoints, with each one both tuples share (``-0.0`` and
+    ``0.0`` included) cancelled: at most two are equal, and they sort next
+    to each other.
+    """
+    if a == b:
+        return ()
+    out: list[float] = []
+    for t in sorted(a + b):
+        if out and out[-1] == t:
+            out.pop()
+        else:
+            out.append(t)
+    return tuple(out)
 
 
 class IntervalSet:
     """Immutable union of disjoint open intervals in canonical form."""
 
-    __slots__ = ("_ivs",)
+    __slots__ = ("_ends",)
 
     def __init__(self, intervals: Iterable[Interval] = ()) -> None:
-        self._ivs: tuple[Interval, ...] = _canonical(intervals)
+        self._ends: tuple[float, ...] = _canonical(intervals)
 
     # ------------------------------------------------------------------
     # constructors
@@ -95,17 +134,13 @@ class IntervalSet:
     def above(a: float) -> "IntervalSet":
         """Open half-line (a, inf); empty when a = inf."""
         a = _ext(a, "half-line endpoint")
-        if a == INF:
-            return IntervalSet()
-        return _canonical_set((_interval(a, INF),))
+        return _of_ends(() if a == INF else (a, INF))
 
     @staticmethod
     def below(b: float) -> "IntervalSet":
         """Open half-line (-inf, b); empty when b = -inf."""
         b = _ext(b, "half-line endpoint")
-        if b == -INF:
-            return IntervalSet()
-        return _canonical_set((_interval(-INF, b),))
+        return _of_ends(() if b == -INF else (-INF, b))
 
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[float, float]]) -> "IntervalSet":
@@ -116,39 +151,39 @@ class IntervalSet:
 
     @property
     def intervals(self) -> tuple[Interval, ...]:
-        return self._ivs
+        return tuple(_interval(lo, hi) for lo, hi in _pairs(self._ends))
 
     @property
     def is_empty(self) -> bool:
-        return not self._ivs
+        return not self._ends
 
     def __iter__(self) -> Iterator[Interval]:
-        return iter(self._ivs)
+        return iter(self.intervals)
 
     def __len__(self) -> int:
-        return len(self._ivs)
+        return len(self._ends) // 2
 
     def __contains__(self, t: float) -> bool:
-        return any(t in iv for iv in self._ivs)
+        return any(lo < t < hi for lo, hi in _pairs(self._ends))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntervalSet):
             return NotImplemented
-        return self._ivs == other._ivs
+        return self._ends == other._ends
 
     def __hash__(self) -> int:
-        return hash(self._ivs)
+        return hash(self._ends)
 
     def __repr__(self) -> str:
-        body = ", ".join(f"({iv.lo}, {iv.hi})" for iv in self._ivs)
+        body = ", ".join(f"({lo}, {hi})" for lo, hi in _pairs(self._ends))
         return f"IntervalSet[{body}]"
 
     def to_pairs(self) -> list[tuple[float, float]]:
-        return [(iv.lo, iv.hi) for iv in self._ivs]
+        return list(_pairs(self._ends))
 
     def length(self) -> float:
         """Total Lebesgue length; inf if any interval is unbounded."""
-        return math.fsum(iv.length for iv in self._ivs)
+        return _lebesgue_sum(hi - lo for lo, hi in _pairs(self._ends))
 
     def finite_endpoints(self) -> list[tuple[float, int]]:
         """Finite boundary points as (t, normal) with the outward normal sign.
@@ -156,13 +191,7 @@ class IntervalSet:
         At a lower endpoint the set lies above t, so the outward normal is -1;
         at an upper endpoint it is +1.
         """
-        out: list[tuple[float, int]] = []
-        for iv in self._ivs:
-            if iv.lo != -INF:
-                out.append((iv.lo, -1))
-            if iv.hi != INF:
-                out.append((iv.hi, +1))
-        return out
+        return [(t, 1 if k % 2 else -1) for k, t in enumerate(self._ends) if -INF < t < INF]
 
     # ------------------------------------------------------------------
     # set algebra (all exact, all returning canonical form)
@@ -172,95 +201,52 @@ class IntervalSet:
     # their result without re-sorting or re-validating it.
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet(self._ivs + other._ivs)
+        return IntervalSet(self.intervals + other.intervals)
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        out: list[Interval] = []
+        out: list[float] = []
         i, j = 0, 0
-        a, b = self._ivs, other._ivs
+        a, b = self._ends, other._ends
         na, nb = len(a), len(b)
         while i < na and j < nb:
-            x, y = a[i], b[j]
-            # max(x.lo, y.lo) and min(x.hi, y.hi), keeping the first on ties
-            lo = y.lo if y.lo > x.lo else x.lo
-            hi = y.hi if y.hi < x.hi else x.hi
+            a_hi, b_hi = a[i + 1], b[j + 1]
+            # max of the lower ends and min of the upper ends, keeping a's on ties
+            lo = b[j] if b[j] > a[i] else a[i]
+            hi = b_hi if b_hi < a_hi else a_hi
             if lo < hi:
-                out.append(_interval(lo, hi))
-            if x.hi <= y.hi:
-                i += 1
+                out += (lo, hi)
+            if a_hi <= b_hi:
+                i += 2
             else:
-                j += 1
-        return _canonical_set(tuple(out))
+                j += 2
+        return _of_ends(tuple(out))
 
     def complement(self) -> "IntervalSet":
-        out: list[Interval] = []
-        cursor = -INF
-        for iv in self._ivs:
-            if cursor < iv.lo:
-                out.append(_interval(cursor, iv.lo))
-            cursor = iv.hi
-        if cursor < INF:
-            out.append(_interval(cursor, INF))
-        return _canonical_set(tuple(out))
+        return _of_ends(_xor((-INF, INF), self._ends))
 
     def difference(self, other: "IntervalSet") -> "IntervalSet":
         return self.intersect(other.complement())
 
     def symdiff(self, other: "IntervalSet") -> "IntervalSet":
-        a, b = self._ivs, other._ivs
-        if not b:
-            return self
-        if not a:
-            return other
-        if a == b:
-            return _canonical_set(())
-        # Each endpoint of either set flips membership of the symmetric
-        # difference. An endpoint both sets share flips it twice, which
-        # leaves only a null point there: the canonical form merges over it.
-        ta = [t for iv in a for t in (iv.lo, iv.hi)]
-        tb = [t for iv in b for t in (iv.lo, iv.hi)]
-        na, nb = len(ta), len(tb)
-        out: list[Interval] = []
-        i = j = 0
-        inside = False
-        start = -INF
-        while i < na or j < nb:
-            if j == nb or (i < na and ta[i] < tb[j]):
-                t = ta[i]
-                i += 1
-            elif i == na or tb[j] < ta[i]:
-                t = tb[j]
-                j += 1
-            else:
-                i += 1
-                j += 1
-                continue
-            if inside:
-                out.append(_interval(start, t))
-            else:
-                start = t
-            inside = not inside
-        return _canonical_set(tuple(out))
+        return _of_ends(_xor(self._ends, other._ends))
 
     def reflect(self) -> "IntervalSet":
         """Image under t -> -t."""
-        return _canonical_set(
-            tuple(_interval(-iv.hi, -iv.lo) for iv in reversed(self._ivs))
-        )
+        return _of_ends(tuple(-t for t in reversed(self._ends)))
 
 
-def _canonical(intervals: Iterable[Interval]) -> tuple[Interval, ...]:
+def _canonical(intervals: Iterable[Interval]) -> tuple[float, ...]:
     ivs = list(intervals)
     for iv in ivs:
         if not isinstance(iv, Interval):
             raise DomainError(f"expected Interval, got {type(iv).__name__}")
     ivs.sort(key=lambda iv: (iv.lo, iv.hi))
-    out: list[Interval] = []
+    out: list[float] = []
     for iv in ivs:
-        if out and iv.lo <= out[-1].hi:
+        if out and iv.lo <= out[-1]:
             # overlapping or exactly touching: the shared endpoint is null
-            if iv.hi > out[-1].hi:
-                out[-1] = _interval(out[-1].lo, iv.hi)
+            if iv.hi > out[-1]:
+                out[-1] = iv.hi
         else:
-            out.append(iv)
+            out += (iv.lo, iv.hi)
     return tuple(out)

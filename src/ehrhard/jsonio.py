@@ -56,7 +56,7 @@ def decode_number(x: Any) -> float:
 
 
 def interval_set_to_json(s: IntervalSet) -> list[list[Any]]:
-    return [[encode_number(iv.lo), encode_number(iv.hi)] for iv in s]
+    return [[encode_number(lo), encode_number(hi)] for lo, hi in s.to_pairs()]
 
 
 def interval_set_from_json(data: Any) -> IntervalSet:

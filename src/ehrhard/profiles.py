@@ -370,10 +370,9 @@ def from_profile(p: Profile) -> ColumnarSet:
     Cells with v = 0 stay empty and cells with v = 1 become full lines,
     exactly (psi hits the infinite endpoints without rounding).
     """
-    sections: dict[CellId, IntervalSet] = {}
-    for cid, v in p._values.items():
-        if v > 0.0:
-            sections[cid] = IntervalSet.above(psi(v))
+    # psi once per distinct value; its cells share the immutable section
+    above = {v: IntervalSet.above(psi(v)) for v in set(p._values.values()) if v > 0.0}
+    sections = {cid: above[v] for cid, v in p._values.items() if v > 0.0}
     return ColumnarSet._of_cells(p.grid, sections)
 
 

@@ -333,6 +333,27 @@ class TestRigidity:
         assert main(["rigidity", "--in", infile]) == 0
         assert json.loads(capsys.readouterr().out) == ANNOTATED_2D_RIGIDITY_DOC
 
+    def test_lebesgue_sums_past_the_float_range(self, tmp_path, capsys):
+        path = tmp_path / "wide.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "base_dim": 1,
+                    "breakpoints": [[-1e308, -1.0, 1.0, 1e308]],
+                    "values": [0.5, 0.0, 0.5],
+                }
+            ),
+            encoding="utf-8",
+        )
+        for method in ("theorem", "search"):
+            assert main(["rigidity", "--method", method, "--in", str(path)]) == 0
+            assert json.loads(capsys.readouterr().out)["verdict"] == "NonRigid"
+        assert main(["counterexample", "--in", str(path)]) == 0
+        competitor = tmp_path / "competitor.json"
+        competitor.write_text(capsys.readouterr().out, encoding="utf-8")
+        assert main(["perimeter", "--in", str(competitor)]) == 0
+        assert json.loads(capsys.readouterr().out)["total_lebesgue"] == "inf"
+
     def test_tolerance_is_usage_error(self, tmp_path, capsys):
         infile = write_profile(tmp_path, nonrigid_profile())
         with pytest.raises(SystemExit) as info:

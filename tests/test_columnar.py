@@ -363,6 +363,35 @@ class TestSteinerSymmetral:
             assert after <= before + 1e-9
 
 
+# two finite columns whose lengths sum past the float range
+WIDE = IntervalSet.from_pairs([(0, 1e308), (-1e308, -1)])
+WIDE_CELLS = Grid((-1e308, -1.0, 1.0, 1e308))
+
+
+class TestLebesgueOverflow:
+    """Lebesgue sums that pass the float range read inf (math.fsum raises)."""
+
+    def test_volume_and_steiner_symmetral(self):
+        e = ColumnarSet(Grid((0.0, 1.0)), {(0,): WIDE})
+        assert lebesgue_volume(e) == INF
+        assert steiner_symmetral(e).section((0,)) == IntervalSet.line()
+
+    def test_volume_over_wide_cells(self):
+        e = ColumnarSet(WIDE_CELLS, {(0,): IntervalSet.of(0.0, 1.0), (2,): IntervalSet.of(0.0, 1.0)})
+        assert lebesgue_volume(e) == INF
+
+    def test_perimeter_of_a_wide_column(self):
+        e = ColumnarSet(Grid((0.0, 1.0, 2.0)), {(0,): WIDE})
+        assert gauss_perimeter(e).total_lebesgue == INF
+        assert_same_perimeter(e)
+
+    def test_perimeter_over_wide_cells(self):
+        e = ColumnarSet(WIDE_CELLS, {(0,): IntervalSet.of(0.0, 1.0), (2,): IntervalSet.of(0.0, 1.0)})
+        b = gauss_perimeter(e)
+        assert all(face.lebesgue < INF for face in b.horizontal + b.vertical)
+        assert b.total_lebesgue == INF
+
+
 class TestSetOperations:
     def test_restrict(self):
         e = ColumnarSet(SPLIT_GRID, {(0,): IntervalSet.line(), (1,): IntervalSet.above(0.0)})

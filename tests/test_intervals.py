@@ -175,6 +175,20 @@ class TestTrustedResults:
         want = a.difference(b).union(b.difference(a))
         assert repr(a.symdiff(b).to_pairs()) == repr(want.to_pairs())
 
+    @given(any_sets)
+    def test_complement_partitions_line(self, a):
+        assert a.union(a.complement()) == IntervalSet.line()
+        assert a.intersect(a.complement()).is_empty
+
+    @given(any_sets)
+    def test_reflect_involution_keeps_signed_zeros(self, a):
+        assert repr(a.reflect().reflect()) == repr(a)
+
+    @given(any_sets)
+    def test_intervals_match_pairs(self, a):
+        assert a.intervals == tuple(Interval(lo, hi) for lo, hi in a.to_pairs())
+        assert len(a) == len(a.intervals)
+
     def test_public_constructors_validate(self):
         for bad in [(float("nan"), 1.0), (0.0, float("nan")), (2.0, 1.0), (1.0, 1.0)]:
             with pytest.raises(DomainError):
@@ -184,3 +198,14 @@ class TestTrustedResults:
         for half_line in (IntervalSet.above, IntervalSet.below):
             with pytest.raises(DomainError):
                 half_line(float("nan"))
+
+
+class TestLengthOverflow:
+    """Lengths whose sum passes the float range read inf (math.fsum raises)."""
+
+    def test_finite_lengths_past_the_range(self):
+        assert IntervalSet.from_pairs([(0, 1e308), (-1e308, -1)]).length() == INF
+
+    def test_finite_lengths_past_the_range_with_an_infinite_one(self):
+        s = IntervalSet.from_pairs([(-INF, -1e308), (-9e307, 0.0), (1.0, 1e308)])
+        assert s.length() == INF
