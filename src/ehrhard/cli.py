@@ -78,9 +78,13 @@ def _print_checks(
 
 def _resolution(text: str) -> float:
     try:
-        return float(Fraction(text))
-    except (ValueError, ZeroDivisionError) as exc:
+        exact = Fraction(text)
+        h = float(exact)  # OverflowError past the float range
+        if exact and not h:
+            raise ValueError("underflows to 0")
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise argparse.ArgumentTypeError(f"bad resolution {text!r}: {exc}") from exc
+    return h
 
 
 def _build_parser() -> _Parser:

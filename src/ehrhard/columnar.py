@@ -161,7 +161,9 @@ def gauss_perimeter(e: ColumnarSet) -> PerimeterBreakdown:
     measure times the gamma1 mass of the section symmetric difference.
     Faces whose symmetric difference is empty are omitted. Iteration
     order (cells, then facets, lexicographically) fixes the summation
-    order, so results are bit-reproducible.
+    order, so results are bit-reproducible. The vertical faces walk
+    :meth:`~ehrhard.grids.Grid.edges`, the exterior's section being empty,
+    and build a :class:`~ehrhard.grids.Facet` only for a face they keep.
 
     Every symmetric-difference endpoint is a section endpoint, so ``phi``
     is taken once per distinct section endpoint per call and read back
@@ -170,9 +172,12 @@ def gauss_perimeter(e: ColumnarSet) -> PerimeterBreakdown:
     """
     g = e.grid
     sections = e._sections
-    # every section's endpoint tuple; the exterior and unoccupied cells have none
-    ends_of = {cid: s._ends for cid, s in sections.items()}
-    points = {t for ends in ends_of.values() for t in ends}
+    # every section's endpoint tuple by row-major cell index, then the
+    # exterior's; the exterior and unoccupied cells have none
+    ends: list[tuple[float, ...]] = [()] * (math.prod(g.shape) + 1)
+    for cid, s in sections.items():
+        ends[g.cell_index(cid)] = s._ends
+    points = {t for cell_ends in ends for t in cell_ends}
     tail = {t: phi(t) for t in points}
     weight = {t: gauss_weight(t) for t in points}
 
@@ -203,20 +208,21 @@ def gauss_perimeter(e: ColumnarSet) -> PerimeterBreakdown:
                 )
             )
 
-    column_mass = {cid: measure(ends)[0] for cid, ends in ends_of.items()}
+    column_mass = [measure(cell_ends)[0] if cell_ends else 0.0 for cell_ends in ends]
     vertical: list[VerticalFace] = []
-    for f, lo_cid, hi_cid, facet_mass in g.adjacency():
-        diff = _xor(ends_of.get(lo_cid, ()), ends_of.get(hi_cid, ()))
+    for k, (i, j) in enumerate(zip(*g.edges())):
+        diff = _xor(ends[i], ends[j])
         if not diff:
             continue
+        f = g.edge_facet(k)
         mass, length = measure(diff)
         vertical.append(
             VerticalFace(
                 facet=f,
                 section_symdiff=mass,
-                gauss=facet_mass * mass,
+                gauss=g._facet_gauss(f) * mass,
                 lebesgue=g.facet_lebesgue(f) * length,
-                normal=+1 if column_mass.get(hi_cid, 0.0) >= column_mass.get(lo_cid, 0.0) else -1,
+                normal=+1 if column_mass[j] >= column_mass[i] else -1,
             )
         )
 

@@ -10,8 +10,8 @@ colors certifies that the singular set essentially disconnects G.
 The decision and the certificates read a scene as flat data: each cell's
 in-G flag, and per interface between G-cells its edge position on the
 grid, its two cell indices, its limits and its blocked flag. One walk of
-the grid's interior edges (``Profile._scene_links``) yields that data, and
-every caller decides on it: the verdict and the exhaustive search of
+the grid's edges (``Profile._scene_links``) yields that data, and every
+caller decides on it: the verdict and the exhaustive search of
 :mod:`ehrhard.rigidity`, :func:`ehrhard.render.render_profile`, and
 :func:`essentially_disconnects` and :func:`certificate_for`, which walk the
 profile a :class:`Scene` views. Cell ids, facets and measures are read
@@ -35,8 +35,8 @@ one essential piece exactly when the cells with v > 0 are connected
 across the facets that are not severed, and its complement exactly when
 the cells with v < 1 are, on the grid extended to infinity (whose new
 cells count as v = 0). :func:`ehrhard.profiles._model_one_piece` decides
-these questions on a grid's row-major cell indices and its interior edges
-(:meth:`ehrhard.grids.Grid.edges`).
+these questions on a grid's row-major cell indices and its edges
+(:meth:`ehrhard.grids.Grid.edges`), on which the exterior is never kept.
 
 Every connectivity question, on scenes, pieces or cells, runs on one
 union-find over integers (:class:`Forest`); results keep their tuple ids.
@@ -329,7 +329,8 @@ def decompose_ids(
     """
     grid = e.grid
     ids: list[PieceId] = []
-    # cell index -> [(piece number, lo, hi)], numbered in id order
+    # cell index -> [(piece number, lo, hi)], numbered in id order; the
+    # exterior (index: the cell count) has no pieces
     by_cell: dict[int, list[tuple[int, float, float]]] = {}
     for cid in e.support():
         by_cell[grid.cell_index(cid)] = pieces = []

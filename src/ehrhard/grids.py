@@ -25,8 +25,6 @@ from .intervals import Interval
 INF = math.inf
 
 CellId = tuple[int, ...]
-# (facet, cell below, cell above, Gaussian facet measure); None = exterior
-Adjacency = tuple["Facet", Optional[CellId], Optional[CellId], float]
 # one array of doubles per base axis
 _Table = tuple[array, ...]
 
@@ -52,11 +50,13 @@ class Grid:
     built on the first measure query, not at construction: the gamma1
     mass ``phi(b[i]) - phi(b[i+1])`` of every cell side and the weight
     ``exp(-z*z/2)`` of every grid line (0.0 on infinite lines). The
-    interior edge arrays of a 2-D grid's :meth:`edges` are built the same
-    way, on first use.
+    facets have one walk, :meth:`edges`: every facet of :meth:`facets` as
+    a position with its two neighbour cells, the exterior counting as one
+    more cell. A 2-D grid builds its edge arrays on first use, like the
+    tables.
     """
 
-    __slots__ = ("_axes", "_shape", "_tables", "_edges")
+    __slots__ = ("_axes", "_shape", "_layout", "_tables", "_edges")
 
     def __init__(self, *axes: Sequence[float]) -> None:
         if not 1 <= len(axes) <= 2:
@@ -78,6 +78,15 @@ class Grid:
             cooked.append(vals)
         self._axes = tuple(cooked)
         self._shape = tuple(len(a) - 1 for a in cooked)
+        # the cells as an nx x ny plane (n x 1 for a 1-D grid) and, per axis,
+        # the first finite grid line and the count of finite lines (none on
+        # the missing axis of a 1-D grid)
+        lines = [(0, 0), (0, 0)]
+        for axis, a in enumerate(cooked):
+            first = int(math.isinf(a[0]))
+            lines[axis] = (first, len(a) - first - math.isinf(a[-1]))
+        plane = self._shape if len(cooked) == 2 else (self._shape[0], 1)
+        self._layout = (*plane, *lines[0], *lines[1])
         self._tables: Optional[tuple[_Table, _Table]] = None
         self._edges: Optional[tuple[array, array]] = None
 
@@ -154,9 +163,6 @@ class Grid:
         bps = self._axes[axis]
         return Interval(bps[index], bps[index + 1])
 
-    def cell_box(self, cid: CellId) -> tuple[Interval, ...]:
-        return tuple(self.cell_side(axis, c) for axis, c in enumerate(cid))
-
     def cell_gauss(self, cid: CellId) -> float:
         masses = self._measures()[0]
         out = 1.0
@@ -177,94 +183,70 @@ class Grid:
     def facets(self, interior_only: bool = False) -> Iterator[Facet]:
         """All finite-coordinate facets, sorted; optionally interior ones only.
 
-        Boundary facets on an infinite grid line do not exist as sets and
-        are never produced.
+        These are the facets of :meth:`edges`, in its order. Boundary
+        facets on an infinite grid line do not exist as sets and are never
+        produced.
         """
-        return (f for f, _, _, _ in self.adjacency(interior_only))
-
-    def adjacency(self, interior_only: bool = False) -> Iterator[Adjacency]:
-        """Every facet of :meth:`facets` with its neighbors and measure.
-
-        Yields ``(facet, below, above, gauss)`` in :meth:`facets` order,
-        where ``(below, above)`` is :meth:`facet_cells` and ``gauss`` is
-        :meth:`facet_gauss` of the facet, read from the grid's tables.
-        The facets come from the grid itself, so none is validated.
-        """
-        gamma, weight = self._measures()
-        two_d = len(self._axes) == 2
-        for axis, bps in enumerate(self._axes):
-            n = len(bps) - 1
-            for line, w in enumerate(weight[axis]):
-                if math.isinf(bps[line]) or (interior_only and (line == 0 or line == n)):
-                    continue
-                lo = line - 1 if line >= 1 else None
-                hi = line if line < n else None
-                if not two_d:
-                    below = None if lo is None else (lo,)
-                    above = None if hi is None else (hi,)
-                    yield Facet(0, line, 0), below, above, w
-                    continue
-                for lat, mass in enumerate(gamma[1 - axis]):
-                    if axis == 0:
-                        below = None if lo is None else (lo, lat)
-                        above = None if hi is None else (hi, lat)
-                    else:
-                        below = None if lo is None else (lat, lo)
-                        above = None if hi is None else (lat, hi)
-                    yield Facet(axis, line, lat), below, above, w * mass
-
-    def _plane(self) -> tuple[int, int]:
-        """The shape as ``(nx, ny)``, a 1-D grid of n cells counting as ``(n, 1)``."""
-        return self._shape if len(self._shape) == 2 else (self._shape[0], 1)
+        out = self._layout[0] * self._layout[1]  # the exterior
+        return (
+            self.edge_facet(k)
+            for k, (i, j) in enumerate(zip(*self.edges()))
+            if not (interior_only and out in (i, j))
+        )
 
     def edges(self) -> tuple[Sequence[int], Sequence[int]]:
-        """The two cells of every interior facet, as :meth:`cell_index` values.
+        """The two cells of every facet, as :meth:`cell_index` values.
 
-        Position k of both sequences is the k-th interior facet in
-        :meth:`facets` order (:meth:`edge_index` maps a facet to it), and
-        ``(below[k], above[k])`` are its neighbors along the facet axis.
-        1-D grids of n cells share one pair ``(range(n - 1), range(1, n))``;
-        a 2-D grid builds two integer arrays on the first call and keeps
-        them. No measure is read.
+        Position k of both sequences is the k-th facet of :meth:`facets`
+        (:meth:`edge_index` and :meth:`edge_facet` map between them), and
+        ``(below[k], above[k])`` are its neighbours along the facet axis,
+        the exterior of the grid counting as one more cell whose index is
+        the cell count. Grids of one axis with the same cell count and
+        the same finite ends share one pair of sequences; a 2-D grid builds
+        two integer arrays on the first call and keeps them. No measure is
+        read.
         """
         if len(self._shape) == 1:
-            return _line_edges(self._shape[0])
+            return _line_edges(self._shape[0], *self._layout[2:4])
         if self._edges is None:
-            nx, ny = self._shape
+            nx, ny, first0, lines0, first1, lines1 = self._layout
+            out = nx * ny
             below, above = array("l"), array("l")
             # axis 0, line by line: cell (line - 1, lat) below (line, lat)
-            below.extend(range((nx - 1) * ny))
-            above.extend(range(ny, nx * ny))
+            for line in range(first0, first0 + lines0):
+                below.extend(range((line - 1) * ny, line * ny) if line else [out] * ny)
+                above.extend(range(line * ny, (line + 1) * ny) if line < nx else [out] * ny)
             # axis 1, line by line: cell (lat, line - 1) below (lat, line)
-            for line in range(1, ny):
-                below.extend(range(line - 1, nx * ny, ny))
-                above.extend(range(line, nx * ny, ny))
+            for line in range(first1, first1 + lines1):
+                below.extend(range(line - 1, out, ny) if line else [out] * nx)
+                above.extend(range(line, out, ny) if line < ny else [out] * nx)
             self._edges = (below, above)
         return self._edges
 
     def edge_index(self, f: Facet) -> Optional[int]:
-        """Position of the facet in :meth:`edges`; None unless it is interior."""
-        nx, ny = self._plane()
-        if f.axis == 0 and 0 < f.line < nx and 0 <= f.lateral < ny:
-            return (f.line - 1) * ny + f.lateral
-        if f.axis == 1 and 0 < f.line < ny and 0 <= f.lateral < nx:
-            return (nx - 1) * ny + (f.line - 1) * nx + f.lateral
+        """Position of the facet in :meth:`edges`; None unless it is a facet of the grid."""
+        nx, ny, first0, lines0, first1, lines1 = self._layout
+        line, lat = f.line, f.lateral
+        if f.axis == 0 and 0 <= line - first0 < lines0 and 0 <= lat < ny:
+            return (line - first0) * ny + lat
+        if f.axis == 1 and 0 <= line - first1 < lines1 and 0 <= lat < nx:
+            return lines0 * ny + (line - first1) * nx + lat
         return None
 
     def edge_facet(self, k: int) -> Facet:
-        """The interior facet at position ``k`` of :meth:`edges`.
+        """The facet at position ``k`` of :meth:`edges`.
 
-        The inverse of :meth:`edge_index`: interior facets come in sorted
-        order, so ascending positions give sorted facets.
+        The inverse of :meth:`edge_index`: facets come in sorted order, so
+        ascending positions give sorted facets.
         """
-        nx, ny = self._plane()
-        across = (nx - 1) * ny
+        nx, ny, first0, lines0, first1, lines1 = self._layout
+        across = lines0 * ny
         if 0 <= k < across:
             line, lat = divmod(k, ny)
-            return Facet(0, line + 1, lat)
-        if 0 <= k - across < (ny - 1) * nx:
+            return Facet(0, first0 + line, lat)
+        if 0 <= k - across < lines1 * nx:
             line, lat = divmod(k - across, nx)
-            return Facet(1, line + 1, lat)
+            return Facet(1, first1 + line, lat)
         raise GridError(f"edge position {k} outside grid of shape {self._shape}")
 
     def facet_cells(self, f: Facet) -> tuple[Optional[CellId], Optional[CellId]]:
@@ -299,6 +281,10 @@ class Grid:
         segment ``{z} x (a, b)`` it is ``exp(-z*z/2) * gamma1((a, b))``.
         """
         self._check_facet(f)
+        return self._facet_gauss(f)
+
+    def _facet_gauss(self, f: Facet) -> float:
+        """:meth:`facet_gauss` of a facet of this grid (no validation)."""
         gamma, weight = self._measures()
         w = weight[f.axis][f.line]
         if len(self._axes) == 1:
@@ -351,6 +337,9 @@ class Grid:
 
 
 @cache
-def _line_edges(n: int) -> tuple[range, range]:
-    """:meth:`Grid.edges` of every 1-D grid with ``n`` cells: k is below k + 1."""
-    return range(n - 1), range(1, n)
+def _line_edges(n: int, first: int, lines: int) -> tuple[tuple[int, ...], range]:
+    """:meth:`Grid.edges` of every 1-D grid of ``n`` cells whose finite lines
+    are ``first`` and the ``lines - 1`` after it: cell k is below k + 1, and
+    the exterior (index n) is below line 0 and above line n."""
+    above = range(first, first + lines)
+    return tuple(line - 1 if line else n for line in above), above

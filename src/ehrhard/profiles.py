@@ -134,11 +134,11 @@ class Profile:
     def _scene_links(self, kind: str = "ehrhard") -> _FlatScene:
         """The scene of the profile as flat data (see :func:`scene`).
 
-        Walks the interior edges of the grid once, keeping those between
-        two G-cells, keyed by their :meth:`~ehrhard.grids.Grid.edges`
-        position. An interface is blocked when its limits (an annotation
-        overrides the cell values) have wedge 0 or, for an Ehrhard scene,
-        vee 1.
+        Walks the edges of the grid once, keeping those between two
+        G-cells, keyed by their :meth:`~ehrhard.grids.Grid.edges` position
+        (the exterior is never in G, so every kept edge is interior). An
+        interface is blocked when its limits (an annotation overrides the
+        cell values) have wedge 0 or, for an Ehrhard scene, vee 1.
         """
         if kind not in ("ehrhard", "steiner"):
             raise ProfileError(f"unknown scene kind {kind!r}")
@@ -146,6 +146,7 @@ class Profile:
         values = list(self._values.values())  # grid.cells() order, which is row-major
         ehrhard = kind == "ehrhard"
         in_g = [0.0 < v < 1.0 for v in values] if ehrhard else [v > 0.0 for v in values]
+        in_g.append(False)  # the exterior
         declared = {grid.edge_index(a.facet): a for a in self._annotations}
         links = []
         for k, (i, j) in enumerate(zip(*grid.edges())):
@@ -251,7 +252,10 @@ def approx_limits(
         v = p.value(cell)
         return (v, v)
     if facet is not None:
-        return _facet_limits(p, facet, *p.grid.facet_cells(facet))
+        # the exterior (a None neighbour) has no value of its own: 0
+        pair = [p._values.get(cid, 0.0) for cid in p.grid.facet_cells(facet)]
+        ann = p._ann_map.get(facet)
+        return (min(pair), max(pair)) if ann is None else (ann.wedge, ann.vee)
     if p.grid.base_dim != 2:
         raise ProfileError("vertex limits need a 2-D base")
     i, j = vertex
@@ -265,19 +269,6 @@ def approx_limits(
     if not vals:
         raise ProfileError(f"vertex {vertex!r} outside grid")
     return (min(vals), max(vals))
-
-
-def _facet_limits(
-    p: Profile, facet: Facet, lo_cid: Optional[CellId], hi_cid: Optional[CellId]
-) -> tuple[float, float]:
-    """Facet limits of :func:`approx_limits` for a facet of the profile's grid
-    whose neighbor cells are already known (no validation)."""
-    ann = p._ann_map.get(facet)
-    if ann is not None:
-        return (ann.wedge, ann.vee)
-    v_lo = p._values[lo_cid] if lo_cid is not None else 0.0
-    v_hi = p._values[hi_cid] if hi_cid is not None else 0.0
-    return (min(v_lo, v_hi), max(v_lo, v_hi))
 
 
 def f_limits(p: Profile, facet: Facet) -> tuple[float, float]:
@@ -308,15 +299,16 @@ class JumpInterface:
 
 def jump_interfaces(p: Profile) -> list[JumpInterface]:
     """All facets with wedge < vee, including those against the exterior."""
+    grid = p.grid
+    values = [*p._values.values(), 0.0]  # row-major cells, then the exterior
+    declared = {grid.edge_index(a.facet): a for a in p._annotations}
     out = []
-    for f, lo_cid, hi_cid, _ in p.grid.adjacency():
-        wedge, vee = _facet_limits(p, f, lo_cid, hi_cid)
+    for k, (i, j) in enumerate(zip(*grid.edges())):
+        v_lo, v_hi = values[i], values[j]
+        ann = declared.get(k)
+        wedge, vee = (min(v_lo, v_hi), max(v_lo, v_hi)) if ann is None else (ann.wedge, ann.vee)
         if wedge < vee:
-            v_lo = p._values[lo_cid] if lo_cid is not None else 0.0
-            v_hi = p._values[hi_cid] if hi_cid is not None else 0.0
-            out.append(
-                JumpInterface(facet=f, wedge=wedge, vee=vee, toward_upper=v_hi >= v_lo)
-            )
+            out.append(JumpInterface(grid.edge_facet(k), wedge, vee, toward_upper=v_hi >= v_lo))
     return out
 
 
@@ -409,6 +401,7 @@ def _model_one_piece(
     else:
         values = list(p._values.values())  # grid.cells() order, which is row-major
     inside = [keep(v) for v in values]
+    inside.append(False)  # the exterior
     cut = {grid.edge_index(f) for f in severed}
     forest = Forest(len(inside))
     pieces = sum(inside)
@@ -443,11 +436,11 @@ def g_boundary_gauss(p: Profile) -> float:
     Sums the measures of all facets with exactly one side in G, counting
     the exterior of the grid as not in G.
     """
-    values = p._values
-
-    def in_g(c: Optional[CellId]) -> bool:
-        return c is not None and 0.0 < values[c] < 1.0
-
+    grid = p.grid
+    in_g = [0.0 < v < 1.0 for v in p._values.values()]
+    in_g.append(False)  # the exterior
     return math.fsum(
-        mass for _, lo_cid, hi_cid, mass in p.grid.adjacency() if in_g(lo_cid) != in_g(hi_cid)
+        grid._facet_gauss(grid.edge_facet(k))
+        for k, (i, j) in enumerate(zip(*grid.edges()))
+        if in_g[i] != in_g[j]
     )

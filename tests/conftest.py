@@ -14,7 +14,15 @@ import random
 import pytest
 
 import ehrhard.catalog
-from ehrhard import ColumnarSet, Grid, IntervalSet, Profile, SingularAnnotation
+from ehrhard import (
+    ColumnarSet,
+    Grid,
+    IntervalSet,
+    JumpInterface,
+    Profile,
+    SingularAnnotation,
+    approx_limits,
+)
 
 INF = math.inf
 
@@ -139,6 +147,33 @@ def random_annotated(rng: random.Random, p: Profile, p_annotate: float = 0.3) ->
             wedge, vee = sorted(rng.choice((0.0, 1.0, rng.random())) for _ in range(2))
             annotations.append(SingularAnnotation(f, wedge, vee))
     return Profile(p.grid, p.values, annotations)
+
+
+def reference_jumps(p: Profile) -> list[JumpInterface]:
+    """``jump_interfaces(p)`` restated facet by facet on the public queries:
+    every facet of ``facets()``, its ``approx_limits`` and its neighbours,
+    the exterior counting as value 0."""
+    out = []
+    for f in p.grid.facets():
+        wedge, vee = approx_limits(p, facet=f)
+        if wedge < vee:
+            lo, hi = p.grid.facet_cells(f)
+            v_lo = 0.0 if lo is None else p.value(lo)
+            v_hi = 0.0 if hi is None else p.value(hi)
+            out.append(JumpInterface(f, wedge, vee, v_hi >= v_lo))
+    return out
+
+
+def reference_g_boundary(p: Profile) -> float:
+    """``g_boundary_gauss(p)`` restated facet by facet: the ``facet_gauss``
+    of every facet with exactly one neighbour in G (the exterior is not)."""
+    g = set(p.g_cells())
+    masses = []
+    for f in p.grid.facets():
+        lo, hi = p.grid.facet_cells(f)
+        if (lo in g) != (hi in g):
+            masses.append(p.grid.facet_gauss(f))
+    return math.fsum(masses)
 
 
 @pytest.fixture(scope="session")

@@ -408,6 +408,21 @@ class TestCatalogCommands:
         assert "at most 256 are allowed" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["catalog", "mistico", "--resolution", "1e400"],
+            ["catalog", "mistico", "--resolution", "1e-400"],
+            ["sweep", "--family", "mistico", "--resolutions", "1e400"],
+            ["sweep", "--family", "koch", "--resolutions", "1e-400"],
+        ],
+    )
+    def test_resolution_outside_float_range(self, capsys, no_catalog_grid, no_sweep_build, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 1
+        assert "bad resolution" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "family, resolution",
         [
             ("unannotated", "1e-300"),

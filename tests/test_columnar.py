@@ -178,7 +178,9 @@ def reference_perimeter(e):
     ]
     column_mass = {cid: gamma1(s) for cid, s in sections.items()}
     vertical = []
-    for f, lo_cid, hi_cid, facet_mass in g.adjacency():
+    for f in g.facets():
+        lo_cid, hi_cid = g.facet_cells(f)
+        facet_mass = g.facet_gauss(f)
         diff = sections.get(lo_cid, IntervalSet()).symdiff(sections.get(hi_cid, IntervalSet()))
         if diff.is_empty:
             continue

@@ -17,11 +17,16 @@ from ehrhard import (
     Grid,
     Profile,
     SingularAnnotation,
+    check_gino,
+    check_pino,
     exhaustive_search,
+    g_boundary_gauss,
+    jump_interfaces,
     rigidity_verdict,
     rigidity_verdict_planar,
 )
 from ehrhard.jsonio import profile_from_json, profile_to_json
+from conftest import reference_g_boundary, reference_jumps
 
 INF = math.inf
 
@@ -102,3 +107,9 @@ def test_every_small_profile(family):
         if not theorem.rigid and not p.annotations:
             assert abs(theorem.perimeter_check.difference) <= 1e-10, p
         assert profile_from_json(profile_to_json(p)) == p
+        # the facet walks agree with the per-facet public queries
+        assert repr(jump_interfaces(p)) == repr(reference_jumps(p)), p
+        assert repr(g_boundary_gauss(p)) == repr(reference_g_boundary(p)), p
+        # the sufficient conditions are sufficient
+        if check_pino(p) or (p.grid.base_dim == 1 and check_gino(p)):
+            assert theorem.rigid, p

@@ -80,10 +80,6 @@ class TestCells:
             with pytest.raises(GridError):
                 g.check_cell(bad)
 
-    def test_cell_box(self):
-        g = Grid((-INF, 0.0, INF), (0.0, 1.0, 3.0))
-        assert g.cell_box((0, 1)) == (Interval(-INF, 0.0), Interval(1.0, 3.0))
-
     def test_cell_gauss_matches_interval_mass(self):
         g = Grid((-INF, -1.0, 1.0, INF))
         assert g.cell_gauss((1,)) == pytest.approx(0.6826894921370859, rel=1e-15)
@@ -244,12 +240,21 @@ class TestTables:
 
     @pytest.mark.parametrize("base_dim", [1, 2])
     def test_adjacency_matches_facet_queries(self, base_dim):
+        """Position k of the edge walk is the k-th facet with its
+        ``facet_cells``, the exterior (None) as cell index ``len(cells)``."""
         rng = random.Random(41 + base_dim)
         for _ in range(60):
             g = random_grid(rng, base_dim)
-            for flag in (False, True):
-                want = [(f, *g.facet_cells(f), g.facet_gauss(f)) for f in g.facets(flag)]
-                assert list(g.adjacency(flag)) == want
+            cells = [*g.cells(), None]
+            below, above = g.edges()
+            facets = list(g.facets())
+            assert [g.edge_facet(k) for k in range(len(below))] == facets
+            assert [(cells[i], cells[j]) for i, j in zip(below, above)] == [
+                g.facet_cells(f) for f in facets
+            ]
+            assert list(g.facets(interior_only=True)) == [
+                f for f in facets if None not in g.facet_cells(f)
+            ]
 
     @pytest.mark.parametrize("base_dim", [1, 2])
     def test_facet_gauss_matches_formula(self, base_dim):
@@ -277,25 +282,33 @@ class TestTables:
         g = Grid((-INF, 0.0, INF), (-INF, 1.0, 2.0))
         assert g.facet_gauss(Facet(0, 0, 1)) == 0.0
         assert g.facet_lebesgue(Facet(0, 2, 0)) == 0.0
-        assert [f for f, *_ in g.adjacency()] == list(g.facets())
+        # no facet on an infinite line; the finite boundary line 2 of axis 1
+        # has the exterior (index 4) above it
+        assert list(g.facets()) == [
+            Facet(0, 1, 0), Facet(0, 1, 1), Facet(1, 1, 0), Facet(1, 1, 1), Facet(1, 2, 0), Facet(1, 2, 1)
+        ]
+        assert [list(a) for a in g.edges()] == [[0, 1, 0, 2, 1, 3], [2, 3, 1, 3, 4, 4]]
 
 
 class TestEdges:
-    """The integer edge arrays are the interior adjacency on cell indices."""
+    """The integer edge arrays are every facet's neighbours on cell indices,
+    with the exterior as one more cell."""
 
     @pytest.mark.parametrize("base_dim", [1, 2])
-    def test_edges_match_interior_adjacency(self, base_dim):
+    def test_edges_match_facet_cells(self, base_dim):
         rng = random.Random(53 + base_dim)
         for _ in range(60):
             g = random_grid(rng, base_dim)
             cells = list(g.cells())
             assert [g.cell_index(c) for c in cells] == list(range(len(cells)))
+            index = {c: g.cell_index(c) for c in cells}
+            index[None] = len(cells)  # the exterior
             below, above = g.edges()
-            interior = [(f, lo, hi) for f, lo, hi, _ in g.adjacency(interior_only=True)]
-            assert [(cells[i], cells[j]) for i, j in zip(below, above)] == [
-                (lo, hi) for _, lo, hi in interior
+            facets = list(g.facets())
+            assert list(zip(below, above)) == [
+                tuple(index[c] for c in g.facet_cells(f)) for f in facets
             ]
-            assert [g.edge_index(f) for f, _, _ in interior] == list(range(len(interior)))
+            assert [g.edge_index(f) for f in facets] == list(range(len(facets)))
             assert g.edges() is g.edges()
 
     @pytest.mark.parametrize(
@@ -312,13 +325,13 @@ class TestEdges:
     )
     def test_edge_facet_inverts_edge_index(self, axes):
         g = Grid(*axes)
-        interior = list(g.facets(interior_only=True))
-        assert len(interior) == len(g.edges()[0])
-        assert [g.edge_facet(k) for k in range(len(interior))] == interior
-        assert [g.edge_index(g.edge_facet(k)) for k in range(len(interior))] == list(
-            range(len(interior))
+        facets = list(g.facets())
+        assert len(facets) == len(g.edges()[0])
+        assert [g.edge_facet(k) for k in range(len(facets))] == facets
+        assert [g.edge_index(g.edge_facet(k)) for k in range(len(facets))] == list(
+            range(len(facets))
         )
-        for k in (-1, len(interior)):
+        for k in (-1, len(facets)):
             with pytest.raises(GridError):
                 g.edge_facet(k)
 
@@ -327,21 +340,26 @@ class TestEdges:
         rng = random.Random(59 + base_dim)
         for _ in range(60):
             g = random_grid(rng, base_dim)
-            interior = list(g.facets(interior_only=True))
-            assert [g.edge_facet(k) for k in range(len(interior))] == interior
+            facets = list(g.facets())
+            assert [g.edge_facet(k) for k in range(len(facets))] == facets
 
     def test_edge_index_rejects_other_facets(self):
         g = Grid((0.0, 1.0, 2.0), (-INF, 0.0, 1.0, INF))
-        assert g.edge_index(Facet(0, 1, 2)) == 2
-        assert g.edge_index(Facet(1, 2, 1)) == 3 + 2 + 1
-        for f in (Facet(0, 0, 0), Facet(0, 2, 0), Facet(1, 0, 0), Facet(1, 3, 0),
+        # axis 0: finite lines 0..2 of 3 facets each; axis 1: lines 1, 2 of 2
+        assert g.edge_index(Facet(0, 0, 0)) == 0
+        assert g.edge_index(Facet(0, 1, 2)) == 3 + 2
+        assert g.edge_index(Facet(0, 2, 0)) == 6
+        assert g.edge_index(Facet(1, 2, 1)) == 9 + 2 + 1
+        for f in (Facet(1, 0, 0), Facet(1, 3, 0), Facet(0, 3, 0), Facet(0, -1, 0),
                   Facet(0, 1, 3), Facet(1, 1, 2), Facet(2, 1, 0)):
             assert g.edge_index(f) is None
         line = Grid((0.0, 1.0, 2.0))
-        assert line.edge_index(Facet(0, 1, 0)) == 0
+        assert line.edge_index(Facet(0, 1, 0)) == 1
         assert line.edge_index(Facet(0, 1, 1)) is None
-        assert [list(a) for a in line.edges()] == [[0], [1]]
+        assert line.edge_index(Facet(1, 0, 0)) is None
+        assert [list(a) for a in line.edges()] == [[2, 0, 1], [0, 1, 2]]
 
     def test_line_grids_share_edges(self):
         assert Grid((0, 1, 2)).edges() is Grid((5, 6, 7)).edges()
         assert Grid((0, 1, 2)).edges() is not Grid((0, 1, 2, 3)).edges()
+        assert Grid((0, 1, 2)).edges() is not Grid((-INF, 1, 2)).edges()

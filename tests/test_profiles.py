@@ -22,7 +22,13 @@ from ehrhard import (
     scene,
 )
 from ehrhard.jsonio import to_json
-from conftest import random_annotated, random_profile_1d, random_profile_2d
+from conftest import (
+    random_annotated,
+    random_profile_1d,
+    random_profile_2d,
+    reference_g_boundary,
+    reference_jumps,
+)
 
 INF = math.inf
 
@@ -264,6 +270,20 @@ class TestJumpInterfaces:
         assert by_facet[Facet(0, 2, 0)].toward_upper is False
 
 
+class TestFacetWalks:
+    """The walks behind jump_interfaces and g_boundary_gauss equal the
+    per-facet public queries, on grids with finite and infinite ends."""
+
+    @pytest.mark.parametrize("base_dim", [1, 2])
+    def test_match_per_facet_reference(self, base_dim):
+        rng = random.Random(61 + base_dim)
+        make = random_profile_1d if base_dim == 1 else random_profile_2d
+        for _ in range(1500):
+            p = random_annotated(rng, make(rng))
+            assert repr(jump_interfaces(p)) == repr(reference_jumps(p)), p
+            assert repr(g_boundary_gauss(p)) == repr(reference_g_boundary(p)), p
+
+
 class TestScene:
     def test_kind_validation(self):
         with pytest.raises(ProfileError):
@@ -336,11 +356,12 @@ class TestScene:
                 s = scene(p, kind)
                 assert [c.id for c in s.cells] == list(p.grid.cells())
                 in_g = {c.id: c.in_g for c in s.cells}
-                assert [(sf.facet, sf.cells, sf.gauss) for sf in s.facets] == [
-                    (f, (lo, hi), mass)
-                    for f, lo, hi, mass in p.grid.adjacency(interior_only=True)
-                    if in_g[lo] and in_g[hi]
-                ]
+                want = []
+                for f in p.grid.facets(interior_only=True):
+                    lo, hi = p.grid.facet_cells(f)
+                    if in_g[lo] and in_g[hi]:
+                        want.append((f, (lo, hi), p.grid.facet_gauss(f)))
+                assert [(sf.facet, sf.cells, sf.gauss) for sf in s.facets] == want
 
 
 class TestModelSets:
