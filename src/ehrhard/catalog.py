@@ -106,8 +106,10 @@ _MAX_KOCH_ITERATIONS = 6
 
 
 def _steps(what: str, span: float, resolution: float) -> float:
-    """Steps of ``resolution`` over ``span`` (0 unless it is positive), at most the cap."""
-    n = span / resolution if resolution > 0.0 else 0.0
+    """Steps of a positive ``resolution`` over ``span``, at most the cap."""
+    if not resolution > 0.0:  # also NaN
+        raise CatalogError(f"{what}: resolution {resolution} must be positive")
+    n = span / resolution
     if n > _MAX_STEPS:  # before any grid is built; also catches an infinite count
         raise CatalogError(
             f"{what}: resolution {resolution} needs {n:.3g} steps over a span "
@@ -606,10 +608,6 @@ def sweep(family: str, resolutions: Optional[list[float]] = None) -> SweepResult
     elif family == "unannotated":
         hs = resolutions or [1 / 2, 1 / 4, 1 / 8, 1 / 16]
         for h in hs:
-            if not h > 0.0:  # also NaN
-                raise CatalogError(
-                    f"sweep family 'unannotated': resolution {h} must be positive"
-                )
             _steps("sweep family 'unannotated'", 2.0, h)  # refined splits the cell (-1, 1)
         base = _three_column((0.3, 1.0, 0.6))
         rows, reports = _sweep_rows([(h, base.refined(h)) for h in hs])

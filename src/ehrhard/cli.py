@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -31,7 +32,17 @@ from .rigidity import exhaustive_search, rigidity_verdict, rigidity_verdict_plan
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on bad usage; this CLI reserves 2 for
-    failed expectations, so usage errors are remapped to status 1."""
+    failed expectations, so usage errors are remapped to status 1.
+
+    argparse takes only plain decimals such as ``-0.5`` for negative
+    numbers and anything else after a ``-`` (``-1e-3``, ``-1/16``) for an
+    option. No option here starts with a digit, so every such argument
+    is read as a value, and a bad one is refused by its own check.
+    """
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)

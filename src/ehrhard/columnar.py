@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Optional
+from typing import Any, Iterable, Mapping, Optional
 
 from .errors import DomainError, GridError
 from .gauss import gamma1, gauss_weight, gaussian_barycenter, phi, psi
@@ -143,7 +143,15 @@ class VerticalFace:
 
 @dataclass(frozen=True)
 class PerimeterBreakdown:
-    """Gaussian perimeter split into horizontal and vertical faces."""
+    """Gaussian perimeter split into horizontal and vertical faces.
+
+    From :func:`gauss_perimeter` the four totals are eager and the faces
+    are built on first read of ``horizontal`` or ``vertical``, both at
+    once, from the set the breakdown keeps; they then read like fields.
+    Equality, ``repr`` and hashing read the faces, so a lazy breakdown
+    behaves as one built with its faces through the constructor; a copy
+    or pickle of it keeps the set and builds its own faces when read.
+    """
 
     horizontal: tuple[HorizontalFace, ...]
     vertical: tuple[VerticalFace, ...]
@@ -152,23 +160,42 @@ class PerimeterBreakdown:
     total_gauss: float
     total_lebesgue: float
 
+    @classmethod
+    def _of_totals(
+        cls, e: ColumnarSet, hg: float, vg: float, total_l: float
+    ) -> "PerimeterBreakdown":
+        """Breakdown of ``e`` with these totals and faces built on first read."""
+        pb = object.__new__(cls)
+        vars(pb).update(
+            horizontal_gauss=hg,
+            vertical_gauss=vg,
+            total_gauss=hg + vg,
+            total_lebesgue=total_l,
+            _set=e,
+        )
+        return pb
 
-def gauss_perimeter(e: ColumnarSet) -> PerimeterBreakdown:
-    """Boundary measure of a columnar set, face by face.
+    def __getattr__(self, name: str) -> Any:
+        # Reached only while the faces of an ``_of_totals`` breakdown are
+        # unbuilt (``_set`` is missing from every other instance).
+        if name not in ("horizontal", "vertical"):
+            raise AttributeError(name)
+        *_, horizontal, vertical = _perimeter_walk(self._set, faces=True)
+        vars(self).update(horizontal=tuple(horizontal), vertical=tuple(vertical))
+        return vars(self)[name]
 
-    Horizontal faces weigh ``gamma_{n-1}(cell) * exp(-t*t/2)`` per finite
-    section endpoint t; vertical faces weigh the facet's base surface
-    measure times the gamma1 mass of the section symmetric difference.
-    Faces whose symmetric difference is empty are omitted. Iteration
-    order (cells, then facets, lexicographically) fixes the summation
-    order, so results are bit-reproducible. The vertical faces walk
-    :meth:`~ehrhard.grids.Grid.edges`, the exterior's section being empty,
-    and build a :class:`~ehrhard.grids.Facet` only for a face they keep.
 
-    Every symmetric-difference endpoint is a section endpoint, so ``phi``
-    is taken once per distinct section endpoint per call and read back
-    for every column and face mass, term by term as ``gamma1`` sums
-    them.
+def _perimeter_walk(
+    e: ColumnarSet, faces: bool
+) -> tuple[list[float], list[float], list[float], list[HorizontalFace], list[VerticalFace]]:
+    """The terms of the boundary measure of ``e``.
+
+    Returns the Gaussian masses of the horizontal faces and of the
+    vertical faces, the Lebesgue measures of all faces, and, when
+    ``faces`` is true, the faces themselves (else two empty lists); see
+    :func:`gauss_perimeter`. What depends only on one section (its finite
+    endpoints) or on two neighbouring ones (their symmetric difference)
+    is worked out once per distinct section or pair of sections.
     """
     g = e.grid
     sections = e._sections
@@ -193,51 +220,77 @@ def gauss_perimeter(e: ColumnarSet) -> PerimeterBreakdown:
             _lebesgue_sum(hi - lo for lo, hi in _pairs(ends)),
         )
 
+    h_gauss: list[float] = []
+    v_gauss: list[float] = []
+    lebesgue: list[float] = []
     horizontal: list[HorizontalFace] = []
-    for cid in e.support():
-        area_g = g.cell_gauss(cid)
-        area_l = g.cell_lebesgue(cid)
-        for t, normal in sections[cid].finite_endpoints():
-            horizontal.append(
-                HorizontalFace(
-                    cell=cid,
-                    level=t,
-                    normal=normal,
-                    gauss=area_g * weight[t],
-                    lebesgue=area_l,
-                )
-            )
-
-    column_mass = [measure(cell_ends)[0] if cell_ends else 0.0 for cell_ends in ends]
     vertical: list[VerticalFace] = []
-    for k, (i, j) in enumerate(zip(*g.edges())):
-        diff = _xor(ends[i], ends[j])
-        if not diff:
+    # section endpoints -> its finite endpoints with their normals and
+    # weights; equal keys may differ in the sign of a zero endpoint, so a
+    # face, which keeps its level, reads its own section
+    levels: dict[tuple[float, ...], list[tuple[float, int, float]]] = {}
+    for cid, cell_ends, (area_g, area_l) in zip(g.cells(), ends, g._cell_measures()):
+        if not cell_ends:
             continue
-        f = g.edge_facet(k)
-        mass, length = measure(diff)
-        vertical.append(
-            VerticalFace(
-                facet=f,
-                section_symdiff=mass,
-                gauss=g._facet_gauss(f) * mass,
-                lebesgue=g.facet_lebesgue(f) * length,
-                normal=+1 if column_mass[j] >= column_mass[i] else -1,
-            )
-        )
+        if faces or cell_ends not in levels:
+            levels[cell_ends] = [
+                (t, normal, weight[t]) for t, normal in sections[cid].finite_endpoints()
+            ]
+        for t, normal, w in levels[cell_ends]:
+            h_gauss.append(area_g * w)
+            lebesgue.append(area_l)
+            if faces:
+                horizontal.append(HorizontalFace(cid, t, normal, h_gauss[-1], area_l))
 
-    hg = math.fsum(face.gauss for face in horizontal)
-    vg = math.fsum(face.gauss for face in vertical)
-    total_l = _lebesgue_sum(
-        [face.lebesgue for face in horizontal] + [face.lebesgue for face in vertical]
-    )
-    return PerimeterBreakdown(
-        horizontal=tuple(horizontal),
-        vertical=tuple(vertical),
-        horizontal_gauss=hg,
-        vertical_gauss=vg,
-        total_gauss=hg + vg,
-        total_lebesgue=total_l,
+    if faces:
+        column_mass = [measure(cell_ends)[0] if cell_ends else 0.0 for cell_ends in ends]
+    # (below, above) section endpoints -> gamma1 and length of their symdiff
+    # (the same floats whatever the sign of a zero endpoint)
+    symdiff: dict[tuple[tuple[float, ...], tuple[float, ...]], tuple[float, float]] = {}
+    for k, (i, j) in enumerate(zip(*g.edges())):
+        pair = ends[i], ends[j]
+        # equal canonical sections have an empty symmetric difference and
+        # unequal ones a non-empty one
+        if pair[0] == pair[1]:
+            continue
+        if pair not in symdiff:
+            symdiff[pair] = measure(_xor(*pair))
+        mass, length = symdiff[pair]
+        facet_g, facet_l = g._edge_measures(k)
+        v_gauss.append(facet_g * mass)
+        lebesgue.append(facet_l * length)
+        if faces:
+            normal = +1 if column_mass[j] >= column_mass[i] else -1
+            vertical.append(
+                VerticalFace(g.edge_facet(k), mass, v_gauss[-1], lebesgue[-1], normal)
+            )
+    return h_gauss, v_gauss, lebesgue, horizontal, vertical
+
+
+def gauss_perimeter(e: ColumnarSet) -> PerimeterBreakdown:
+    """Boundary measure of a columnar set, face by face.
+
+    Horizontal faces weigh ``gamma_{n-1}(cell) * exp(-t*t/2)`` per finite
+    section endpoint t; vertical faces weigh the facet's base surface
+    measure times the gamma1 mass of the section symmetric difference.
+    Faces whose symmetric difference is empty are omitted. Faces come in
+    order (cells, then facets, lexicographically); the totals are
+    ``math.fsum`` sums, correctly rounded whatever the order of their
+    terms, so results are bit-reproducible. The vertical faces walk
+    :meth:`~ehrhard.grids.Grid.edges`, the exterior's section being empty,
+    and read each facet's measures by its position there.
+
+    The totals are computed eagerly in one walk that keeps only floats;
+    the faces (and their :class:`~ehrhard.grids.Facet` objects) are built
+    on first read of ``horizontal`` or ``vertical``, by the same walk run
+    again. Every symmetric-difference endpoint is a section endpoint, so
+    ``phi`` is taken once per distinct section endpoint per walk and read
+    back for every column and face mass, term by term as ``gamma1`` sums
+    them.
+    """
+    h_gauss, v_gauss, lebesgue, _, _ = _perimeter_walk(e, faces=False)
+    return PerimeterBreakdown._of_totals(
+        e, math.fsum(h_gauss), math.fsum(v_gauss), _lebesgue_sum(lebesgue)
     )
 
 

@@ -177,6 +177,19 @@ class Grid:
             out *= bps[c + 1] - bps[c]
         return out
 
+    def _cell_measures(self) -> Iterator[tuple[float, float]]:
+        """:meth:`cell_gauss` and :meth:`cell_lebesgue` of every cell, in
+        :meth:`cells` order."""
+        masses = self._measures()[0]
+        sides = [[b - a for a, b in zip(bps, bps[1:])] for bps in self._axes]
+        if len(self._axes) == 1:
+            return zip(masses[0], sides[0])
+        return (
+            (m0 * m1, s0 * s1)
+            for m0, s0 in zip(masses[0], sides[0])
+            for m1, s1 in zip(masses[1], sides[1])
+        )
+
     # ------------------------------------------------------------------
     # facets
 
@@ -239,15 +252,30 @@ class Grid:
         The inverse of :meth:`edge_index`: facets come in sorted order, so
         ascending positions give sorted facets.
         """
+        return Facet(*self._edge_place(k))
+
+    def _edge_place(self, k: int) -> tuple[int, int, int]:
+        """(axis, line, lateral) of the facet at position ``k`` of :meth:`edges`."""
         nx, ny, first0, lines0, first1, lines1 = self._layout
         across = lines0 * ny
         if 0 <= k < across:
             line, lat = divmod(k, ny)
-            return Facet(0, first0 + line, lat)
+            return 0, first0 + line, lat
         if 0 <= k - across < lines1 * nx:
             line, lat = divmod(k - across, nx)
-            return Facet(1, first1 + line, lat)
+            return 1, first1 + line, lat
         raise GridError(f"edge position {k} outside grid of shape {self._shape}")
+
+    def _edge_measures(self, k: int) -> tuple[float, float]:
+        """:meth:`facet_gauss` and :meth:`facet_lebesgue` of the facet at
+        position ``k`` of :meth:`edges`, read from the tables; no
+        :class:`Facet` is built. Every such facet lies on a finite line."""
+        axis, line, lat = self._edge_place(k)
+        gamma, weight = self._measures()
+        if len(self._axes) == 1:
+            return weight[0][line], 1.0
+        bps = self._axes[1 - axis]
+        return weight[axis][line] * gamma[1 - axis][lat], bps[lat + 1] - bps[lat]
 
     def facet_cells(self, f: Facet) -> tuple[Optional[CellId], Optional[CellId]]:
         """Neighbor cells (below, above) along the facet axis; None = exterior."""
@@ -281,10 +309,6 @@ class Grid:
         segment ``{z} x (a, b)`` it is ``exp(-z*z/2) * gamma1((a, b))``.
         """
         self._check_facet(f)
-        return self._facet_gauss(f)
-
-    def _facet_gauss(self, f: Facet) -> float:
-        """:meth:`facet_gauss` of a facet of this grid (no validation)."""
         gamma, weight = self._measures()
         w = weight[f.axis][f.line]
         if len(self._axes) == 1:

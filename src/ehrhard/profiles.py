@@ -440,7 +440,7 @@ def g_boundary_gauss(p: Profile) -> float:
     in_g = [0.0 < v < 1.0 for v in p._values.values()]
     in_g.append(False)  # the exterior
     return math.fsum(
-        grid._facet_gauss(grid.edge_facet(k))
+        grid._edge_measures(k)[0]
         for k, (i, j) in enumerate(zip(*grid.edges()))
         if in_g[i] != in_g[j]
     )

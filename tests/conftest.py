@@ -17,11 +17,17 @@ import ehrhard.catalog
 from ehrhard import (
     ColumnarSet,
     Grid,
+    HorizontalFace,
     IntervalSet,
     JumpInterface,
+    PerimeterBreakdown,
     Profile,
     SingularAnnotation,
+    VerticalFace,
     approx_limits,
+    gamma1,
+    gauss_perimeter,
+    gauss_weight,
 )
 
 INF = math.inf
@@ -174,6 +180,47 @@ def reference_g_boundary(p: Profile) -> float:
         if (lo in g) != (hi in g):
             masses.append(p.grid.facet_gauss(f))
     return math.fsum(masses)
+
+
+def reference_perimeter(e: ColumnarSet) -> PerimeterBreakdown:
+    """gauss_perimeter as one symdiff and one gamma1 per facet and one
+    gamma1 per column, with the same faces in the same summation order."""
+    g = e.grid
+    sections = e.sections
+    horizontal = [
+        HorizontalFace(cid, t, normal, g.cell_gauss(cid) * gauss_weight(t), g.cell_lebesgue(cid))
+        for cid in e.support()
+        for t, normal in sections[cid].finite_endpoints()
+    ]
+    column_mass = {cid: gamma1(s) for cid, s in sections.items()}
+    vertical = []
+    for f in g.facets():
+        lo_cid, hi_cid = g.facet_cells(f)
+        facet_mass = g.facet_gauss(f)
+        diff = sections.get(lo_cid, IntervalSet()).symdiff(sections.get(hi_cid, IntervalSet()))
+        if diff.is_empty:
+            continue
+        mass = gamma1(diff)
+        heavier_above = column_mass.get(hi_cid, 0.0) >= column_mass.get(lo_cid, 0.0)
+        vertical.append(
+            VerticalFace(
+                f,
+                mass,
+                facet_mass * mass,
+                g.facet_lebesgue(f) * diff.length(),
+                +1 if heavier_above else -1,
+            )
+        )
+    hg = math.fsum(face.gauss for face in horizontal)
+    vg = math.fsum(face.gauss for face in vertical)
+    total_l = math.fsum([face.lebesgue for face in horizontal] + [face.lebesgue for face in vertical])
+    return PerimeterBreakdown(tuple(horizontal), tuple(vertical), hg, vg, hg + vg, total_l)
+
+
+def assert_same_perimeter(e: ColumnarSet) -> None:
+    got, want = gauss_perimeter(e), reference_perimeter(e)
+    assert got == want
+    assert repr(got) == repr(want)  # == alone equates 0.0 and -0.0
 
 
 @pytest.fixture(scope="session")

@@ -50,7 +50,8 @@ class TestEntries:
 
     @pytest.mark.parametrize("resolution", [0.0, -0.125, float("nan"), float("inf")])
     def test_degenerate_resolution(self, resolution):
-        with pytest.raises(CatalogError, match="does not tile"):
+        message = "does not tile" if resolution > 0.0 else "must be positive"
+        with pytest.raises(CatalogError, match=message):
             run_entry("mistico", resolution=resolution)
 
     @pytest.mark.parametrize("resolution", [1e-300, 1 / 100000, 5e-324, 2 / 258])

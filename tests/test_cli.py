@@ -398,7 +398,22 @@ class TestCatalogCommands:
 
     def test_zero_resolution(self, capsys):
         assert main(["catalog", "mistico", "--resolution", "0"]) == 1
-        assert "does not tile" in capsys.readouterr().err
+        assert "must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["catalog", "mistico", "--resolution", "-1e-3"],
+            ["catalog", "mistico", "--resolution", "-0.001"],
+            ["catalog", "mistico", "--resolution", "-1/16"],
+            ["sweep", "--family", "mistico", "--resolutions", "1/8", "-1e-3"],
+            ["sweep", "--family", "mistico", "--resolutions", "-0.001"],
+            ["sweep", "--family", "unannotated", "--resolutions", "1/2", "-1E-3"],
+        ],
+    )
+    def test_negative_resolution(self, capsys, no_catalog_grid, no_sweep_build, argv):
+        assert main(argv) == 1
+        assert "must be positive" in capsys.readouterr().err
 
     @pytest.mark.parametrize("resolution", ["1e-300", "1/100000"])
     def test_tiny_resolution(self, capsys, no_catalog_grid, resolution):

@@ -1,4 +1,8 @@
+import copy
+import dataclasses
+import functools
 import math
+import pickle
 import random
 
 import pytest
@@ -14,7 +18,6 @@ from ehrhard import (
     HalflineClass,
     HorizontalFace,
     IntervalSet,
-    PerimeterBreakdown,
     VerticalFace,
     common_refinement,
     complement,
@@ -37,7 +40,16 @@ from ehrhard import (
     symdiff_volume,
 )
 from ehrhard.catalog import _mistico_profile
-from conftest import random_annotated, random_columnar, random_profile_2d
+from ehrhard.intervals import _lebesgue_sum
+from ehrhard.jsonio import to_json
+from conftest import (
+    assert_same_perimeter,
+    random_annotated,
+    random_columnar,
+    random_profile_1d,
+    random_profile_2d,
+    reference_perimeter,
+)
 
 INF = math.inf
 
@@ -166,47 +178,6 @@ class TestPerimeter:
             assert gauss_perimeter(e).total_gauss >= isoperimetric_bound(v) - 1e-9
 
 
-def reference_perimeter(e):
-    """gauss_perimeter as one symdiff and one gamma1 per facet and one
-    gamma1 per column, with the same faces in the same summation order."""
-    g = e.grid
-    sections = e.sections
-    horizontal = [
-        HorizontalFace(cid, t, normal, g.cell_gauss(cid) * gauss_weight(t), g.cell_lebesgue(cid))
-        for cid in e.support()
-        for t, normal in sections[cid].finite_endpoints()
-    ]
-    column_mass = {cid: gamma1(s) for cid, s in sections.items()}
-    vertical = []
-    for f in g.facets():
-        lo_cid, hi_cid = g.facet_cells(f)
-        facet_mass = g.facet_gauss(f)
-        diff = sections.get(lo_cid, IntervalSet()).symdiff(sections.get(hi_cid, IntervalSet()))
-        if diff.is_empty:
-            continue
-        mass = gamma1(diff)
-        heavier_above = column_mass.get(hi_cid, 0.0) >= column_mass.get(lo_cid, 0.0)
-        vertical.append(
-            VerticalFace(
-                f,
-                mass,
-                facet_mass * mass,
-                g.facet_lebesgue(f) * diff.length(),
-                +1 if heavier_above else -1,
-            )
-        )
-    hg = math.fsum(face.gauss for face in horizontal)
-    vg = math.fsum(face.gauss for face in vertical)
-    total_l = math.fsum([face.lebesgue for face in horizontal] + [face.lebesgue for face in vertical])
-    return PerimeterBreakdown(tuple(horizontal), tuple(vertical), hg, vg, hg + vg, total_l)
-
-
-def assert_same_perimeter(e):
-    got, want = gauss_perimeter(e), reference_perimeter(e)
-    assert got == want
-    assert repr(got) == repr(want)  # == alone equates 0.0 and -0.0
-
-
 # few endpoints, so neighbouring sections share, touch and cross them often
 ENDPOINTS = (-INF, -1.5, -0.0, 0.0, 0.5, 1.5, INF)
 POOLED_GRIDS = (
@@ -279,6 +250,102 @@ class TestPerimeterBitIdentity:
         for lo, hi in ((a, b), (b, a)):
             e = ColumnarSet(SPLIT_GRID, {(0,): IntervalSet.of(*lo), (1,): IntervalSet.of(*hi)})
             assert_same_perimeter(e)
+
+
+def nonrigid_reports(make_profile, seeds=range(40)):
+    """NonRigid theorem reports of annotated conftest profiles."""
+    reports = []
+    for seed in seeds:
+        rng = random.Random(seed)
+        report = rigidity_verdict(random_annotated(rng, make_profile(rng)))
+        if not report.rigid:
+            reports.append(report)
+    assert reports
+    return reports
+
+
+@functools.cache
+def lazy_sets():
+    """Model sets and competitors of mistico h=1/16 and of NonRigid
+    conftest profiles, with a few random columnar sets."""
+    sets = []
+    for report in [rigidity_verdict(_mistico_profile(1 / 16))] + nonrigid_reports(
+        random_profile_2d, range(10)
+    ):
+        sets += [report._model, report.counterexample]
+    rng = random.Random(17)
+    return tuple(sets + [random_columnar(rng) for _ in range(10)])
+
+
+def count_constructions(monkeypatch):
+    """From now on, count every HorizontalFace, VerticalFace and Facet built."""
+    counts = {}
+    for cls in (HorizontalFace, VerticalFace, Facet):
+
+        def spy(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", spy)
+    return counts
+
+
+class TestLazyFaces:
+    """gauss_perimeter prices its totals without building a face, and the
+    faces it builds on first read match the totals and the eager faces."""
+
+    def test_spy_sees_faces(self, monkeypatch):
+        pb = gauss_perimeter(ColumnarSet(SPLIT_GRID, {(1,): IntervalSet.above(0.0)}))
+        counts = count_constructions(monkeypatch)
+        assert pb.vertical[0].facet == Facet(0, 1, 0)
+        # one face of each kind, one Facet for the face, one for the comparison
+        assert counts == {"HorizontalFace": 1, "VerticalFace": 1, "Facet": 2}
+
+    @pytest.mark.parametrize(
+        "reports",
+        [
+            pytest.param(lambda: [rigidity_verdict(_mistico_profile(1 / 16))], id="mistico"),
+            pytest.param(lambda: nonrigid_reports(random_profile_1d), id="1d"),
+            pytest.param(lambda: nonrigid_reports(random_profile_2d), id="2d"),
+        ],
+    )
+    def test_perimeter_check_builds_no_face(self, monkeypatch, reports):
+        reports = reports()
+        counts = count_constructions(monkeypatch)
+        for report in reports:
+            assert report.perimeter_check is not None
+        assert counts == {}
+
+    def test_totals_match_lazy_faces(self):
+        for e in lazy_sets():
+            pb = gauss_perimeter(e)
+            totals = (pb.horizontal_gauss, pb.vertical_gauss, pb.total_lebesgue)
+            assert "horizontal" not in vars(pb) and "vertical" not in vars(pb)
+            faces = (
+                math.fsum(face.gauss for face in pb.horizontal),
+                math.fsum(face.gauss for face in pb.vertical),
+                _lebesgue_sum(face.lebesgue for face in pb.horizontal + pb.vertical),
+            )
+            assert repr(totals) == repr(faces)
+            assert repr(pb) == repr(reference_perimeter(e))
+
+    def test_copies_keep_faces(self):
+        for e in lazy_sets():
+            want = repr(reference_perimeter(e))
+            for copy_of in (lambda pb: pickle.loads(pickle.dumps(pb)), copy.copy):
+                pb = gauss_perimeter(e)
+                twin = copy_of(pb)
+                assert "horizontal" not in vars(twin)
+                assert repr(twin) == want and repr(pb) == want
+                assert hash(twin) == hash(pb)
+            pb = gauss_perimeter(e)
+            bumped = dataclasses.replace(pb, total_gauss=-1.0)
+            assert (bumped.horizontal, bumped.vertical) == (pb.horizontal, pb.vertical)
+            assert bumped.total_gauss == -1.0
+
+    def test_json_matches_eager(self):
+        for e in lazy_sets():
+            assert to_json(gauss_perimeter(e)) == to_json(reference_perimeter(e))
 
 
 class TestReflect:

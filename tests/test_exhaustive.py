@@ -7,6 +7,7 @@ classes, so the two routes are checked to agree on all of them, not on a
 sample (the small-scope hypothesis of bounded exhaustive checking).
 """
 
+import functools
 import itertools
 import math
 
@@ -20,13 +21,14 @@ from ehrhard import (
     check_gino,
     check_pino,
     exhaustive_search,
+    from_profile,
     g_boundary_gauss,
     jump_interfaces,
     rigidity_verdict,
     rigidity_verdict_planar,
 )
 from ehrhard.jsonio import profile_from_json, profile_to_json
-from conftest import reference_g_boundary, reference_jumps
+from conftest import assert_same_perimeter, reference_g_boundary, reference_jumps
 
 INF = math.inf
 
@@ -58,9 +60,10 @@ def annotated_profiles_1d():
             yield Profile(grid, dict(zip(grid.cells(), values)), [ann])
 
 
-def profiles_2x2():
-    grid = Grid((-INF, 0.0, INF), (-1.0, 0.5, INF))
-    for values in itertools.product(VALUES_2D, repeat=4):
+def plane_profiles(*axis1):
+    """Every profile over VALUES_2D on the grid (-inf, 0, inf) x axis1."""
+    grid = Grid((-INF, 0.0, INF), axis1)
+    for values in itertools.product(VALUES_2D, repeat=math.prod(grid.shape)):
         yield Profile(grid, dict(zip(grid.cells(), values)))
 
 
@@ -86,7 +89,8 @@ def rigid_by_rule(p):
 FAMILIES = {
     "1d": profiles_1d,
     "1d-annotated": annotated_profiles_1d,
-    "2x2": profiles_2x2,
+    "2x2": functools.partial(plane_profiles, -1.0, 0.5, INF),
+    "2x3": functools.partial(plane_profiles, -1.0, 0.0, 0.5, INF),
 }
 
 
@@ -106,6 +110,10 @@ def test_every_small_profile(family):
                 assert report.certificate.separating, p
         if not theorem.rigid and not p.annotations:
             assert abs(theorem.perimeter_check.difference) <= 1e-10, p
+        # the perimeter walk agrees with the per-facet symdiff loop
+        assert_same_perimeter(from_profile(p))
+        if not theorem.rigid:
+            assert_same_perimeter(theorem.counterexample)
         assert profile_from_json(profile_to_json(p)) == p
         # the facet walks agree with the per-facet public queries
         assert repr(jump_interfaces(p)) == repr(reference_jumps(p)), p
