@@ -16,7 +16,7 @@ import re
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Optional, Sequence, TextIO
+from typing import Any, Callable, Optional, Sequence, TextIO
 
 from . import __version__
 from .catalog import CatalogCheck, catalog_names, run_entry, sweep
@@ -34,15 +34,15 @@ class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on bad usage; this CLI reserves 2 for
     failed expectations, so usage errors are remapped to status 1.
 
-    argparse takes only plain decimals such as ``-0.5`` for negative
-    numbers and anything else after a ``-`` (``-1e-3``, ``-1/16``) for an
-    option. No option here starts with a digit, so every such argument
-    is read as a value, and a bad one is refused by its own check.
+    argparse reads ``-0.5`` as a number but ``-1e-3``, ``-1/16`` or ``-inf`` as
+    an option. No option here is ``-`` and a digit, or ``-`` and a letter but
+    ``h``, so arguments that start like a number, and ``-inf``, ``-infinity``
+    and ``-nan`` in any case, are values; a bad one fails its own check.
     """
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|(inf|infinity|nan)\Z)", re.I)
 
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
@@ -98,66 +98,95 @@ def _resolution(text: str) -> float:
     return h
 
 
+# The routines --method and --mode name, the first the default (--kind takes the --mode
+# names); built per call, so a rebinding of this module's names (a tracer's) reaches them.
+def _methods() -> dict[str, Callable[..., Any]]:
+    return dict(theorem=rigidity_verdict, planar=rigidity_verdict_planar, search=exhaustive_search)
+
+
+def _symmetrals() -> dict[str, Callable[..., Any]]:
+    return dict(ehrhard=ehrhard_symmetral, steiner=steiner_symmetral)
+
+
 def _build_parser() -> _Parser:
     top = _Parser(prog="ehrhard", description=__doc__.splitlines()[0])
     top.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = top.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("phi", help="upper Gaussian tail at t")
-    p.add_argument("t", type=float)
+    def command(name: str, run: Callable[[argparse.Namespace], int], help: str) -> _Parser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        return p
 
-    p = sub.add_parser("psi", help="inverse of the upper Gaussian tail at p")
+    def choice(p: _Parser, flag: str, table: dict[str, Any]) -> None:
+        p.add_argument(flag, choices=table, default=next(iter(table)))
+
+    def files(p: _Parser) -> None:  # after the command's own options, as usage lists them
+        p.add_argument("--in", dest="infile", default="-", metavar="FILE")
+        p.add_argument("--out", default="-", metavar="FILE")
+
+    command("phi", _cmd_phi, "upper Gaussian tail at t").add_argument("t", type=float)
+    p = command("psi", _cmd_psi, "inverse of the upper Gaussian tail at p")
     p.add_argument("p", type=float)
+    files(command("perimeter", _cmd_perimeter, "Gaussian perimeter breakdown of a columnar set"))
 
-    p = sub.add_parser("perimeter", help="Gaussian perimeter breakdown of a columnar set")
-    p.add_argument("--in", dest="infile", default="-", metavar="FILE")
-    p.add_argument("--out", default="-", metavar="FILE")
+    p = command("symmetrize", _cmd_symmetrize, "column symmetral of a columnar set")
+    choice(p, "--mode", _symmetrals())
+    files(p)
 
-    p = sub.add_parser("symmetrize", help="column symmetral of a columnar set")
-    p.add_argument("--mode", choices=("ehrhard", "steiner"), default="ehrhard")
-    p.add_argument("--in", dest="infile", default="-", metavar="FILE")
-    p.add_argument("--out", default="-", metavar="FILE")
+    p = command("rigidity", _cmd_rigidity, "rigidity verdict of a profile")
+    choice(p, "--method", _methods())
+    files(p)
 
-    p = sub.add_parser("rigidity", help="rigidity verdict of a profile")
-    p.add_argument("--method", choices=("theorem", "planar", "search"), default="theorem")
-    p.add_argument("--in", dest="infile", default="-", metavar="FILE")
-    p.add_argument("--out", default="-", metavar="FILE")
+    p = command(
+        "counterexample", _cmd_counterexample, "perimeter-tying competitor of a non-rigid profile"
+    )
+    files(p)
 
-    p = sub.add_parser("counterexample", help="perimeter-tying competitor of a non-rigid profile")
-    p.add_argument("--in", dest="infile", default="-", metavar="FILE")
-    p.add_argument("--out", default="-", metavar="FILE")
+    p = command("connectedness", _cmd_connectedness, "scene graph and essential disconnection")
+    choice(p, "--kind", _symmetrals())
+    files(p)
 
-    p = sub.add_parser("connectedness", help="scene graph and essential disconnection")
-    p.add_argument("--kind", choices=("ehrhard", "steiner"), default="ehrhard")
-    p.add_argument("--in", dest="infile", default="-", metavar="FILE")
-    p.add_argument("--out", default="-", metavar="FILE")
-
-    p = sub.add_parser("catalog", help="run a named example with its expectation checks")
+    p = command("catalog", _cmd_catalog, "run a named example with its expectation checks")
     p.add_argument("name", nargs="?", help="entry name; omit to list entries")
     p.add_argument("--resolution", type=_resolution, default=None, metavar="H")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, metavar="DIR", help="write JSON, CSV, and SVG here")
 
-    p = sub.add_parser("sweep", help="resolution sweep over a parameterized family")
+    p = command("sweep", _cmd_sweep, "resolution sweep over a parameterized family")
     p.add_argument("--family", required=True)
     p.add_argument("--resolutions", type=_resolution, nargs="+", default=None, metavar="H")
     p.add_argument("--out", default="-", metavar="FILE")
 
-    p = sub.add_parser("render", help="SVG picture of a profile or columnar set")
-    p.add_argument("--in", dest="infile", default="-", metavar="FILE")
-    p.add_argument("--out", default="-", metavar="FILE")
+    files(command("render", _cmd_render, "SVG picture of a profile or columnar set"))
     return top
+
+
+def _cmd_phi(args: argparse.Namespace) -> int:
+    print(repr(phi(args.t)))
+    return 0
+
+
+def _cmd_psi(args: argparse.Namespace) -> int:
+    print(repr(psi(args.p)))
+    return 0
+
+
+def _cmd_perimeter(args: argparse.Namespace) -> int:
+    e = columnar_from_json(_read_json(args.infile))
+    _write_json(args.out, to_json(gauss_perimeter(e)))
+    return 0
+
+
+def _cmd_symmetrize(args: argparse.Namespace) -> int:
+    e = columnar_from_json(_read_json(args.infile))
+    _write_json(args.out, columnar_to_json(_symmetrals()[args.mode](e)))
+    return 0
 
 
 def _cmd_rigidity(args: argparse.Namespace) -> int:
     prof = profile_from_json(_read_json(args.infile))
-    if args.method == "planar":
-        report = rigidity_verdict_planar(prof)
-    elif args.method == "search":
-        report = exhaustive_search(prof)
-    else:
-        report = rigidity_verdict(prof)
-    _write_json(args.out, to_json(report))
+    _write_json(args.out, to_json(_methods()[args.method](prof)))
     return 0
 
 
@@ -233,37 +262,9 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "phi":
-            print(repr(phi(args.t)))
-            return 0
-        if args.command == "psi":
-            print(repr(psi(args.p)))
-            return 0
-        if args.command == "perimeter":
-            e = columnar_from_json(_read_json(args.infile))
-            _write_json(args.out, to_json(gauss_perimeter(e)))
-            return 0
-        if args.command == "symmetrize":
-            e = columnar_from_json(_read_json(args.infile))
-            out = ehrhard_symmetral(e) if args.mode == "ehrhard" else steiner_symmetral(e)
-            _write_json(args.out, columnar_to_json(out))
-            return 0
-        if args.command == "rigidity":
-            return _cmd_rigidity(args)
-        if args.command == "counterexample":
-            return _cmd_counterexample(args)
-        if args.command == "connectedness":
-            return _cmd_connectedness(args)
-        if args.command == "catalog":
-            return _cmd_catalog(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "render":
-            return _cmd_render(args)
-        raise AssertionError(f"unhandled command {args.command!r}")
+        return args.run(args)
     except EhrhardError as exc:
         print(f"ehrhard: error: {exc}", file=sys.stderr)
         return 1

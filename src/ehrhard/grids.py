@@ -316,13 +316,11 @@ class Grid:
         return w * gamma[1 - f.axis][f.lateral]
 
     def facet_lebesgue(self, f: Facet) -> float:
-        """Lebesgue surface measure of the facet: 1 for a point, else length."""
-        if math.isinf(self.facet_coordinate(f)):
-            return 0.0
-        if len(self._axes) == 1:
-            return 1.0
-        bps = self._axes[1 - f.axis]
-        return bps[f.lateral + 1] - bps[f.lateral]
+        """Lebesgue surface measure of the facet: 1 for a point, else length
+        (0 on an infinite line, which :meth:`edges` leaves out)."""
+        self._check_facet(f)
+        k = self.edge_index(f)
+        return 0.0 if k is None else self._edge_measures(k)[1]
 
     def _check_facet(self, f: Facet) -> None:
         if not 0 <= f.axis < self.base_dim:

@@ -217,10 +217,22 @@ def reference_perimeter(e: ColumnarSet) -> PerimeterBreakdown:
     return PerimeterBreakdown(tuple(horizontal), tuple(vertical), hg, vg, hg + vg, total_l)
 
 
+def assert_same_repr(got: object, want: object) -> None:
+    """Assert ``repr(got) == repr(want)``, reporting a mismatch by its first
+    differing character and the text around it. pytest's own report diffs
+    the two strings whole, which for a catalog-size repr (one long line)
+    can run for minutes."""
+    a, b = repr(got), repr(want)
+    if a != b:
+        at = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+        lo = max(0, at - 40)
+        assert a[lo : at + 40] == b[lo : at + 40], f"reprs differ at character {at}"
+
+
 def assert_same_perimeter(e: ColumnarSet) -> None:
     got, want = gauss_perimeter(e), reference_perimeter(e)
     assert got == want
-    assert repr(got) == repr(want)  # == alone equates 0.0 and -0.0
+    assert_same_repr(got, want)  # == alone equates 0.0 and -0.0
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ehrhard.cli
 from ehrhard import Facet, Grid, Profile, SingularAnnotation, gauss_perimeter, phi, psi
 from ehrhard.cli import main
 from ehrhard.jsonio import columnar_from_json, columnar_to_json, profile_to_json
@@ -169,6 +170,16 @@ class TestScalars:
         assert main(["psi", "0.25"]) == 0
         assert float(capsys.readouterr().out) == psi(0.25)
 
+    @pytest.mark.parametrize("t, want", [("-inf", "1.0"), ("-INFINITY", "1.0"), ("inf", "0.0")])
+    def test_phi_infinite(self, capsys, t, want):
+        # argparse alone would take "-inf" for an option and miss the argument
+        assert main(["phi", t]) == 0
+        assert capsys.readouterr().out == want + "\n"
+
+    def test_phi_nan_is_input_error(self, capsys):
+        assert main(["phi", "-NaN"]) == 1
+        assert capsys.readouterr().err == "ehrhard: error: phi: NaN input\n"
+
     def test_psi_domain_error(self, capsys):
         assert main(["psi", "1.5"]) == 1
         assert "error" in capsys.readouterr().err
@@ -296,6 +307,38 @@ class TestRigidity:
             assert main(["rigidity", "--method", method, "--in", infile]) == 0
             verdicts.append(json.loads(capsys.readouterr().out)["verdict"])
         assert verdicts == ["Rigid", "Rigid", "Rigid"]
+
+    def test_each_name_runs_its_routine(self, tmp_path, monkeypatch):
+        # the commands look their routines up through the module's names at
+        # call time, so a rebinding of those names (a tracer's) reaches them
+        profile = write_profile(tmp_path, nonrigid_profile())
+        model = write_columnar(tmp_path, from_profile(nonrigid_profile()))
+        calls = []
+
+        def spy(name):
+            real = getattr(ehrhard.cli, name)
+
+            def call(x):
+                calls.append(name)
+                return real(x)
+
+            return call
+
+        cases = [
+            (["rigidity", "--in", profile], "rigidity_verdict"),
+            (["rigidity", "--method", "theorem", "--in", profile], "rigidity_verdict"),
+            (["rigidity", "--method", "planar", "--in", profile], "rigidity_verdict_planar"),
+            (["rigidity", "--method", "search", "--in", profile], "exhaustive_search"),
+            (["symmetrize", "--in", model], "ehrhard_symmetral"),
+            (["symmetrize", "--mode", "ehrhard", "--in", model], "ehrhard_symmetral"),
+            (["symmetrize", "--mode", "steiner", "--in", model], "steiner_symmetral"),
+        ]
+        for name in {routine for _, routine in cases}:
+            monkeypatch.setattr(ehrhard.cli, name, spy(name))
+        for argv, routine in cases:
+            calls.clear()
+            assert main(argv) == 0
+            assert calls == [routine], argv
 
     def test_counterexample_of_nonrigid(self, tmp_path, capsys):
         infile = write_profile(tmp_path, nonrigid_profile())
@@ -429,6 +472,8 @@ class TestCatalogCommands:
             ["catalog", "mistico", "--resolution", "1e-400"],
             ["sweep", "--family", "mistico", "--resolutions", "1e400"],
             ["sweep", "--family", "koch", "--resolutions", "1e-400"],
+            ["catalog", "mistico", "--resolution", "-inf"],
+            ["sweep", "--family", "koch", "--resolutions", "-Infinity"],
         ],
     )
     def test_resolution_outside_float_range(self, capsys, no_catalog_grid, no_sweep_build, argv):

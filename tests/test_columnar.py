@@ -44,6 +44,7 @@ from ehrhard.intervals import _lebesgue_sum
 from ehrhard.jsonio import to_json
 from conftest import (
     assert_same_perimeter,
+    assert_same_repr,
     random_annotated,
     random_columnar,
     random_profile_1d,
@@ -326,17 +327,18 @@ class TestLazyFaces:
                 math.fsum(face.gauss for face in pb.vertical),
                 _lebesgue_sum(face.lebesgue for face in pb.horizontal + pb.vertical),
             )
-            assert repr(totals) == repr(faces)
-            assert repr(pb) == repr(reference_perimeter(e))
+            assert_same_repr(totals, faces)
+            assert_same_repr(pb, reference_perimeter(e))
 
     def test_copies_keep_faces(self):
         for e in lazy_sets():
-            want = repr(reference_perimeter(e))
+            want = reference_perimeter(e)
             for copy_of in (lambda pb: pickle.loads(pickle.dumps(pb)), copy.copy):
                 pb = gauss_perimeter(e)
                 twin = copy_of(pb)
                 assert "horizontal" not in vars(twin)
-                assert repr(twin) == want and repr(pb) == want
+                assert_same_repr(twin, want)
+                assert_same_repr(pb, want)
                 assert hash(twin) == hash(pb)
             pb = gauss_perimeter(e)
             bumped = dataclasses.replace(pb, total_gauss=-1.0)

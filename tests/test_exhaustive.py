@@ -9,6 +9,7 @@ sample (the small-scope hypothesis of bounded exhaustive checking).
 
 import functools
 import itertools
+import json
 import math
 
 import pytest
@@ -27,6 +28,7 @@ from ehrhard import (
     rigidity_verdict,
     rigidity_verdict_planar,
 )
+from ehrhard.cli import main
 from ehrhard.jsonio import profile_from_json, profile_to_json
 from conftest import assert_same_perimeter, reference_g_boundary, reference_jumps
 
@@ -121,3 +123,22 @@ def test_every_small_profile(family):
         # the sufficient conditions are sufficient
         if check_pino(p) or (p.grid.base_dim == 1 and check_gino(p)):
             assert theorem.rigid, p
+
+
+def test_cli_exit_codes(tmp_path):
+    """The CLI on every 1- and 2-cell profile of profiles_1d(), read from
+    its JSON file: each rigidity method exits 0 with the theorem's verdict,
+    and counterexample exits 2 on exactly the rigid profiles."""
+    src, out = tmp_path / "profile.json", tmp_path / "out.json"
+    files = ["--in", str(src), "--out", str(out)]
+    small = list(itertools.takewhile(lambda p: p.grid.shape[0] <= 2, profiles_1d()))
+    assert len(small) == 2 * (len(VALUES_1D) + len(VALUES_1D) ** 2)
+    for p in small:
+        src.write_text(json.dumps(profile_to_json(p)), encoding="utf-8")
+        theorem = rigidity_verdict(p)
+        for method in ("theorem", "planar", "search"):
+            assert main(["rigidity", "--method", method, *files]) == 0, (method, p)
+            doc = json.loads(out.read_text(encoding="utf-8"))
+            assert doc["verdict"] == theorem.verdict.value, (method, p)
+        code = main(["counterexample", *files])
+        assert code == (2 if theorem.rigid else 0), p

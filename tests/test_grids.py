@@ -143,8 +143,12 @@ class TestFacets:
                 g.facet_cells(bad)
             with pytest.raises(GridError):
                 g.facet_gauss(bad)
+            with pytest.raises(GridError):
+                g.facet_lebesgue(bad)
         with pytest.raises(GridError):
             Grid((0.0, 1.0), (0.0, 1.0, 2.0)).facet_gauss(Facet(0, 1, -1))
+        with pytest.raises(GridError):
+            Grid((0.0, 1.0), (0.0, 1.0, 2.0)).facet_lebesgue(Facet(0, 1, -1))
 
     def test_coordinate_and_span(self):
         g = Grid((-INF, 0.5, INF))

@@ -8,12 +8,14 @@ The matrix: ``catalog NAME --out DIR`` for every catalog entry, ``sweep``
 for every family, and on each entry's profile ``rigidity`` (three
 methods), ``counterexample``, ``connectedness`` (two kinds), ``render``
 (the profile and its model set), ``perimeter`` and ``symmetrize`` (two
-modes) of the model set. Each command's directory holds its ``stdout``,
-``stderr``, ``exit`` code and the files it wrote. The inputs are built by
-the library under test, from the ``src`` tree next to this script.
+modes) of the model set; then ``phi``, ``psi``, the ``catalog`` listing
+and three input errors (exit 1). Each command's directory holds its
+``stdout``, ``stderr``, ``exit`` code and the files it wrote. The inputs
+are built by the library under test, from the ``src`` tree next to this
+script.
 
-Run it on two trees and compare them with ``diff -r``: equal trees mean
-byte-identical CLI output.
+Run one copy of this script in two trees and compare the outputs with
+``diff -r``: equal trees mean byte-identical CLI output.
 """
 
 from __future__ import annotations
@@ -46,6 +48,18 @@ PROFILE_COMMANDS = {
     "perimeter": ["perimeter", "--in", "{model}", "--out", "{out}"],
     "symmetrize-ehrhard": ["symmetrize", "--mode", "ehrhard", "--in", "{model}", "--out", "{out}"],
     "symmetrize-steiner": ["symmetrize", "--mode", "steiner", "--in", "{model}", "--out", "{out}"],
+}
+
+# label -> argv of commands that read no entry; "{other}" is a JSON object that
+# is neither a profile nor a columnar set. No error here names a file, so two
+# trees in different directories write the same bytes.
+SINGLE_COMMANDS = {
+    "phi": ["phi", "1.0"],
+    "psi": ["psi", "0.25"],
+    "catalog-list": ["catalog"],
+    "catalog-unknown": ["catalog", "no-such-entry"],
+    "sweep-no-family": ["sweep"],
+    "render-other": ["render", "--in", "{other}"],
 }
 
 
@@ -83,6 +97,10 @@ def write_matrix(outdir: Path) -> None:
     for family in SWEEP_FAMILIES:
         where = outdir / "sweep" / family
         run(["sweep", "--family", family, "--out", str(where / "artifact")], where)
+    other = outdir / "inputs" / "other.json"
+    other.write_text(json.dumps({"neither": []}), encoding="utf-8")
+    for label, template in SINGLE_COMMANDS.items():
+        run([arg.format(other=other) for arg in template], outdir / "single" / label)
 
 
 if __name__ == "__main__":
