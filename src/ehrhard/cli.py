@@ -23,7 +23,7 @@ from .catalog import CatalogCheck, catalog_names, run_entry, sweep
 from .columnar import ehrhard_symmetral, gauss_perimeter, steiner_symmetral
 from .errors import EhrhardError, FormatError
 from .gauss import phi, psi
-from .jsonio import columnar_from_json, columnar_to_json, profile_from_json, to_json
+from .jsonio import _dumps, columnar_from_json, profile_from_json
 from .connectedness import essentially_disconnects
 from .profiles import scene
 from .render import render_columnar, render_profile
@@ -73,7 +73,7 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _write_json(path: str, data: Any) -> None:
-    _write_text(path, json.dumps(data, indent=2, sort_keys=True))
+    _write_text(path, _dumps(data))
 
 
 def _print_checks(
@@ -174,19 +174,19 @@ def _cmd_psi(args: argparse.Namespace) -> int:
 
 def _cmd_perimeter(args: argparse.Namespace) -> int:
     e = columnar_from_json(_read_json(args.infile))
-    _write_json(args.out, to_json(gauss_perimeter(e)))
+    _write_json(args.out, gauss_perimeter(e))
     return 0
 
 
 def _cmd_symmetrize(args: argparse.Namespace) -> int:
     e = columnar_from_json(_read_json(args.infile))
-    _write_json(args.out, columnar_to_json(_symmetrals()[args.mode](e)))
+    _write_json(args.out, _symmetrals()[args.mode](e))
     return 0
 
 
 def _cmd_rigidity(args: argparse.Namespace) -> int:
     prof = profile_from_json(_read_json(args.infile))
-    _write_json(args.out, to_json(_methods()[args.method](prof)))
+    _write_json(args.out, _methods()[args.method](prof))
     return 0
 
 
@@ -196,7 +196,7 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
     if report.rigid:
         print("profile is rigid: no perimeter-tying competitor exists", file=sys.stderr)
         return 2
-    _write_json(args.out, columnar_to_json(report.counterexample))
+    _write_json(args.out, report.counterexample)
     return 0
 
 
@@ -204,12 +204,7 @@ def _cmd_connectedness(args: argparse.Namespace) -> int:
     prof = profile_from_json(_read_json(args.infile))
     sc = scene(prof, kind=args.kind)
     disconnected, witness = essentially_disconnects(sc)
-    payload = {
-        "scene": to_json(sc),
-        "disconnects": disconnected,
-        "witness": to_json(witness),
-    }
-    _write_json(args.out, payload)
+    _write_json(args.out, {"scene": sc, "disconnects": disconnected, "witness": witness})
     return 0
 
 
@@ -226,9 +221,9 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
         payload = {
             "name": result.name,
             "passed": result.passed,
-            "checks": to_json(result.checks),
+            "checks": result.checks,
             "extras": result.extras,
-            "report": to_json(result.report),
+            "report": result.report,
         }
         _write_json(str(outdir / f"{result.name}.json"), payload)
         with open(outdir / f"{result.name}.csv", "w", encoding="utf-8", newline="") as fh:

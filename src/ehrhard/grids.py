@@ -294,10 +294,12 @@ class Grid:
         return make(below), make(above)
 
     def facet_coordinate(self, f: Facet) -> float:
+        self._check_facet(f)
         return self._axes[f.axis][f.line]
 
     def facet_span(self, f: Facet) -> Optional[Interval]:
         """Lateral extent of the facet; None for a 1-D base (a point facet)."""
+        self._check_facet(f)
         if self.base_dim == 1:
             return None
         return self.cell_side(1 - f.axis, f.lateral)

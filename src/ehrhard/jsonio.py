@@ -10,15 +10,26 @@ Reports (verdicts, certificates, scenes, perimeter breakdowns) are
 output only and share one rule, :func:`to_json`: a dataclass becomes an
 object of its fields, with fields that are ``None`` or private (a leading
 underscore) omitted; every float is a number or an inf sentinel; tuples
-and lists become lists; enums become their values; facets and columnar
-sets use the encodings above.
+and lists become lists; dicts with str keys keep their keys; enums become
+their values; facets and columnar sets use the encodings above.
+
+The CLI writes its reports through one private writer, ``_dumps``. It
+returns exactly ``json.dumps(to_json(x), indent=2, sort_keys=True)``, but
+applies the rule while it writes, in one pass over the report objects, and
+builds no document in between: dataclass fields and dict keys come out in
+sorted order, scalars are formatted as :mod:`json` formats them (NaN as
+``NaN``), and any other type, or a dict key that is not a str, raises
+``TypeError``. Both share one cached list of public fields per dataclass,
+and lazily priced report fields are priced when the writer reads them.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 from typing import Any, Callable
 
 from .columnar import ColumnarSet
@@ -210,6 +221,32 @@ def columnar_from_json(data: Any) -> ColumnarSet:
 # report documents (output only)
 
 
+class _ByType(dict):
+    """Exact type -> handler; a missing type's handler is ``make(type)``,
+    stored on first use."""
+
+    def __init__(self, make: Callable[[type], Callable[..., Any]], known: dict) -> None:
+        super().__init__(known)
+        self._make = make
+
+    def __missing__(self, cls: type) -> Callable[..., Any]:
+        handler = self[cls] = self._make(cls)
+        return handler
+
+
+@functools.cache
+def _public_fields(cls: type) -> tuple[str, ...]:
+    """Public field names of a dataclass, in declaration order (TypeError
+    for any other type)."""
+    return tuple(f.name for f in dataclasses.fields(cls) if not f.name.startswith("_"))
+
+
+def _check_keys(x: dict) -> None:
+    for k in x:
+        if type(k) is not str:
+            raise TypeError(f"report keys must be str, not {type(k).__name__}")
+
+
 def _same(x: Any) -> Any:
     return x
 
@@ -218,29 +255,20 @@ def _list(x: Any) -> list[Any]:
     return [to_json(v) for v in x]
 
 
+def _dict(x: dict) -> dict[str, Any]:
+    _check_keys(x)
+    return {k: to_json(v) for k, v in x.items()}
+
+
 def _enum(x: Enum) -> Any:
     return x.value
-
-
-# exact type -> encoder; report classes are added on first use.
-_ENCODERS: dict[type, Callable[[Any], Any]] = {
-    float: encode_number,
-    bool: _same,
-    int: _same,
-    str: _same,
-    type(None): _same,
-    tuple: _list,
-    list: _list,
-    Facet: facet_to_json,
-    ColumnarSet: columnar_to_json,
-}
 
 
 def _encoder_for(cls: type) -> Callable[[Any], Any]:
     """Encoder for an enum or dataclass type (TypeError for anything else)."""
     if issubclass(cls, Enum):
         return _enum
-    names = tuple(f.name for f in dataclasses.fields(cls) if not f.name.startswith("_"))
+    names = _public_fields(cls)
 
     def encode(x: Any) -> dict[str, Any]:
         doc = {}
@@ -253,9 +281,107 @@ def _encoder_for(cls: type) -> Callable[[Any], Any]:
     return encode
 
 
+_ENCODERS = _ByType(
+    _encoder_for,
+    {
+        float: encode_number,
+        bool: _same,
+        int: _same,
+        str: _same,
+        type(None): _same,
+        tuple: _list,
+        list: _list,
+        dict: _dict,
+        Facet: facet_to_json,
+        ColumnarSet: columnar_to_json,
+    },
+)
+
+
 def to_json(x: Any) -> Any:
     """Encode a report object (a dataclass tree) by the module's rule."""
-    enc = _ENCODERS.get(type(x))
-    if enc is None:
-        enc = _ENCODERS[type(x)] = _encoder_for(type(x))
-    return enc(x)
+    return _ENCODERS[type(x)](x)
+
+
+# The writer: ``_dumps(x)`` is the text of ``json.dumps(to_json(x), indent=2,
+# sort_keys=True)``. A writer takes a value and ``nl``, a newline and the
+# indent of the value's own line, and returns the value's text.
+
+
+def _write(x: Any, nl: str) -> str:
+    return _WRITERS[type(x)](x, nl)
+
+
+def _write_float(x: float, nl: str) -> str:
+    text = float.__repr__(x)
+    return _FLOAT_WORDS.get(text, text)
+
+
+# repr of a float -> its text where that is not the repr: the inf sentinels, NaN
+_FLOAT_WORDS = {"nan": "NaN"} | {
+    repr(x): encode_basestring_ascii(encode_number(x)) for x in (INF, -INF)
+}
+
+
+def _write_array(x: Any, nl: str) -> str:
+    if not x:
+        return "[]"
+    inner = nl + "  "
+    writers = _WRITERS
+    parts = [writers[type(v)](v, inner) for v in x]
+    return "[" + inner + ("," + inner).join(parts) + nl + "]"
+
+
+def _write_dict(x: dict, nl: str) -> str:
+    if not x:
+        return "{}"
+    _check_keys(x)
+    inner = nl + "  "
+    writers = _WRITERS
+    parts = [
+        encode_basestring_ascii(k) + ": " + writers[type(v)](v, inner)
+        for k, v in sorted(x.items())
+    ]
+    return "{" + inner + ("," + inner).join(parts) + nl + "}"
+
+
+def _writer_for(cls: type) -> Callable[[Any, str], str]:
+    """Writer for an enum or dataclass type (TypeError for anything else)."""
+    if issubclass(cls, Enum):
+        return lambda x, nl: _write(x.value, nl)
+    keys = [(encode_basestring_ascii(n) + ": ", n) for n in sorted(_public_fields(cls))]
+
+    def write(x: Any, nl: str) -> str:
+        inner = nl + "  "
+        writers = _WRITERS
+        parts = []
+        for key, name in keys:
+            v = getattr(x, name)
+            if v is not None:
+                parts.append(key + writers[type(v)](v, inner))
+        return "{" + inner + ("," + inner).join(parts) + nl + "}" if parts else "{}"
+
+    return write
+
+
+_WRITERS = _ByType(
+    _writer_for,
+    {
+        float: _write_float,
+        bool: lambda x, nl: "true" if x else "false",
+        int: lambda x, nl: int.__repr__(x),
+        str: lambda x, nl: encode_basestring_ascii(x),
+        type(None): lambda x, nl: "null",
+        tuple: _write_array,
+        list: _write_array,
+        dict: _write_dict,
+        Facet: lambda x, nl: _write_array(facet_to_json(x), nl),
+        ColumnarSet: lambda x, nl: _write(columnar_to_json(x), nl),
+    },
+)
+
+
+def _dumps(x: Any) -> str:
+    """The text of ``json.dumps(to_json(x), indent=2, sort_keys=True)``,
+    written in one pass over ``x`` with no document built in between."""
+    return _write(x, "\n")

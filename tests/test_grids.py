@@ -158,6 +158,15 @@ class TestFacets:
         assert g2.facet_span(Facet(0, 0, 1)) == Interval(3.0, 5.0)
         assert g2.facet_span(Facet(1, 1, 0)) == Interval(0.0, 1.0)
 
+    def test_coordinate_and_span_reject_off_grid_facets(self):
+        g = Grid((0.0, 1.0), (0.0, 1.0, 2.0))
+        with pytest.raises(GridError):
+            g.facet_coordinate(Facet(0, 1, -1))
+        with pytest.raises(GridError):
+            g.facet_span(Facet(0, 7, 0))
+        with pytest.raises(GridError):
+            g.facet_span(Facet(0, 1, -1))
+
     def test_facet_gauss_point(self):
         g = Grid((-INF, 0.0, 1.0, INF))
         assert g.facet_gauss(Facet(0, 1, 0)) == 1.0

@@ -17,12 +17,20 @@ from ehrhard import (
     Verdict,
     check_gino,
     check_pino,
+    ehrhard_symmetral,
+    essentially_disconnects,
+    exhaustive_search,
     gauss_perimeter,
     rigidity_verdict,
+    rigidity_verdict_planar,
+    run_entry,
     scene,
     from_profile,
+    steiner_symmetral,
 )
+from ehrhard.catalog import _mistico_profile, catalog_names
 from ehrhard.jsonio import (
+    _dumps,
     columnar_from_json,
     columnar_to_json,
     decode_number,
@@ -37,7 +45,7 @@ from ehrhard.jsonio import (
     profile_to_json,
     to_json,
 )
-from conftest import random_columnar, random_profile_1d, random_profile_2d
+from conftest import random_annotated, random_columnar, random_profile_1d, random_profile_2d
 
 INF = math.inf
 
@@ -289,3 +297,111 @@ class TestEncoder:
     def test_unknown_type_rejected(self):
         with pytest.raises(TypeError):
             to_json({1, 2})
+
+    def test_unknown_dict_key_rejected(self):
+        with pytest.raises(TypeError):
+            to_json({1: "a"})
+
+
+def dumped(x):
+    """The reference text of the report writer."""
+    return json.dumps(to_json(x), indent=2, sort_keys=True)
+
+
+def cli_reports(p):
+    """Every report object the CLI writes for the profile ``p`` and its model set."""
+    yield rigidity_verdict(p)
+    if p.grid.base_dim == 1:
+        yield rigidity_verdict_planar(p)
+    if len(p.g_cells()) <= 12:
+        yield exhaustive_search(p)
+    for kind in ("ehrhard", "steiner"):
+        sc = scene(p, kind=kind)
+        disconnected, witness = essentially_disconnects(sc)
+        yield {"scene": sc, "disconnects": disconnected, "witness": witness}
+    model = from_profile(p)
+    yield gauss_perimeter(model)
+    for e in (model, ehrhard_symmetral(model), steiner_symmetral(model)):
+        yield e
+        yield columnar_to_json(e)
+
+
+EDGE_SCALARS = [
+    -0.0, 5e-324, 1e308, -1e-308, math.nan, INF, -INF, 0, -(2**70), True, False, None,
+    "", "plain", "non-ASCII: \u00e9\u2603\U0001f600", "\x00\"\\\n\u2028",
+    [], (), {}, [[]], {"e": {}}, ([], ()),
+]
+
+
+class TestWriter:
+    """``_dumps(x)`` is ``json.dumps(to_json(x), indent=2, sort_keys=True)``."""
+
+    @pytest.mark.parametrize("x", EDGE_SCALARS, ids=repr)
+    def test_edge_scalars(self, x):
+        assert _dumps(x) == dumped(x)
+        assert _dumps([x, {"k": x}]) == dumped([x, {"k": x}])
+
+    def test_random_families(self):
+        rng = random.Random(45)
+        profiles = [random_profile_1d(rng) for _ in range(20)]
+        profiles += [random_profile_2d(rng) for _ in range(8)]
+        profiles += [random_annotated(rng, random_profile_2d(rng)) for _ in range(8)]
+        for p in profiles:
+            for x in cli_reports(p):
+                assert _dumps(x) == dumped(x)
+        for _ in range(10):
+            e = random_columnar(rng)
+            assert _dumps(e) == dumped(e) == dumped(columnar_to_json(e))
+
+    def test_mistico(self):
+        for x in cli_reports(_mistico_profile(1 / 16)):
+            assert _dumps(x) == dumped(x)
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_catalog_payload(self, name):
+        result = run_entry(name)
+        payload = {
+            "name": result.name,
+            "passed": result.passed,
+            "checks": result.checks,
+            "extras": result.extras,
+            "report": result.report,
+        }
+        written = {**payload, "checks": to_json(result.checks), "report": to_json(result.report)}
+        assert _dumps(payload) == dumped(payload)
+        assert _dumps(payload) == json.dumps(written, indent=2, sort_keys=True)
+
+    def test_encoding_rule(self):
+        inner = (_Inner(Facet(0, 2, 0), INF), _Inner(Facet(1, 1, 3), -INF))
+        x = _Outer(Verdict.RIGID, inner, ((0,), (1, 2)), count=3)
+        assert _dumps(x) == dumped(x)
+
+    def test_dict_values_follow_the_rule(self):
+        inner = _Inner(Facet(0, 2, 0), INF)
+        x = {"b": inner, "a": [inner, Verdict.NONRIGID], "c": None}
+        want = {"b": to_json(inner), "a": [to_json(inner), "NonRigid"], "c": None}
+        assert _dumps(x) == json.dumps(want, indent=2, sort_keys=True)
+
+    def test_unknown_types_rejected(self):
+        with pytest.raises(TypeError):
+            _dumps({1, 2})
+        with pytest.raises(TypeError):
+            _dumps({1: "a"})
+        with pytest.raises(TypeError):
+            _dumps([{"ok": 1, 2: "int key"}])
+
+    def test_private_fields_never_read(self):
+        x = _Watched(1.5)
+        assert _dumps(x) == '{\n  "shown": 1.5\n}'
+        assert _dumps([x, {"w": x}]) == dumped([x, {"w": x}])
+
+
+@dataclass(frozen=True)
+class _Watched:
+    shown: float
+    _hidden: float = 0.0
+
+    def __getattribute__(self, name):
+        if name.startswith("_") and not name.startswith("__"):
+            raise AssertionError(f"private field {name} read")
+        return object.__getattribute__(self, name)

@@ -8,7 +8,8 @@ The matrix: ``catalog NAME --out DIR`` for every catalog entry, ``sweep``
 for every family, and on each entry's profile ``rigidity`` (three
 methods), ``counterexample``, ``connectedness`` (two kinds), ``render``
 (the profile and its model set), ``perimeter`` and ``symmetrize`` (two
-modes) of the model set; then ``phi``, ``psi``, the ``catalog`` listing
+modes) of the model set, and ``rigidity`` and ``perimeter`` once more
+with their JSON on stdout; then ``phi``, ``psi``, the ``catalog`` listing
 and three input errors (exit 1). Each command's directory holds its
 ``stdout``, ``stderr``, ``exit`` code and the files it wrote. The inputs
 are built by the library under test, from the ``src`` tree next to this
@@ -48,6 +49,8 @@ PROFILE_COMMANDS = {
     "perimeter": ["perimeter", "--in", "{model}", "--out", "{out}"],
     "symmetrize-ehrhard": ["symmetrize", "--mode", "ehrhard", "--in", "{model}", "--out", "{out}"],
     "symmetrize-steiner": ["symmetrize", "--mode", "steiner", "--in", "{model}", "--out", "{out}"],
+    "rigidity-stdout": ["rigidity", "--in", "{profile}"],
+    "perimeter-stdout": ["perimeter", "--in", "{model}"],
 }
 
 # label -> argv of commands that read no entry; "{other}" is a JSON object that
