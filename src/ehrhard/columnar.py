@@ -185,6 +185,26 @@ class PerimeterBreakdown:
         return vars(self)[name]
 
 
+def _cell_ends(e: ColumnarSet) -> list[tuple[float, ...]]:
+    """Every section's endpoint tuple by row-major cell index, then the
+    exterior's; the exterior and unoccupied cells have none."""
+    g = e.grid
+    ends: list[tuple[float, ...]] = [()] * (math.prod(g.shape) + 1)
+    for cid, s in e._sections.items():
+        ends[g.cell_index(cid)] = s._ends
+    return ends
+
+
+def _ends_gamma1(ends: tuple[float, ...], tail: Mapping[float, float]) -> float:
+    """``gamma1`` of the set with these endpoints, summed as ``gamma1`` sums
+    it, from the ``phi`` value of every endpoint in ``tail``."""
+    if len(ends) == 2:
+        # fsum of one term is that term (never -0.0: tails are >= +0.0)
+        lo, hi = ends
+        return tail[lo] - tail[hi]
+    return math.fsum(tail[lo] - tail[hi] for lo, hi in _pairs(ends))
+
+
 def _perimeter_walk(
     e: ColumnarSet, faces: bool
 ) -> tuple[list[float], list[float], list[float], list[HorizontalFace], list[VerticalFace]]:
@@ -199,11 +219,7 @@ def _perimeter_walk(
     """
     g = e.grid
     sections = e._sections
-    # every section's endpoint tuple by row-major cell index, then the
-    # exterior's; the exterior and unoccupied cells have none
-    ends: list[tuple[float, ...]] = [()] * (math.prod(g.shape) + 1)
-    for cid, s in sections.items():
-        ends[g.cell_index(cid)] = s._ends
+    ends = _cell_ends(e)
     points = {t for cell_ends in ends for t in cell_ends}
     tail = {t: phi(t) for t in points}
     weight = {t: gauss_weight(t) for t in points}
@@ -212,13 +228,10 @@ def _perimeter_walk(
         """gamma1 and length of a set's endpoints, summed as ``gamma1`` and
         :meth:`~ehrhard.intervals.IntervalSet.length` sum them."""
         if len(ends) == 2:
-            # fsum of one term is that term (never -0.0: tails are >= +0.0)
-            lo, hi = ends
-            return tail[lo] - tail[hi], hi - lo
-        return (
-            math.fsum(tail[lo] - tail[hi] for lo, hi in _pairs(ends)),
-            _lebesgue_sum(hi - lo for lo, hi in _pairs(ends)),
-        )
+            length = ends[1] - ends[0]
+        else:
+            length = _lebesgue_sum(hi - lo for lo, hi in _pairs(ends))
+        return _ends_gamma1(ends, tail), length
 
     h_gauss: list[float] = []
     v_gauss: list[float] = []
@@ -433,16 +446,46 @@ def symdiff_volume(e: ColumnarSet, f: ColumnarSet) -> float:
     """Gaussian measure of the symmetric difference of two columnar sets.
 
     Grids are refined to a common one automatically; sets extend by
-    emptiness outside their own grids.
+    emptiness outside their own grids. On one grid this is
+    ``math.fsum(g.cell_gauss(c) * gamma1(e.section(c).symdiff(f.section(c))))``
+    over the cells c of the grid g, worked out by one float-only walk.
     """
     if e.grid != f.grid:
         e, f = common_refinement(e, f)
-    g = e.grid
-    es, fs = e._sections, f._sections
-    return math.fsum(
-        g.cell_gauss(cid) * gamma1(es.get(cid, _EMPTY).symdiff(fs.get(cid, _EMPTY)))
-        for cid in sorted(es.keys() | fs.keys())
-    )
+    return _symdiff_walk(e, f)
+
+
+def _symdiff_walk(e: ColumnarSet, f: ColumnarSet, mirrored: bool = False) -> float:
+    """:func:`symdiff_volume` of two sets on one grid; with ``mirrored``, of
+    ``e`` and ``reflect(f)``, without building the reflection.
+
+    The cells are walked in row-major order with their Gaussian masses
+    read from the grid tables. A cell whose two endpoint tuples are equal
+    adds nothing; elsewhere the symmetric difference's endpoints are the
+    :func:`~ehrhard.intervals._xor` of the tuples, and its gamma1 mass is
+    summed as ``gamma1`` sums it, with ``phi`` taken once per distinct
+    endpoint and the mass once per distinct pair of tuples. A mirrored
+    tuple is negated and reversed, as
+    :meth:`~ehrhard.intervals.IntervalSet.reflect` does, once per distinct
+    tuple. Tuples equal but for the sign of a zero endpoint share these
+    results, which agree because ``phi(-0.0) == phi(0.0)``.
+    """
+    ends, other = _cell_ends(e), _cell_ends(f)
+    if mirrored:
+        flip = {t: tuple(-x for x in reversed(t)) for t in set(other)}
+        other = [flip[t] for t in other]
+    points = {t for cell_ends in {*ends, *other} for t in cell_ends}
+    tail = {t: phi(t) for t in points}
+    masses: dict[tuple[tuple[float, ...], tuple[float, ...]], float] = {}
+    terms = []
+    for a, b, (area, _) in zip(ends, other, e.grid._cell_measures()):
+        if a == b:
+            continue
+        mass = masses.get((a, b))
+        if mass is None:
+            mass = masses[a, b] = _ends_gamma1(_xor(a, b), tail)
+        terms.append(area * mass)
+    return math.fsum(terms)
 
 
 # ----------------------------------------------------------------------

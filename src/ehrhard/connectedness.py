@@ -45,6 +45,7 @@ union-find over integers (:class:`Forest`); results keep their tuple ids.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, Union
 
@@ -238,24 +239,32 @@ def certificate_for(scene: Scene, minus_cells: Iterable[CellId]) -> PartitionCer
 def _certificate(flat: _FlatScene, minus: set[int]) -> PartitionCertificate:
     """The certificate whose minus side is the G-cells at indices ``minus``."""
     grid, ids = flat.grid, flat.ids
-    g = [i for i, inside in enumerate(flat.in_g) if inside]
-    plus = [i for i in g if i not in minus]
-    minus_side = [i for i in g if i in minus]
+    plus, minus_side = [], []
+    # the Gaussian masses of the G-cells on each side, read in one pass
+    # over the grid table
+    plus_gauss, minus_gauss = array("d"), array("d")
+    for i, (inside, (area, _)) in enumerate(zip(flat.in_g, grid._cell_measures())):
+        if inside:
+            if i in minus:
+                minus_side.append(i)
+                minus_gauss.append(area)
+            else:
+                plus.append(i)
+                plus_gauss.append(area)
     interface = []
     unblocked = []
     for key, i, j, _, _, blocked in flat.links:
         if (i in minus) != (j in minus):
-            f = grid.edge_facet(key)
-            interface.append(f)
+            interface.append(grid.edge_facet(key))
             if not blocked:
-                unblocked.append(grid.facet_gauss(f))
+                unblocked.append(grid._edge_measures(key)[0])
     return PartitionCertificate(
         plus_cells=tuple(ids[i] for i in plus),
         minus_cells=tuple(ids[i] for i in minus_side),
         interface_facets=tuple(interface),
         unblocked_interface_measure=math.fsum(unblocked),
-        plus_gauss=math.fsum(grid.cell_gauss(ids[i]) for i in plus),
-        minus_gauss=math.fsum(grid.cell_gauss(ids[i]) for i in minus_side),
+        plus_gauss=math.fsum(plus_gauss),
+        minus_gauss=math.fsum(minus_gauss),
         _unblocked_crossings=len(unblocked),
     )
 

@@ -308,14 +308,12 @@ class Grid:
         """Unnormalized Gaussian surface measure of the facet in the base.
 
         For a point facet at coordinate z this is ``exp(-z*z/2)``; for a
-        segment ``{z} x (a, b)`` it is ``exp(-z*z/2) * gamma1((a, b))``.
+        segment ``{z} x (a, b)`` it is ``exp(-z*z/2) * gamma1((a, b))``
+        (0 on an infinite line, which :meth:`edges` leaves out).
         """
         self._check_facet(f)
-        gamma, weight = self._measures()
-        w = weight[f.axis][f.line]
-        if len(self._axes) == 1:
-            return w
-        return w * gamma[1 - f.axis][f.lateral]
+        k = self.edge_index(f)
+        return 0.0 if k is None else self._edge_measures(k)[0]
 
     def facet_lebesgue(self, f: Facet) -> float:
         """Lebesgue surface measure of the facet: 1 for a point, else length

@@ -92,7 +92,7 @@ def render_columnar(e: ColumnarSet, minus_cells: tuple = ()) -> str:
     if e.grid.base_dim == 2:
         return _render_base_heatmap(
             e.grid,
-            {cid: gamma1(e.section(cid)) for cid in e.grid.cells()},
+            [gamma1(e.section(cid)) for cid in e.grid.cells()],
             blocked=[],
             minus_cells=set(map(tuple, minus_cells)),
             title="columnar set (base scene)",
@@ -133,7 +133,7 @@ def render_profile(p: Profile, report: Optional[RigidityReport] = None) -> str:
     if grid.base_dim == 2:
         return _render_base_heatmap(
             grid,
-            p.values,
+            list(p._values.values()),
             blocked=blocked,
             minus_cells=set(map(tuple, minus)),
             title="profile (base scene)",
@@ -153,21 +153,42 @@ def render_profile(p: Profile, report: Optional[RigidityReport] = None) -> str:
 
 
 def _render_base_heatmap(grid, values, blocked, minus_cells, title) -> str:
+    """Heatmap of the cell ``values``, given in :meth:`~ehrhard.grids.Grid.cells`
+    order, with ``minus_cells`` tinted and ``blocked`` facets dashed.
+
+    Every cell is drawn as :func:`_rect` draws its box, from the frame
+    coordinates of its column and row, which are worked out once per
+    breakpoint and written once per column and row.
+    """
     parts = _header(title)
     xs, ys = grid.axes
-    for cid in grid.cells():
-        v = float(values[cid])
-        x0, x1 = xs[cid[0]], xs[cid[0] + 1]
-        y0, y1 = ys[cid[1]], ys[cid[1] + 1]
-        level = int(round(255 * (1.0 - 0.85 * v)))
-        fill = f"#{level:02x}{level:02x}{level:02x}"
-        piece = _rect(x0, x1, y0, y1, fill)
-        if piece:
-            parts.append(piece)
-        if cid in minus_cells:
-            tint = _rect(x0, x1, y0, y1, _FILL_MINUS, opacity="0.35")
-            if tint:
-                parts.append(tint)
+    px = [_px(x) for x in xs]
+    py = [_py(y) for y in ys]
+    # the (x, width) text of every column and the (y, height) text of every
+    # row with a positive extent in the frame, whose y axis points down
+    cols = [
+        (i, _fmt(left), _fmt(right - left))
+        for i, (left, right) in enumerate(zip(px, px[1:]))
+        if right - left > 0
+    ]
+    rows = [
+        (j, _fmt(top), _fmt(bottom - top))
+        for j, (bottom, top) in enumerate(zip(py, py[1:]))
+        if bottom - top > 0
+    ]
+    ny = len(py) - 1
+    fills: dict[float, str] = {}
+    for i, x, width in cols:
+        for j, y, height in rows:
+            v = values[i * ny + j]
+            fill = fills.get(v)
+            if fill is None:
+                level = int(round(255 * (1.0 - 0.85 * v)))
+                fill = fills[v] = f"#{level:02x}{level:02x}{level:02x}"
+            box = f'<rect x="{x}" y="{y}" width="{width}" height="{height}" fill="'
+            parts.append(f'{box}{fill}" fill-opacity="1"/>')
+            if (i, j) in minus_cells:
+                parts.append(f'{box}{_FILL_MINUS}" fill-opacity="0.35"/>')
     for f in sorted(blocked):
         z = grid.facet_coordinate(f)
         span = grid.facet_span(f)

@@ -25,10 +25,9 @@ from typing import Any, Callable, Optional, Sequence
 from .columnar import (
     ColumnarSet,
     ColumnClassification,
+    _symdiff_walk,
     gauss_perimeter,
     halfline_classification,
-    reflect,
-    symdiff_volume,
 )
 from .connectedness import PartitionCertificate, SpanningStructure, _certificate, _decide
 from .errors import (
@@ -149,9 +148,11 @@ def _perimeter_check(e: ColumnarSet, f: ColumnarSet) -> PerimeterCheck:
 
 
 def _symdiff_check(e: ColumnarSet, f: ColumnarSet) -> SymdiffCheck:
+    """``symdiff_volume`` of ``e`` against ``f`` and against ``reflect(f)``,
+    for two sets on one grid."""
     return SymdiffCheck(
-        vs_symmetral=symdiff_volume(e, f),
-        vs_reflected=symdiff_volume(e, reflect(f)),
+        vs_symmetral=_symdiff_walk(e, f),
+        vs_reflected=_symdiff_walk(e, f, mirrored=True),
     )
 
 
@@ -261,12 +262,17 @@ def _mirror(model: ColumnarSet, cert: PartitionCertificate) -> ColumnarSet:
     """The model set with its minus-side columns reflected through height 0.
 
     Reflecting (psi(v), inf) gives (-inf, -psi(v)), the same floats as
-    ``IntervalSet.below(-psi(v))``; every other column is shared.
+    ``IntervalSet.below(-psi(v))``; every other column is shared. The
+    model set shares one section per distinct value, and each is reflected
+    once, keyed by identity (equal sections may differ in the sign of a
+    zero endpoint).
     """
     minus = {tuple(c) for c in cert.minus_cells}
+    shared = {id(s): s for cid, s in model._sections.items() if cid in minus}
+    flipped = {key: s.reflect() for key, s in shared.items()}
     return ColumnarSet._of_cells(
         model.grid,
-        {cid: s.reflect() if cid in minus else s for cid, s in model._sections.items()},
+        {cid: flipped[id(s)] if cid in minus else s for cid, s in model._sections.items()},
     )
 
 
@@ -416,7 +422,7 @@ def default_levels(p: Profile) -> tuple[float, ...]:
     left out, and where ``b`` itself rounds to 0 no level keeps every
     G-cell and there are none.
     """
-    margins = [min(v, 1.0 - v) for v in (p.value(c) for c in p.g_cells())]
+    margins = [min(v, 1.0 - v) for v in p._values.values() if 0.0 < v < 1.0]
     if not margins:
         return (0.25,)
     b = min(0.25, min(margins) / 2.0)
@@ -447,7 +453,7 @@ def check_pino(p: Profile, levels: Optional[Sequence[float]] = None) -> LevelRes
             raise ProfileError("levels must be strictly decreasing")
     # a level keeps every G-value when it keeps the extreme ones (and an
     # empty G loses no cell)
-    g = [p.value(c) for c in p.g_cells()]
+    g = [v for v in p._values.values() if 0.0 < v < 1.0]
     lo, hi = min(g, default=0.5), max(g, default=0.5)
     passed = []
     for t in ts:

@@ -14,6 +14,7 @@ import random
 import pytest
 
 import ehrhard.catalog
+import ehrhard.render
 from ehrhard import (
     ColumnarSet,
     Grid,
@@ -215,6 +216,48 @@ def reference_perimeter(e: ColumnarSet) -> PerimeterBreakdown:
     vg = math.fsum(face.gauss for face in vertical)
     total_l = math.fsum([face.lebesgue for face in horizontal] + [face.lebesgue for face in vertical])
     return PerimeterBreakdown(tuple(horizontal), tuple(vertical), hg, vg, hg + vg, total_l)
+
+
+def reference_heatmap(grid, values, blocked, minus_cells, title) -> str:
+    """The 2-D heatmap restated cell by cell: every cell's fill and, for a
+    cell of ``minus_cells``, its tint drawn by ``render._rect`` from the
+    cell's breakpoints, ``values`` keyed by cell id; then the ``blocked``
+    facets dashed, the frame and the closing tag."""
+    render = ehrhard.render
+    parts = render._header(title)
+    xs, ys = grid.axes
+    for cid in grid.cells():
+        x0, x1 = xs[cid[0]], xs[cid[0] + 1]
+        y0, y1 = ys[cid[1]], ys[cid[1] + 1]
+        level = int(round(255 * (1.0 - 0.85 * float(values[cid]))))
+        parts.append(render._rect(x0, x1, y0, y1, f"#{level:02x}{level:02x}{level:02x}"))
+        if cid in minus_cells:
+            parts.append(render._rect(x0, x1, y0, y1, render._FILL_MINUS, opacity="0.35"))
+    px, py, clip = render._px, render._py, render._clip
+    for f in sorted(blocked):
+        z = grid.facet_coordinate(f)
+        span = grid.facet_span(f)
+        lo, hi = clip(span.lo), clip(span.hi)
+        if hi <= lo or not -render.VIEW <= z <= render.VIEW:
+            continue
+        if f.axis == 0:
+            parts.append(render._line(px(z), py(lo), px(z), py(hi), render._BLOCKED, dashed=True))
+        else:
+            parts.append(render._line(px(lo), py(z), px(hi), py(z), render._BLOCKED, dashed=True))
+    parts.append(render._frame())
+    parts.append("</svg>")
+    return "\n".join(x for x in parts if x) + "\n"
+
+
+def reference_symdiff(e: ColumnarSet, f: ColumnarSet) -> float:
+    """``symdiff_volume`` of two sets on one grid by its definition: the
+    ``fsum`` over the occupied cells, sorted, of ``cell_gauss`` times the
+    gamma1 mass of the sections' symmetric difference."""
+    g, es, fs = e.grid, e.sections, f.sections
+    return math.fsum(
+        g.cell_gauss(cid) * gamma1(es.get(cid, IntervalSet()).symdiff(fs.get(cid, IntervalSet())))
+        for cid in sorted(es.keys() | fs.keys())
+    )
 
 
 def assert_same_repr(got: object, want: object) -> None:

@@ -6,7 +6,7 @@ import pickle
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ehrhard import (
@@ -18,6 +18,7 @@ from ehrhard import (
     HalflineClass,
     HorizontalFace,
     IntervalSet,
+    SymdiffCheck,
     VerticalFace,
     common_refinement,
     complement,
@@ -40,6 +41,7 @@ from ehrhard import (
     symdiff_volume,
 )
 from ehrhard.catalog import _mistico_profile
+from ehrhard.columnar import _symdiff_walk
 from ehrhard.intervals import _lebesgue_sum
 from ehrhard.jsonio import to_json
 from conftest import (
@@ -50,6 +52,7 @@ from conftest import (
     random_profile_1d,
     random_profile_2d,
     reference_perimeter,
+    reference_symdiff,
 )
 
 INF = math.inf
@@ -251,6 +254,91 @@ class TestPerimeterBitIdentity:
         for lo, hi in ((a, b), (b, a)):
             e = ColumnarSet(SPLIT_GRID, {(0,): IntervalSet.of(*lo), (1,): IntervalSet.of(*hi)})
             assert_same_perimeter(e)
+
+
+@st.composite
+def pooled_pairs(draw):
+    """Two sets on one pooled grid, each from its own palette."""
+    grid = draw(st.sampled_from(POOLED_GRIDS))
+    palette = draw(st.lists(pooled_sections(), min_size=1, max_size=4))
+    return tuple(
+        ColumnarSet(grid, {cid: draw(st.sampled_from(palette)) for cid in grid.cells()})
+        for _ in range(2)
+    )
+
+
+def seeded_pair(seed):
+    """A conftest columnar set and a second set on its grid."""
+    rng = random.Random(seed)
+    e = random_columnar(rng)
+    other = random_columnar(rng)
+    sections = dict(zip(e.grid.cells(), [*other.sections.values(), *e.sections.values()]))
+    return e, ColumnarSet(e.grid, sections)
+
+
+def assert_same_symdiff(e, f):
+    """The walk, plain and mirrored, is the definition by ``repr``."""
+    assert_same_repr(symdiff_volume(e, f), reference_symdiff(e, f))
+    assert_same_repr(_symdiff_walk(e, f), reference_symdiff(e, f))
+    assert_same_repr(_symdiff_walk(e, f, mirrored=True), reference_symdiff(e, reflect(f)))
+
+
+class TestSymdiffWalk:
+    """symdiff_volume and its mirrored walk equal the per-cell definition."""
+
+    @settings(deadline=None, max_examples=400)
+    @given(st.one_of(pooled_pairs(), st.integers(0, 2**32 - 1).map(seeded_pair)))
+    def test_matches_definition(self, pair):
+        e, f = pair
+        assert_same_symdiff(e, f)
+        assert_same_symdiff(f, e)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 2**32 - 1))
+    def test_matches_definition_on_model_sets(self, seed):
+        rng = random.Random(seed)
+        make = random_profile_1d if rng.random() < 0.5 else random_profile_2d
+        p = random_annotated(rng, make(rng))
+        f = from_profile(p)
+        report = rigidity_verdict(p)
+        assert_same_symdiff(f, f)
+        assert_same_symdiff(f, reflect(f))
+        if not report.rigid:
+            e = report.counterexample
+            assert_same_symdiff(e, f)
+            assert_same_repr(
+                report.symdiff_check,
+                SymdiffCheck(reference_symdiff(e, f), reference_symdiff(e, reflect(f))),
+            )
+
+    def test_matches_definition_on_a_catalog_grid(self):
+        p = _mistico_profile(1 / 16)
+        report = rigidity_verdict(p)
+        assert_same_symdiff(report.counterexample, from_profile(p))
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ((-INF, 0.0), (-INF, -0.0)),  # equal up to the sign of zero
+            ((-0.0, INF), (0.0, INF)),
+            ((-INF, 0.0), (-0.0, INF)),  # touching at a signed zero
+            ((0.0, 1.5), (-1.5, -0.0)),  # mirror images
+            ((-INF, INF), (-1.5, INF)),
+            ((-INF, -1.5), (1.5, INF)),
+        ],
+    )
+    def test_signed_zero_and_infinite_endpoints(self, a, b):
+        for lo, hi in ((a, b), (b, a)):
+            e = ColumnarSet(SPLIT_GRID, {(0,): IntervalSet.of(*lo), (1,): IntervalSet.of(*hi)})
+            f = ColumnarSet(SPLIT_GRID, {(0,): IntervalSet.of(*hi), (1,): IntervalSet.of(*lo)})
+            assert_same_symdiff(e, f)
+            assert_same_symdiff(e, e)
+
+    @settings(deadline=None, max_examples=100)
+    @given(pooled_columnar(), pooled_columnar())
+    def test_across_grids_refines_first(self, e, f):
+        assume(e.grid.base_dim == f.grid.base_dim)
+        assert_same_repr(symdiff_volume(e, f), reference_symdiff(*common_refinement(e, f)))
 
 
 def nonrigid_reports(make_profile, seeds=range(40)):

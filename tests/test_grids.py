@@ -283,6 +283,28 @@ class TestTables:
                 assert g.facet_gauss(f) == w
 
     @pytest.mark.parametrize("base_dim", [1, 2])
+    def test_facet_gauss_on_every_line(self, base_dim):
+        """Bit for bit the weight of the facet's line times the gamma1 mass
+        of its span, on every facet the grid admits: 0.0 on an infinite
+        line, and the value its edge position reads elsewhere."""
+        rng = random.Random(53 + base_dim)
+        for _ in range(60):
+            g = random_grid(rng, base_dim)
+            lats = [1] if base_dim == 1 else g.shape[::-1]
+            for axis, bps in enumerate(g.axes):
+                for line, z in enumerate(bps):
+                    for lat in range(lats[axis]):
+                        f = Facet(axis, line, lat)
+                        want = 0.0 if math.isinf(z) else math.exp(-0.5 * z * z)
+                        if base_dim == 2:
+                            want *= _side_gauss(g.axes[1 - axis], lat)
+                        got = g.facet_gauss(f)
+                        assert repr(got) == repr(want)
+                        k = g.edge_index(f)
+                        if k is not None:
+                            assert repr(got) == repr(g._edge_measures(k)[0])
+
+    @pytest.mark.parametrize("base_dim", [1, 2])
     def test_cell_measures_match_formulas(self, base_dim):
         rng = random.Random(47 + base_dim)
         for _ in range(60):

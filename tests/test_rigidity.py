@@ -433,14 +433,15 @@ class TestModelSetKernel:
 @pytest.fixture
 def priced(monkeypatch):
     """Count the evidence calls made through ehrhard.rigidity; ``_mirror``
-    builds the competitor from the model set."""
-    counts = dict.fromkeys(("_mirror", "gauss_perimeter", "symdiff_volume"), 0)
+    builds the competitor from the model set, and ``_symdiff_walk`` prices
+    each of the two symmetric differences."""
+    counts = dict.fromkeys(("_mirror", "gauss_perimeter", "_symdiff_walk"), 0)
     for name in counts:
         real = getattr(ehrhard.rigidity, name)
 
-        def counted(*args, _real=real, _name=name):
+        def counted(*args, _real=real, _name=name, **kwargs):
             counts[_name] += 1
-            return _real(*args)
+            return _real(*args, **kwargs)
 
         monkeypatch.setattr(ehrhard.rigidity, name, counted)
     return counts
@@ -456,7 +457,7 @@ class TestLazyEvidence:
     def test_perimeter_check_prices_no_symdiff(self, priced):
         report = rigidity_verdict(three_column(0.3, 1.0, 0.6))
         assert report.perimeter_check.difference == 0.0
-        assert priced == {"_mirror": 1, "gauss_perimeter": 2, "symdiff_volume": 0}
+        assert priced == {"_mirror": 1, "gauss_perimeter": 2, "_symdiff_walk": 0}
 
     def test_each_field_priced_once(self, priced):
         p = three_column(0.3, 1.0, 0.6)
@@ -464,7 +465,7 @@ class TestLazyEvidence:
         first = (report.counterexample, report.perimeter_check, report.symdiff_check)
         second = (report.counterexample, report.perimeter_check, report.symdiff_check)
         assert all(a is b for a, b in zip(first, second))
-        assert priced == {"_mirror": 1, "gauss_perimeter": 2, "symdiff_volume": 2}
+        assert priced == {"_mirror": 1, "gauss_perimeter": 2, "_symdiff_walk": 2}
 
     def test_values_match_eager_pricing(self):
         p = three_column(0.3, 0.0, 0.6, [SingularAnnotation(Facet(0, 1, 0), 0.0, 0.5)])

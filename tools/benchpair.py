@@ -12,10 +12,13 @@ in this checkout and writes the JSON result line of each workload, keyed
 by workload name, to ``BENCH_<LABEL>.json`` at the root of the checkout.
 With ``--base DIR`` (a checkout of another commit, usually the parent)
 the same runs are made in that tree, each with its own ``bench/`` and
-``src/``, alternating with this one's run by run, and written to
-``BENCH_<LABEL>_parent.json`` here. With ``--runs K`` each tree runs
-every workload K times; the file keeps the run of median ``wall_s``, and
-every run's ``wall_s`` is printed to standard error.
+``src/``, in pairs with this one's runs, and written to
+``BENCH_<LABEL>_parent.json`` here. The tree that runs first changes from
+pair to pair (the base tree first in the first pair), so that whatever
+favours the first or the second run of a pair falls on both trees alike.
+With ``--runs K`` each tree runs every workload K times; the file keeps
+the run of median ``wall_s``, and every run's ``wall_s`` is printed to
+standard error in run order.
 """
 
 from __future__ import annotations
@@ -62,8 +65,9 @@ def main(argv: list[str] | None = None) -> int:
     chosen: dict[str, dict[str, dict]] = {name: {} for name in trees}
     for workload in WORKLOADS:
         runs: dict[str, list[dict]] = {name: [] for name in trees}
-        for _ in range(args.runs):
-            for name, tree in trees.items():
+        for run in range(args.runs):
+            pair = list(trees.items())
+            for name, tree in pair[::-1] if run % 2 else pair:
                 runs[name].append(run_once(tree, workload, args.seed, args.seconds))
         for name, results in runs.items():
             walls = ", ".join(f"{wall(r):.3f}" for r in results)
