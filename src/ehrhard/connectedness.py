@@ -39,7 +39,8 @@ these questions on a grid's row-major cell indices and its edges
 (:meth:`ehrhard.grids.Grid.edges`), on which the exterior is never kept.
 
 Every connectivity question, on scenes, pieces or cells, runs on one
-union-find over integers (:class:`Forest`); results keep their tuple ids.
+union-find kernel over integer links (:func:`_join`); results keep their
+tuple ids.
 """
 
 from __future__ import annotations
@@ -166,43 +167,30 @@ class SpanningStructure:
 # union-find
 
 
-class Forest:
-    """Union-find over the integers ``0 .. n-1`` in one flat list.
+def _join(n: int, links: Iterable[tuple[int, int, int]]) -> tuple[list[int], list[int]]:
+    """Union-find over ``0 .. n-1`` joining ``a`` and ``b`` of each ``(key, a, b)`` link.
 
-    ``find`` halves the path it walks. ``union`` hangs the larger root
-    under the smaller, so every root is the smallest member of its set:
-    the set holding 0 is rooted at 0, and :meth:`groups` lists the sets
-    by smallest member without sorting.
+    Paths are halved and the larger root hangs under the smaller, so each
+    root is its set's smallest member and ``parent[x] <= x``: one ascending
+    pass resolves every root. Returns the roots and the keys of the links
+    that joined two sets, in link order (a spanning forest).
     """
-
-    __slots__ = ("parent",)
-
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        """Join the sets of ``a`` and ``b``; False when they were one already."""
-        a, b = self.find(a), self.find(b)
-        if a == b:
-            return False
-        if a < b:
-            self.parent[b] = a
-        else:
-            self.parent[a] = b
-        return True
-
-    def groups(self) -> list[list[int]]:
-        """All sets, each ascending, ordered by smallest member."""
-        out: dict[int, list[int]] = {}
-        for x in range(len(self.parent)):
-            out.setdefault(self.find(x), []).append(x)
-        return list(out.values())
+    parent = list(range(n))
+    joined = []
+    for key, a, b in links:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            if a < b:
+                parent[b] = a
+            else:
+                parent[a] = b
+            joined.append(key)
+    for x in range(n):
+        parent[x] = parent[parent[x]]
+    return parent, joined
 
 
 # ----------------------------------------------------------------------
@@ -291,19 +279,15 @@ def _decide(
     g = [i for i, inside in enumerate(flat.in_g) if inside]
     if not g:
         return False, SpanningStructure(cells=(), tree_facets=())
-    forest = Forest(len(flat.in_g))
-    tree = []
-    for key, i, j, _, _, blocked in flat.links:
-        if not blocked and forest.union(i, j):
-            tree.append(key)
+    links = ((key, i, j) for key, i, j, _, _, blocked in flat.links if not blocked)
+    roots, tree = _join(len(flat.in_g), links)
     if len(tree) == len(g) - 1:
         ids = flat.ids
         return False, SpanningStructure(
             cells=tuple(ids[i] for i in g), tree_facets=tuple(map(flat.grid.edge_facet, tree))
         )
-    find = forest.find
-    first = find(g[0])
-    return True, _certificate(flat, {i for i in g if find(i) == first})
+    # g[0], the smallest G-cell, roots the first component
+    return True, _certificate(flat, {i for i in g if roots[i] == g[0]})
 
 
 # ----------------------------------------------------------------------
@@ -349,17 +333,20 @@ def decompose_ids(
     if not ids:
         return []
     severed = {grid.edge_index(f) for f in severed_facets}
-    forest = Forest(len(ids))
-    for k, (i, j) in enumerate(zip(*grid.edges())):
-        below = by_cell.get(i)
-        above = by_cell.get(j)
-        if below is None or above is None or k in severed:
-            continue
-        for a, a_lo, a_hi in below:
-            for b, b_lo, b_hi in above:
-                if a_lo < b_hi and b_lo < a_hi:
-                    forest.union(a, b)
-    return [[ids[k] for k in group] for group in forest.groups()]
+    links = (
+        (k, a, b)
+        for k, (i, j) in enumerate(zip(*grid.edges()))
+        if i in by_cell and j in by_cell and k not in severed
+        for a, a_lo, a_hi in by_cell[i]
+        for b, b_lo, b_hi in by_cell[j]
+        if a_lo < b_hi and b_lo < a_hi
+    )
+    roots, _ = _join(len(ids), links)
+    # a set first appears at its root, its smallest piece
+    groups: dict[int, list[PieceId]] = {}
+    for piece, root in zip(ids, roots):
+        groups.setdefault(root, []).append(piece)
+    return list(groups.values())
 
 
 def decompose(e: ColumnarSet, severed_facets: Iterable[Facet] = ()) -> list[ColumnarSet]:

@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
+from operator import and_
 from typing import Callable, Iterable, Mapping, Optional
 
 from .columnar import ColumnarSet, _extended_grid, _extension_shift, complement_facet_map
-from .connectedness import Forest, Scene, SceneCell, SceneFacet, _FlatScene
+from .connectedness import Scene, SceneCell, SceneFacet, _FlatScene, _join
 from .errors import ProfileError
 from .gauss import gamma1, psi
 from .grids import CellId, Facet, Grid
@@ -389,26 +391,30 @@ def _model_one_piece(
     component, and the answer is False.
     """
     grid = p.grid
+    values = list(p._values.values())  # grid.cells() order, which is row-major
     if extended:
         big = _extended_grid(grid)
         shift = _extension_shift(grid, big)
-        values = [
-            p._values.get(tuple(c - s for c, s in zip(cid, shift)), 0.0)
-            for cid in big.cells()
-        ]
+        # 0.0 cells: in 2-D the new rows before the old ones, then each old
+        # row (along the last axis) padded at both ends, then the rows after
+        n, width = grid.shape[-1], big.shape[-1]
+        left, right = [0.0] * shift[-1], [0.0] * (width - n - shift[-1])
+        padded = [0.0] * (shift[0] * width if grid.base_dim == 2 else 0)
+        for x in range(0, len(values), n):
+            padded += left + values[x : x + n] + right
+        values = padded + [0.0] * (math.prod(big.shape) - len(padded))
         severed = [complement_facet_map(grid, big, f) for f in severed]
         grid = big
-    else:
-        values = list(p._values.values())  # grid.cells() order, which is row-major
-    inside = [keep(v) for v in values]
+    inside = list(map(keep, values))
     inside.append(False)  # the exterior
-    cut = {grid.edge_index(f) for f in severed}
-    forest = Forest(len(inside))
-    pieces = sum(inside)
-    for k, (i, j) in enumerate(zip(*grid.edges())):
-        if inside[i] and inside[j] and k not in cut and forest.union(i, j):
-            pieces -= 1
-    return pieces == 1
+    # the edges inside the region, picked at C speed, then the severed ones cut
+    below, above = grid.edges()
+    mask = bytearray(map(and_, map(inside.__getitem__, below), map(inside.__getitem__, above)))
+    for k in map(grid.edge_index, severed):
+        if k is not None:  # a line at infinity has no facets to sever
+            mask[k] = 0
+    _, joined = _join(len(inside), compress(zip(range(len(below)), below, above), mask))
+    return sum(inside) - len(joined) == 1
 
 
 def _set_one_piece(p: Profile, severed: Iterable[Facet] = ()) -> bool:

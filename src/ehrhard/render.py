@@ -90,9 +90,12 @@ def render_columnar(e: ColumnarSet, minus_cells: tuple = ()) -> str:
     draw the base heatmap of column masses.
     """
     if e.grid.base_dim == 2:
+        # gamma1 once per distinct section (model sets share them), by identity
+        sections = list(map(e.section, e.grid.cells()))
+        mass = {key: gamma1(s) for key, s in {id(s): s for s in sections}.items()}
         return _render_base_heatmap(
             e.grid,
-            [gamma1(e.section(cid)) for cid in e.grid.cells()],
+            [mass[id(s)] for s in sections],
             blocked=[],
             minus_cells=set(map(tuple, minus_cells)),
             title="columnar set (base scene)",

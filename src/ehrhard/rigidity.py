@@ -455,13 +455,16 @@ def check_pino(p: Profile, levels: Optional[Sequence[float]] = None) -> LevelRes
     # empty G loses no cell)
     g = [v for v in p._values.values() if 0.0 < v < 1.0]
     lo, hi = min(g, default=0.5), max(g, default=0.5)
+    # a level that keeps every G-value keeps exactly G, so its answer
+    # depends only on the facets it severs: each distinct set is asked once
+    answers: dict[tuple[Facet, ...], bool] = {}
     passed = []
     for t in ts:
-        severed = [
-            a.facet for a in p.annotations if a.wedge <= t or a.vee >= 1.0 - t
-        ]
+        severed = tuple(a.facet for a in p._annotations if a.wedge <= t or a.vee >= 1.0 - t)
         keeps_g = t < lo < 1.0 - t and t < hi < 1.0 - t
-        passed.append(keeps_g and _model_one_piece(p, lambda v, t=t: t < v < 1.0 - t, severed))
+        if keeps_g and severed not in answers:
+            answers[severed] = _model_one_piece(p, lambda v: 0.0 < v < 1.0, severed)
+        passed.append(keeps_g and answers[severed])
     return LevelRestrictionReport(
         levels=ts, passed=tuple(passed), overall=bool(passed) and all(passed)
     )

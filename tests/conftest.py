@@ -21,15 +21,18 @@ from ehrhard import (
     HorizontalFace,
     IntervalSet,
     JumpInterface,
+    LevelRestrictionReport,
     PerimeterBreakdown,
     Profile,
     SingularAnnotation,
     VerticalFace,
     approx_limits,
+    default_levels,
     gamma1,
     gauss_perimeter,
     gauss_weight,
 )
+from ehrhard.profiles import _model_one_piece
 
 INF = math.inf
 
@@ -257,6 +260,23 @@ def reference_symdiff(e: ColumnarSet, f: ColumnarSet) -> float:
     return math.fsum(
         g.cell_gauss(cid) * gamma1(es.get(cid, IntervalSet()).symdiff(fs.get(cid, IntervalSet())))
         for cid in sorted(es.keys() | fs.keys())
+    )
+
+
+def reference_pino(p: Profile, levels=None) -> LevelRestrictionReport:
+    """``check_pino`` as a loop over the levels: each level that keeps
+    every G-value asks ``_model_one_piece`` once, on the cells strictly
+    between it and 1 minus it, with the annotations it reaches severed."""
+    ts = default_levels(p) if levels is None else tuple(levels)
+    g = [v for v in p.values.values() if 0.0 < v < 1.0]
+    lo, hi = min(g, default=0.5), max(g, default=0.5)
+    passed = []
+    for t in ts:
+        severed = [a.facet for a in p.annotations if a.wedge <= t or a.vee >= 1.0 - t]
+        keeps_g = t < lo < 1.0 - t and t < hi < 1.0 - t
+        passed.append(keeps_g and _model_one_piece(p, lambda v, t=t: t < v < 1.0 - t, severed))
+    return LevelRestrictionReport(
+        levels=ts, passed=tuple(passed), overall=bool(passed) and all(passed)
     )
 
 

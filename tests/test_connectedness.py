@@ -24,7 +24,7 @@ from ehrhard import (
     scene,
     symdiff_volume,
 )
-from ehrhard.connectedness import Forest, decompose_ids
+from ehrhard.connectedness import _join, decompose_ids
 from conftest import random_profile_1d
 
 INF = math.inf
@@ -41,32 +41,56 @@ def brute_force_disconnects(s):
     return False
 
 
-class TestForest:
+def sets_of(roots):
+    """The sets of a _join result, each ascending, in order of first member."""
+    out = {}
+    for x, root in enumerate(roots):
+        out.setdefault(root, []).append(x)
+    return list(out.values())
+
+
+class TestJoin:
     def test_union_and_groups(self):
-        forest = Forest(5)
-        assert forest.union(3, 1)
-        assert not forest.union(1, 3)
-        assert forest.union(4, 2)
-        assert forest.groups() == [[0], [1, 3], [2, 4]]
-        assert forest.union(4, 3)
-        assert forest.groups() == [[0], [1, 2, 3, 4]]
+        links = [("a", 3, 1), ("b", 1, 3), ("c", 4, 2)]
+        roots, joined = _join(5, links)
+        assert joined == ["a", "c"]
+        assert sets_of(roots) == [[0], [1, 3], [2, 4]]
+        roots, joined = _join(5, [*links, ("d", 4, 3)])
+        assert joined == ["a", "c", "d"]
+        assert sets_of(roots) == [[0], [1, 2, 3, 4]]
 
     def test_roots_are_smallest_members(self):
-        forest = Forest(6)
-        for a, b in ((5, 4), (4, 3), (3, 2), (2, 1)):
-            forest.union(a, b)
-        assert [forest.find(x) for x in range(6)] == [0, 1, 1, 1, 1, 1]
-        forest.union(5, 0)
-        assert {forest.find(x) for x in range(6)} == {0}
+        chain = [(k, a, b) for k, (a, b) in enumerate(((5, 4), (4, 3), (3, 2), (2, 1)))]
+        assert _join(6, chain) == ([0, 1, 1, 1, 1, 1], [0, 1, 2, 3])
+        roots, joined = _join(6, [*chain, (4, 5, 0)])
+        assert roots == [0] * 6 and joined == [0, 1, 2, 3, 4]
 
-    def test_find_halves_paths(self):
-        forest = Forest(5)
-        forest.parent[:] = [0, 0, 1, 2, 3]  # a chain 4 -> 3 -> 2 -> 1 -> 0
-        assert forest.find(4) == 0
-        assert forest.parent == [0, 0, 0, 2, 2]  # every other node skips one up
+    def test_matches_components(self):
+        """Against relabelled components: every root is the smallest member
+        of its set, and the keys that joined two sets come in link order."""
+        rng = random.Random(17)
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            links = [(k, rng.randrange(n), rng.randrange(n)) for k in range(rng.randint(0, 15))]
+            label = list(range(n))
+            tree = []
+            for key, a, b in links:
+                if label[a] != label[b]:
+                    tree.append(key)
+                    old, new = max(label[a], label[b]), min(label[a], label[b])
+                    label = [new if x == old else x for x in label]
+            assert _join(n, iter(links)) == (label, tree), links
+
+    def test_deep_chain_resolves_to_zero(self):
+        # n - 1 hangs under n - 2, ..., 1 under 0: a path of depth n - 1
+        n = 2000
+        links = [(k, k, k - 1) for k in range(n - 1, 0, -1)]
+        roots, joined = _join(n, [*links, (-1, n - 1, 0)])
+        assert roots == [0] * n
+        assert joined == list(range(n - 1, 0, -1))
 
     def test_empty(self):
-        assert Forest(0).groups() == []
+        assert _join(0, []) == ([], [])
 
 
 class TestSceneConnectivity:

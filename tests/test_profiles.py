@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -21,7 +22,9 @@ from ehrhard import (
     psi,
     scene,
 )
+from ehrhard.connectedness import complement_indecomposable
 from ehrhard.jsonio import to_json
+from ehrhard.profiles import _complement_one_piece
 from conftest import (
     random_annotated,
     random_profile_1d,
@@ -383,6 +386,54 @@ class TestModelSets:
     def test_distribution_clamps_overshoot(self):
         e = from_profile(three_column(0.0, 1.0, 0.5))
         assert distribution(e).value((1,)) == 1.0
+
+
+def end_variants(inner):
+    """The axis over ``inner`` breakpoints with each end finite or infinite."""
+    lo, hi = inner[0] - 1.0, inner[-1] + 1.0
+    return [(a, *inner, b) for a in (-INF, lo) for b in (INF, hi)]
+
+
+def outer_facets(grid):
+    """Facets on lines 0 and n of every axis, on each lateral cell; those
+    on an infinite line are not facets of the grid and must be ignored."""
+    out = []
+    for axis, bps in enumerate(grid.axes):
+        lats = range(grid.shape[1 - axis]) if grid.base_dim == 2 else [0]
+        out += [Facet(axis, line, lat) for line in (0, len(bps) - 1) for lat in lats]
+    return out
+
+
+class TestPaddedComplement:
+    """_complement_one_piece pads the profile's rows with 0.0 cells on the
+    extended grid; the generic complement of the model set is the oracle,
+    for every combination of finite and infinite ends."""
+
+    def check(self, grid, values_pool):
+        outer = outer_facets(grid)
+        cuts = [
+            (),
+            [f for f in outer if f.line == 0],
+            [f for f in outer if f.line != 0],
+            outer[:1],
+            outer[-1:],
+        ]
+        for values in itertools.product(values_pool, repeat=len(list(grid.cells()))):
+            p = Profile(grid, dict(zip(grid.cells(), values)))
+            model = from_profile(p)
+            for severed in cuts:
+                want = complement_indecomposable(model, severed)
+                assert _complement_one_piece(p, severed) == want, (grid.axes, values, severed)
+
+    @pytest.mark.parametrize("axis", end_variants((-1.0, 0.0, 1.0)))
+    def test_line(self, axis):
+        self.check(Grid(axis), (0.0, 0.5, 1.0))
+
+    @pytest.mark.parametrize("axis0", end_variants((0.0,)))
+    @pytest.mark.parametrize("axis1", end_variants((-1.0, 1.0)))
+    def test_plane(self, axis0, axis1):
+        # 0.0 and 0.5 are both below 1, so the complement reads them alike
+        self.check(Grid(axis0, axis1), (0.0, 1.0))
 
 
 class TestGBoundary:

@@ -42,13 +42,20 @@ from ehrhard import (
     symdiff_volume,
     verify_equality_case,
 )
+from ehrhard.catalog import run_entry
 from ehrhard.cli import main
 from ehrhard.columnar import restrict
 from ehrhard.connectedness import complement_indecomposable, decompose_ids, indecomposable
 from ehrhard.jsonio import profile_to_json
 from ehrhard.profiles import _complement_one_piece, _set_one_piece
 from ehrhard.render import render_profile
-from conftest import random_annotated, random_profile_1d, random_profile_2d
+from conftest import (
+    assert_same_repr,
+    random_annotated,
+    random_profile_1d,
+    random_profile_2d,
+    reference_pino,
+)
 
 INF = math.inf
 
@@ -570,6 +577,50 @@ class TestLevelRestriction:
         ann = SingularAnnotation(Facet(0, 1, 0), 0.0, 0.5)
         q = Profile(p.grid, p.values, [ann])
         assert not check_pino(q)
+
+
+class TestPinoMemo:
+    """check_pino asks _model_one_piece once per distinct set of severed
+    facets; its reports equal the per-level loop's."""
+
+    @pytest.fixture
+    def asked(self, monkeypatch):
+        calls = []
+        real = ehrhard.rigidity._model_one_piece
+
+        def spy(p, keep, severed=(), extended=False):
+            calls.append(tuple(severed))
+            return real(p, keep, severed, extended)
+
+        monkeypatch.setattr(ehrhard.rigidity, "_model_one_piece", spy)
+        return calls
+
+    def test_levels_severing_the_same_facets_ask_once(self, asked):
+        p = run_entry("mistico", resolution=1 / 16).profile
+        asked.clear()  # the catalog entry runs its own checks
+        report = check_pino(p)
+        assert len(report.levels) == 3
+        assert len(asked) == 1
+        assert report == reference_pino(p)
+
+    def test_levels_severing_different_facets_ask_each(self, asked):
+        anns = [
+            SingularAnnotation(Facet(0, 1, 0), 0.3, 0.5),
+            SingularAnnotation(Facet(0, 2, 0), 0.15, 0.5),
+        ]
+        p = Profile(Grid((-INF, -1.0, 1.0, INF)), dict.fromkeys([(0,), (1,), (2,)], 0.5), anns)
+        report = check_pino(p, levels=(0.4, 0.2, 0.1))
+        assert asked == [(Facet(0, 1, 0), Facet(0, 2, 0)), (Facet(0, 2, 0),), ()]
+        assert report.passed == (False, False, True)
+        assert report == reference_pino(p, (0.4, 0.2, 0.1))
+
+    def test_matches_per_level_loop(self):
+        rng = random.Random(1717)
+        for k in range(600):
+            bare = random_profile_1d(rng, max_cells=8) if k % 2 else random_profile_2d(rng)
+            p = random_annotated(rng, bare, p_annotate=0.5)
+            for levels in (None, (0.45, 0.3, 0.1), (0.2,), (0.3, 0.01)):
+                assert_same_repr(check_pino(p, levels), reference_pino(p, levels))
 
 
 class TestComplementSplit:
