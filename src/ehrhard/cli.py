@@ -1,10 +1,11 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 1 for usage and input errors (bad arguments,
-unknown names, malformed JSON), 2 when a requested expectation fails (a
-catalog or sweep check, or asking for a counterexample of a rigid
-profile). Set operations read and write the JSON encodings from
-:mod:`ehrhard.jsonio`; ``-`` means stdin or stdout.
+Exit codes: 0 on success, 1 for usage, input and output errors (bad
+arguments, unknown names, malformed JSON, an output path that cannot be
+written), 2 when a requested expectation fails (a catalog or sweep check,
+or asking for a counterexample of a rigid profile). Set operations read
+and write the JSON encodings from :mod:`ehrhard.jsonio`; ``-`` means
+stdin or stdout.
 """
 
 from __future__ import annotations
@@ -260,7 +261,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except EhrhardError as exc:
+    except (EhrhardError, OSError) as exc:
         print(f"ehrhard: error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,26 +7,23 @@ accepted on input. Cell values and sections nest by cell index: a flat
 list for 1-D bases, a list of rows (first axis index outermost) for 2-D.
 
 Reports (verdicts, certificates, scenes, perimeter breakdowns) are
-output only and share one rule, :func:`to_json`: a dataclass becomes an
-object of its fields, with fields that are ``None`` or private (a leading
-underscore) omitted; every float is a number or an inf sentinel; tuples
-and lists become lists; dicts with str keys keep their keys; enums become
-their values; facets and columnar sets use the encodings above.
-
-The CLI writes its reports through one private writer, ``_dumps``. It
-returns exactly ``json.dumps(to_json(x), indent=2, sort_keys=True)``, but
-applies the rule while it writes, in one pass over the report objects, and
-builds no document in between: dataclass fields and dict keys come out in
-sorted order, scalars are formatted as :mod:`json` formats them (NaN as
-``NaN``), and any other type, or a dict key that is not a str, raises
-``TypeError``. Both share one cached list of public fields per dataclass,
-and lazily priced report fields are priced when the writer reads them.
+output only. One private writer, ``_dumps``, writes them by one rule: a
+dataclass becomes an object of its fields, with fields that are ``None``
+or private (a leading underscore) omitted and private fields never read;
+every float is a number, an inf sentinel or ``NaN``; tuples and lists
+become arrays; dicts with str keys keep their keys; enums become their
+values; facets and columnar sets use the encodings above. Any other type,
+or a dict key that is not a str, raises ``TypeError``. The text is what
+``json.dumps(doc, indent=2, sort_keys=True)`` gives for the document
+``doc`` that this rule makes of the report, but the writer applies the
+rule while it writes, in one pass over the report objects, and builds no
+document in between. Lazily priced report fields are priced when the
+writer reads them.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from enum import Enum
 from json.encoder import encode_basestring_ascii
@@ -218,94 +215,10 @@ def columnar_from_json(data: Any) -> ColumnarSet:
 
 
 # ----------------------------------------------------------------------
-# report documents (output only)
-
-
-class _ByType(dict):
-    """Exact type -> handler; a missing type's handler is ``make(type)``,
-    stored on first use."""
-
-    def __init__(self, make: Callable[[type], Callable[..., Any]], known: dict) -> None:
-        super().__init__(known)
-        self._make = make
-
-    def __missing__(self, cls: type) -> Callable[..., Any]:
-        handler = self[cls] = self._make(cls)
-        return handler
-
-
-@functools.cache
-def _public_fields(cls: type) -> tuple[str, ...]:
-    """Public field names of a dataclass, in declaration order (TypeError
-    for any other type)."""
-    return tuple(f.name for f in dataclasses.fields(cls) if not f.name.startswith("_"))
-
-
-def _check_keys(x: dict) -> None:
-    for k in x:
-        if type(k) is not str:
-            raise TypeError(f"report keys must be str, not {type(k).__name__}")
-
-
-def _same(x: Any) -> Any:
-    return x
-
-
-def _list(x: Any) -> list[Any]:
-    return [to_json(v) for v in x]
-
-
-def _dict(x: dict) -> dict[str, Any]:
-    _check_keys(x)
-    return {k: to_json(v) for k, v in x.items()}
-
-
-def _enum(x: Enum) -> Any:
-    return x.value
-
-
-def _encoder_for(cls: type) -> Callable[[Any], Any]:
-    """Encoder for an enum or dataclass type (TypeError for anything else)."""
-    if issubclass(cls, Enum):
-        return _enum
-    names = _public_fields(cls)
-
-    def encode(x: Any) -> dict[str, Any]:
-        doc = {}
-        for name in names:
-            value = getattr(x, name)
-            if value is not None:
-                doc[name] = to_json(value)
-        return doc
-
-    return encode
-
-
-_ENCODERS = _ByType(
-    _encoder_for,
-    {
-        float: encode_number,
-        bool: _same,
-        int: _same,
-        str: _same,
-        type(None): _same,
-        tuple: _list,
-        list: _list,
-        dict: _dict,
-        Facet: facet_to_json,
-        ColumnarSet: columnar_to_json,
-    },
-)
-
-
-def to_json(x: Any) -> Any:
-    """Encode a report object (a dataclass tree) by the module's rule."""
-    return _ENCODERS[type(x)](x)
-
-
-# The writer: ``_dumps(x)`` is the text of ``json.dumps(to_json(x), indent=2,
-# sort_keys=True)``. A writer takes a value and ``nl``, a newline and the
-# indent of the value's own line, and returns the value's text.
+# report documents (output only): the writer
+#
+# A writer takes a value and ``nl``, a newline and the indent of the value's
+# own line, and returns the value's text.
 
 
 def _write(x: Any, nl: str) -> str:
@@ -335,7 +248,9 @@ def _write_array(x: Any, nl: str) -> str:
 def _write_dict(x: dict, nl: str) -> str:
     if not x:
         return "{}"
-    _check_keys(x)
+    for k in x:
+        if type(k) is not str:
+            raise TypeError(f"report keys must be str, not {type(k).__name__}")
     inner = nl + "  "
     writers = _WRITERS
     parts = [
@@ -349,7 +264,8 @@ def _writer_for(cls: type) -> Callable[[Any, str], str]:
     """Writer for an enum or dataclass type (TypeError for anything else)."""
     if issubclass(cls, Enum):
         return lambda x, nl: _write(x.value, nl)
-    keys = [(encode_basestring_ascii(n) + ": ", n) for n in sorted(_public_fields(cls))]
+    names = sorted(f.name for f in dataclasses.fields(cls) if not f.name.startswith("_"))
+    keys = [(encode_basestring_ascii(n) + ": ", n) for n in names]
 
     def write(x: Any, nl: str) -> str:
         inner = nl + "  "
@@ -364,8 +280,16 @@ def _writer_for(cls: type) -> Callable[[Any, str], str]:
     return write
 
 
-_WRITERS = _ByType(
-    _writer_for,
+class _Writers(dict):
+    """Exact type -> writer; a missing type's writer is made by
+    :func:`_writer_for` and stored on first use."""
+
+    def __missing__(self, cls: type) -> Callable[[Any, str], str]:
+        writer = self[cls] = _writer_for(cls)
+        return writer
+
+
+_WRITERS = _Writers(
     {
         float: _write_float,
         bool: lambda x, nl: "true" if x else "false",
@@ -377,11 +301,11 @@ _WRITERS = _ByType(
         dict: _write_dict,
         Facet: lambda x, nl: _write_array(facet_to_json(x), nl),
         ColumnarSet: lambda x, nl: _write(columnar_to_json(x), nl),
-    },
+    }
 )
 
 
 def _dumps(x: Any) -> str:
-    """The text of ``json.dumps(to_json(x), indent=2, sort_keys=True)``,
-    written in one pass over ``x`` with no document built in between."""
+    """The text of the report ``x`` by the module's rule, written in one
+    pass over ``x`` with no document built in between."""
     return _write(x, "\n")

@@ -348,7 +348,7 @@ def scene(p: Profile, kind: str = "ehrhard") -> Scene:
             SceneFacet(
                 facet=f,
                 cells=(ids[i], ids[j]),
-                gauss=grid.facet_gauss(f),
+                gauss=grid._edge_measures(k)[0],
                 wedge=wedge,
                 vee=vee,
                 blocked=blocked,

@@ -359,10 +359,10 @@ def exhaustive_search(
             f"of {max_cells}; pass a larger max_cells to force it"
         )
     bit = {i: 1 << k for k, i in enumerate(g)}
-    facet_gauss, edge_facet = flat.grid.facet_gauss, flat.grid.edge_facet
+    edge_measures = flat.grid._edge_measures
     # prices matter only under an allowance; with none, any crossing rejects
     unblocked = [
-        (bit[i], bit[j], _mirror_cost(facet_gauss(edge_facet(k)), w, v) if tolerance else 0.0)
+        (bit[i], bit[j], _mirror_cost(edge_measures(k)[0], w, v) if tolerance else 0.0)
         for k, i, j, w, v, blocked in flat.links
         if not blocked
     ]

@@ -8,8 +8,10 @@ to fall under the mass floors used by the search routines.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
+from enum import Enum
 
 import pytest
 
@@ -17,6 +19,7 @@ import ehrhard.catalog
 import ehrhard.render
 from ehrhard import (
     ColumnarSet,
+    Facet,
     Grid,
     HorizontalFace,
     IntervalSet,
@@ -32,6 +35,7 @@ from ehrhard import (
     gauss_perimeter,
     gauss_weight,
 )
+from ehrhard.jsonio import columnar_to_json, encode_number, facet_to_json
 from ehrhard.profiles import _model_one_piece
 
 INF = math.inf
@@ -219,6 +223,36 @@ def reference_perimeter(e: ColumnarSet) -> PerimeterBreakdown:
     vg = math.fsum(face.gauss for face in vertical)
     total_l = math.fsum([face.lebesgue for face in horizontal] + [face.lebesgue for face in vertical])
     return PerimeterBreakdown(tuple(horizontal), tuple(vertical), hg, vg, hg + vg, total_l)
+
+
+def reference_json(x: object) -> object:
+    """The document that the report rule of ``jsonio._dumps`` makes of
+    ``x``, built as a dict tree by plain recursion on the exact type: a
+    dataclass becomes a dict of its public fields that are not None, a
+    float a number or inf sentinel, a tuple or list a list, a dict with
+    str keys a dict, an enum its value, and a facet or columnar set its
+    input encoding. Any other type, or a dict key that is not a str,
+    raises TypeError."""
+    t = type(x)
+    if t is float:
+        return encode_number(x)
+    if t in (bool, int, str, type(None)):
+        return x
+    if t in (tuple, list):
+        return [reference_json(v) for v in x]
+    if t is dict:
+        if any(type(k) is not str for k in x):
+            raise TypeError("report keys must be str")
+        return {k: reference_json(v) for k, v in x.items()}
+    if t is Facet:
+        return facet_to_json(x)
+    if t is ColumnarSet:
+        return columnar_to_json(x)
+    if isinstance(x, Enum):
+        return x.value
+    names = [f.name for f in dataclasses.fields(x) if not f.name.startswith("_")]
+    values = {name: getattr(x, name) for name in names}
+    return {name: reference_json(v) for name, v in values.items() if v is not None}
 
 
 def reference_heatmap(grid, values, blocked, minus_cells, title) -> str:

@@ -291,6 +291,42 @@ class TestByteBoundary:
         assert main([command, "--in", str(path), "--out", str(path.with_suffix(".out"))]) in (0, 1)
 
 
+class TestUnwritableOutput:
+    """An output path that cannot be written is an error (exit 1), never a
+    traceback: a file in a missing directory, or a catalog directory that
+    is a file."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["perimeter", "--in", "{model}"],
+            ["symmetrize", "--in", "{model}"],
+            ["rigidity", "--in", "{profile}"],
+            ["counterexample", "--in", "{profile}"],
+            ["connectedness", "--in", "{profile}"],
+            ["render", "--in", "{profile}"],
+            ["sweep", "--family", "unannotated"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_out_in_missing_directory(self, tmp_path, capsys, argv):
+        paths = {
+            "{profile}": write_profile(tmp_path, nonrigid_profile()),
+            "{model}": write_columnar(tmp_path, from_profile(nonrigid_profile())),
+        }
+        argv = [paths.get(a, a) for a in argv] + ["--out", str(tmp_path / "missing" / "out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err  # sweep prints its checks here first
+        assert err.splitlines()[-1].startswith("ehrhard: error:") and "Traceback" not in err
+
+    def test_catalog_out_is_a_file(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        assert main(["catalog", "fig2-top", "--out", str(taken)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ehrhard: error:") and "Traceback" not in err
+
+
 class TestRigidity:
     def test_verdict_to_file(self, tmp_path):
         infile = write_profile(tmp_path, nonrigid_profile())

@@ -43,9 +43,14 @@ from ehrhard.jsonio import (
     interval_set_to_json,
     profile_from_json,
     profile_to_json,
-    to_json,
 )
-from conftest import random_annotated, random_columnar, random_profile_1d, random_profile_2d
+from conftest import (
+    random_annotated,
+    random_columnar,
+    random_profile_1d,
+    random_profile_2d,
+    reference_json,
+)
 
 INF = math.inf
 
@@ -228,7 +233,7 @@ class TestReports:
 
     def test_rigidity_report_serializes(self):
         report = rigidity_verdict(self.profile())
-        doc = through_json(to_json(report))
+        doc = json.loads(_dumps(report))
         assert doc["verdict"] == "NonRigid"
         assert doc["method"] == "theorem"
         assert doc["certificate"]["minus_cells"] == [[0]]
@@ -236,16 +241,16 @@ class TestReports:
 
     def test_rigid_report_serializes(self):
         p = Profile(Grid((-INF, 0.0, INF)), {(0,): 0.3, (1,): 0.7})
-        doc = through_json(to_json(rigidity_verdict(p)))
+        doc = json.loads(_dumps(rigidity_verdict(p)))
         assert doc["verdict"] == "Rigid"
         assert doc["connectivity"]["tree_facets"] == [[0, 1, 0]]
 
     def test_scene_and_breakdown_serialize(self):
         p = self.profile()
-        doc = through_json(to_json(scene(p)))
+        doc = json.loads(_dumps(scene(p)))
         assert doc["kind"] == "ehrhard"
         assert [c["in_g"] for c in doc["cells"]] == [True, False, True]
-        bd = through_json(to_json(gauss_perimeter(from_profile(p))))
+        bd = json.loads(_dumps(gauss_perimeter(from_profile(p))))
         assert bd["total_gauss"] == pytest.approx(
             gauss_perimeter(from_profile(p)).total_gauss
         )
@@ -253,9 +258,9 @@ class TestReports:
 
     def test_check_reports_serialize(self):
         p = self.profile()
-        lev = through_json(to_json(check_pino(p)))
+        lev = json.loads(_dumps(check_pino(p)))
         assert lev["overall"] is False and len(lev["levels"]) == len(lev["passed"])
-        comp = through_json(to_json(check_gino(p)))
+        comp = json.loads(_dumps(check_gino(p)))
         assert comp == {
             "set_indecomposable": True,
             "complement_indecomposable": False,
@@ -282,7 +287,7 @@ class _Outer:
 class TestEncoder:
     def test_encoding_rule(self):
         inner = (_Inner(Facet(0, 2, 0), INF), _Inner(Facet(1, 1, 3), -INF))
-        doc = to_json(_Outer(Verdict.RIGID, inner, ((0,), (1, 2))))
+        doc = json.loads(_dumps(_Outer(Verdict.RIGID, inner, ((0,), (1, 2)))))
         assert doc == {
             "kind": "Rigid",
             "inner": [
@@ -292,20 +297,11 @@ class TestEncoder:
             "cells": [[0], [1, 2]],
             "count": 0,
         }
-        assert list(doc) == ["kind", "inner", "cells", "count"]
-
-    def test_unknown_type_rejected(self):
-        with pytest.raises(TypeError):
-            to_json({1, 2})
-
-    def test_unknown_dict_key_rejected(self):
-        with pytest.raises(TypeError):
-            to_json({1: "a"})
 
 
 def dumped(x):
     """The reference text of the report writer."""
-    return json.dumps(to_json(x), indent=2, sort_keys=True)
+    return json.dumps(reference_json(x), indent=2, sort_keys=True)
 
 
 def cli_reports(p):
@@ -334,7 +330,7 @@ EDGE_SCALARS = [
 
 
 class TestWriter:
-    """``_dumps(x)`` is ``json.dumps(to_json(x), indent=2, sort_keys=True)``."""
+    """``_dumps(x)`` is ``json.dumps(reference_json(x), indent=2, sort_keys=True)``."""
 
     @pytest.mark.parametrize("x", EDGE_SCALARS, ids=repr)
     def test_edge_scalars(self, x):
@@ -367,7 +363,11 @@ class TestWriter:
             "extras": result.extras,
             "report": result.report,
         }
-        written = {**payload, "checks": to_json(result.checks), "report": to_json(result.report)}
+        written = {
+            **payload,
+            "checks": reference_json(result.checks),
+            "report": reference_json(result.report),
+        }
         assert _dumps(payload) == dumped(payload)
         assert _dumps(payload) == json.dumps(written, indent=2, sort_keys=True)
 
@@ -379,7 +379,7 @@ class TestWriter:
     def test_dict_values_follow_the_rule(self):
         inner = _Inner(Facet(0, 2, 0), INF)
         x = {"b": inner, "a": [inner, Verdict.NONRIGID], "c": None}
-        want = {"b": to_json(inner), "a": [to_json(inner), "NonRigid"], "c": None}
+        want = {"b": reference_json(inner), "a": [reference_json(inner), "NonRigid"], "c": None}
         assert _dumps(x) == json.dumps(want, indent=2, sort_keys=True)
 
     def test_unknown_types_rejected(self):

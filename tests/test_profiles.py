@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 
@@ -23,7 +24,7 @@ from ehrhard import (
     scene,
 )
 from ehrhard.connectedness import complement_indecomposable
-from ehrhard.jsonio import to_json
+from ehrhard.jsonio import _dumps
 from ehrhard.profiles import _complement_one_piece
 from conftest import (
     random_annotated,
@@ -348,7 +349,7 @@ class TestScene:
         p = three_column(0.3, 0.5, 0.6)
         s = scene(p)
         assert "Profile" not in repr(s) and "_profile" not in repr(s)
-        assert set(to_json(s)) == {"kind", "base_dim", "cells", "facets"}
+        assert set(json.loads(_dumps(s))) == {"kind", "base_dim", "cells", "facets"}
 
     def test_facets_follow_interior_adjacency(self):
         rng = random.Random(19)
