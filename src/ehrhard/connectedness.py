@@ -7,17 +7,19 @@ joined by unblocked interfaces) decides essential connectedness: a
 two-coloring of its components with no unblocked interface between the
 colors certifies that the singular set essentially disconnects G.
 
-The decision and the certificates read a scene as flat data: each cell's
-in-G flag, and per interface between G-cells its edge position on the
-grid, its two cell indices, its limits and its blocked flag. One walk of
-the grid's edges (``Profile._scene_links``) yields that data, and every
-caller decides on it: the verdict and the exhaustive search of
-:mod:`ehrhard.rigidity`, :func:`ehrhard.render.render_profile`, and
-:func:`essentially_disconnects` and :func:`certificate_for`, which walk the
-profile a :class:`Scene` views. Cell ids, facets and measures are read
-back from the grid only for what a report carries. The :class:`Scene`
-dataclasses are a view of the same walk for JSON, the ``connectedness``
-command and tests.
+An interface is blocked where its one-sided limits reach 0, or 1 for an
+Ehrhard scene. Two G-cells have values strictly inside (0, 1), or in
+(0, 1] for Steiner, so only an annotation can block the interface between
+them: the blocked interfaces are an annotation cut, the edge positions of
+the annotations that meet the rule (``Profile._scene_data`` gives it with
+the in-G flags). Every reader of the scene graph takes its links from one
+primitive, :func:`_links`, which picks the edges between two kept cells
+at C speed: the verdict and the exhaustive search of
+:mod:`ehrhard.rigidity`, :func:`ehrhard.render.render_profile`,
+:func:`ehrhard.profiles.scene`, and :func:`essentially_disconnects` and
+:func:`certificate_for` on the profile a :class:`Scene` views. Cell ids,
+facets, limits and measures are read back only for what a report or a
+scene carries.
 
 Separately, a columnar set decomposes into *pieces*: per column, each
 interval of its section is a node, and two pieces are adjacent when their
@@ -35,8 +37,8 @@ one essential piece exactly when the cells with v > 0 are connected
 across the facets that are not severed, and its complement exactly when
 the cells with v < 1 are, on the grid extended to infinity (whose new
 cells count as v = 0). :func:`ehrhard.profiles._model_one_piece` decides
-these questions on a grid's row-major cell indices and its edges
-(:meth:`ehrhard.grids.Grid.edges`), on which the exterior is never kept.
+these questions on the same primitive, over a grid's row-major cell
+indices, on which the exterior is never kept.
 
 Every connectivity question, on scenes, pieces or cells, runs on one
 union-find kernel over integer links (:func:`_join`); results keep their
@@ -48,7 +50,9 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, Union
+from itertools import compress
+from operator import and_
+from typing import TYPE_CHECKING, Collection, Iterable, Iterator, Sequence, Union
 
 from .columnar import ColumnarSet, complement, complement_facet_map
 from .errors import PartitionError
@@ -106,8 +110,8 @@ class Scene:
     Cells come in lexicographic order and facets in sorted order, as
     :func:`ehrhard.profiles.scene` builds them. A scene is a view, for
     JSON, the ``connectedness`` command and tests, of the profile in
-    ``_profile`` (left out of equality, ``repr`` and JSON), on whose walk
-    the scene's decision and certificates run.
+    ``_profile`` (left out of equality, ``repr`` and JSON), on whose in-G
+    flags and annotation cut the scene's decision and certificates run.
     """
 
     kind: str
@@ -197,58 +201,60 @@ def _join(n: int, links: Iterable[tuple[int, int, int]]) -> tuple[list[int], lis
 # essential connectedness of scenes
 
 
-class _FlatScene(NamedTuple):
-    """A scene as flat data: what the decision and the certificates read.
+def _links(
+    grid: Grid, inside: Sequence[bool], cut: Iterable[int] = ()
+) -> Iterator[tuple[int, int, int]]:
+    """``(k, i, j)`` for every edge ``k`` of :meth:`~ehrhard.grids.Grid.edges`
+    between two cells ``i``, ``j`` with ``inside`` set (the exterior last),
+    in ascending order, leaving out the edge positions in ``cut``.
 
-    Cell ``i`` of ``grid`` has id ``ids[i]`` and in-G flag ``in_g[i]``, in
-    row-major (lexicographic) order. ``links`` has one ``(key, i, j,
-    wedge, vee, blocked)`` per interface between G-cells, where ``key`` is
-    the interface's :meth:`~ehrhard.grids.Grid.edges` position, ascending,
-    which is also facet order. Facets and measures are read from ``grid``,
-    only for what a report carries.
+    The edges are picked by a byte mask built at C speed.
     """
-
-    grid: Grid
-    ids: Sequence[CellId]
-    in_g: Sequence[bool]
-    links: list[tuple[int, int, int, float, float, bool]]
+    below, above = grid.edges()
+    mask = bytearray(map(and_, map(inside.__getitem__, below), map(inside.__getitem__, above)))
+    for k in cut:
+        mask[k] = 0
+    return compress(zip(range(len(below)), below, above), mask)
 
 
 def certificate_for(scene: Scene, minus_cells: Iterable[CellId]) -> PartitionCertificate:
     """Build the certificate for a given minus-side among the scene's G-cells."""
-    flat = scene._profile._scene_links(scene.kind)
-    g_index = {cid: i for i, cid in enumerate(flat.ids) if flat.in_g[i]}
+    grid, in_g, blocked = scene._profile._scene_data(scene.kind)
+    g_index = {cid: i for i, cid in enumerate(grid.cells()) if in_g[i]}
     minus = {tuple(c) for c in minus_cells}
     if not minus <= g_index.keys():
         raise PartitionError("minus side contains cells outside G")
-    return _certificate(flat, {g_index[c] for c in minus})
+    return _certificate(grid, in_g, blocked, {g_index[c] for c in minus})
 
 
-def _certificate(flat: _FlatScene, minus: set[int]) -> PartitionCertificate:
-    """The certificate whose minus side is the G-cells at indices ``minus``."""
-    grid, ids = flat.grid, flat.ids
+def _certificate(
+    grid: Grid, in_g: Sequence[bool], blocked: Collection[int], minus: set[int]
+) -> PartitionCertificate:
+    """The certificate whose minus side is the G-cells at indices ``minus``,
+    on the in-G flags and the blocked edge positions of a scene."""
     plus, minus_side = [], []
     # the Gaussian masses of the G-cells on each side, read in one pass
     # over the grid table
     plus_gauss, minus_gauss = array("d"), array("d")
-    for i, (inside, (area, _)) in enumerate(zip(flat.in_g, grid._cell_measures())):
+    cells = zip(grid.cells(), in_g, grid._cell_measures())
+    for i, (cid, inside, (area, _)) in enumerate(cells):
         if inside:
             if i in minus:
-                minus_side.append(i)
+                minus_side.append(cid)
                 minus_gauss.append(area)
             else:
-                plus.append(i)
+                plus.append(cid)
                 plus_gauss.append(area)
     interface = []
     unblocked = []
-    for key, i, j, _, _, blocked in flat.links:
+    for key, i, j in _links(grid, in_g):
         if (i in minus) != (j in minus):
             interface.append(grid.edge_facet(key))
-            if not blocked:
+            if key not in blocked:
                 unblocked.append(grid._edge_measures(key)[0])
     return PartitionCertificate(
-        plus_cells=tuple(ids[i] for i in plus),
-        minus_cells=tuple(ids[i] for i in minus_side),
+        plus_cells=tuple(plus),
+        minus_cells=tuple(minus_side),
         interface_facets=tuple(interface),
         unblocked_interface_measure=math.fsum(unblocked),
         plus_gauss=math.fsum(plus_gauss),
@@ -263,31 +269,31 @@ def essentially_disconnects(
     """Decide whether the blocked interfaces split G into separated parts.
 
     Components of the scene graph (G-cells joined by unblocked interfaces)
-    are computed by union-find over the cells' positions, on a walk of the
-    profile the scene views. With two or more components the first
-    component (by smallest cell) becomes the minus side of a witnessing
-    certificate; otherwise a spanning structure of unblocked interfaces is
-    returned. Empty G is vacuously connected and yields an empty structure.
+    are computed by union-find over the cells' positions, on the in-G
+    flags and the annotation cut of the profile the scene views. With two
+    or more components the first component (by smallest cell) becomes the
+    minus side of a witnessing certificate; otherwise a spanning structure
+    of unblocked interfaces is returned. Empty G is vacuously connected
+    and yields an empty structure.
     """
-    return _decide(scene._profile._scene_links(scene.kind))
+    return _decide(*scene._profile._scene_data(scene.kind))
 
 
 def _decide(
-    flat: _FlatScene,
+    grid: Grid, in_g: Sequence[bool], blocked: Collection[int]
 ) -> tuple[bool, Union[PartitionCertificate, SpanningStructure]]:
-    """:func:`essentially_disconnects` on a scene's flat data."""
-    g = [i for i, inside in enumerate(flat.in_g) if inside]
+    """:func:`essentially_disconnects` on a scene's in-G flags and blocked
+    edge positions."""
+    g = [i for i, inside in enumerate(in_g) if inside]
     if not g:
         return False, SpanningStructure(cells=(), tree_facets=())
-    links = ((key, i, j) for key, i, j, _, _, blocked in flat.links if not blocked)
-    roots, tree = _join(len(flat.in_g), links)
+    roots, tree = _join(len(in_g), _links(grid, in_g, blocked))
     if len(tree) == len(g) - 1:
-        ids = flat.ids
         return False, SpanningStructure(
-            cells=tuple(ids[i] for i in g), tree_facets=tuple(map(flat.grid.edge_facet, tree))
+            cells=tuple(compress(grid.cells(), in_g)), tree_facets=tuple(map(grid.edge_facet, tree))
         )
     # g[0], the smallest G-cell, roots the first component
-    return True, _certificate(flat, {i for i in g if roots[i] == g[0]})
+    return True, _certificate(grid, in_g, blocked, {i for i in g if roots[i] == g[0]})
 
 
 # ----------------------------------------------------------------------

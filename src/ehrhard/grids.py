@@ -143,7 +143,7 @@ class Grid:
 
     def cells(self) -> Iterator[CellId]:
         """All cells in lexicographic order."""
-        return product(*(range(n) for n in self._shape))
+        return product(*map(range, self._shape))
 
     def cell_index(self, cid: CellId) -> int:
         """Position of the cell in :meth:`cells` order (row-major)."""
@@ -166,13 +166,13 @@ class Grid:
     def cell_gauss(self, cid: CellId) -> float:
         masses = self._measures()[0]
         out = 1.0
-        for axis, c in enumerate(cid):
+        for axis, c in enumerate(self.check_cell(cid)):
             out *= masses[axis][c]
         return out
 
     def cell_lebesgue(self, cid: CellId) -> float:
         out = 1.0
-        for axis, c in enumerate(cid):
+        for axis, c in enumerate(self.check_cell(cid)):
             bps = self._axes[axis]
             out *= bps[c + 1] - bps[c]
         return out

@@ -17,12 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
-from operator import and_
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .columnar import ColumnarSet, _extended_grid, _extension_shift, complement_facet_map
-from .connectedness import Scene, SceneCell, SceneFacet, _FlatScene, _join
+from .connectedness import Scene, SceneCell, SceneFacet, _join, _links
 from .errors import ProfileError
 from .gauss import gamma1, psi
 from .grids import CellId, Facet, Grid
@@ -133,35 +131,27 @@ class Profile:
             f"{len(self._annotations)} annotations)"
         )
 
-    def _scene_links(self, kind: str = "ehrhard") -> _FlatScene:
-        """The scene of the profile as flat data (see :func:`scene`).
+    def _scene_data(self, kind: str = "ehrhard") -> tuple[Grid, list[bool], set[int]]:
+        """The scene of the profile as the decision reads it (see :func:`scene`).
 
-        Walks the edges of the grid once, keeping those between two
-        G-cells, keyed by their :meth:`~ehrhard.grids.Grid.edges` position
-        (the exterior is never in G, so every kept edge is interior). An
-        interface is blocked when its limits (an annotation overrides the
-        cell values) have wedge 0 or, for an Ehrhard scene, vee 1.
+        The grid, each cell's in-G flag in row-major order with the
+        exterior (never in G) last, and the edge positions of the
+        annotations that block: wedge 0 or, for an Ehrhard scene, vee 1.
+        No other interface between two G-cells is blocked, since their
+        values lie in (0, 1), or in (0, 1] for a Steiner scene.
         """
         if kind not in ("ehrhard", "steiner"):
             raise ProfileError(f"unknown scene kind {kind!r}")
-        grid = self._grid
-        values = list(self._values.values())  # grid.cells() order, which is row-major
         ehrhard = kind == "ehrhard"
+        values = self._values.values()
         in_g = [0.0 < v < 1.0 for v in values] if ehrhard else [v > 0.0 for v in values]
         in_g.append(False)  # the exterior
-        declared = {grid.edge_index(a.facet): a for a in self._annotations}
-        links = []
-        for k, (i, j) in enumerate(zip(*grid.edges())):
-            if in_g[i] and in_g[j]:
-                ann = declared.get(k)
-                if ann is not None:
-                    wedge, vee = ann.wedge, ann.vee
-                else:
-                    wedge, vee = values[i], values[j]
-                    if vee < wedge:
-                        wedge, vee = vee, wedge
-                links.append((k, i, j, wedge, vee, wedge == 0.0 or (ehrhard and vee == 1.0)))
-        return _FlatScene(grid=grid, ids=list(self._values), in_g=in_g, links=links)
+        blocked = {
+            self._grid.edge_index(a.facet)
+            for a in self._annotations
+            if a.wedge == 0.0 or (ehrhard and a.vee == 1.0)
+        }
+        return self._grid, in_g, blocked
 
     # ------------------------------------------------------------------
     # grid surgery
@@ -326,33 +316,36 @@ def scene(p: Profile, kind: str = "ehrhard") -> Scene:
     and block only interfaces pinched to 0. Only interfaces between two
     G-cells appear, all of them: an interior facet has positive base
     measure by its structure (a finite line and a non-degenerate span),
-    even where its float measure underflows to 0. The scene is a view of
-    the flat data that the verdict and the search decide on.
+    even where its float measure underflows to 0. A facet is blocked
+    exactly when it is in the annotation cut that the verdict and the
+    search decide on.
     """
-    flat = p._scene_links(kind)
-    grid, ids = p.grid, flat.ids
+    grid, in_g, blocked = p._scene_data(kind)
+    ids, values = list(p._values), list(p._values.values())
     cells = tuple(
-        SceneCell(
-            id=cid,
-            value=v,
-            in_g=flag,
-            gauss=grid.cell_gauss(cid),
-            lebesgue=grid.cell_lebesgue(cid),
-        )
-        for cid, v, flag in zip(ids, p._values.values(), flat.in_g)
+        SceneCell(id=cid, value=v, in_g=flag, gauss=gauss, lebesgue=lebesgue)
+        for cid, v, flag, (gauss, lebesgue) in zip(ids, values, in_g, grid._cell_measures())
     )
+    declared = {grid.edge_index(a.facet): a for a in p._annotations}
     facets = []
-    for k, i, j, wedge, vee, blocked in flat.links:
-        f = grid.edge_facet(k)
+    for k, i, j in _links(grid, in_g):
+        # the interface's limits: an annotation overrides the cell values
+        ann = declared.get(k)
+        if ann is not None:
+            wedge, vee = ann.wedge, ann.vee
+        else:
+            wedge, vee = values[i], values[j]
+            if vee < wedge:
+                wedge, vee = vee, wedge
         facets.append(
             SceneFacet(
-                facet=f,
+                facet=grid.edge_facet(k),
                 cells=(ids[i], ids[j]),
                 gauss=grid._edge_measures(k)[0],
                 wedge=wedge,
                 vee=vee,
-                blocked=blocked,
-                annotated=f in p._ann_map,
+                blocked=k in blocked,
+                annotated=ann is not None,
             )
         )
     return Scene(kind, grid.base_dim, cells, tuple(facets), _profile=p)
@@ -370,61 +363,47 @@ def from_profile(p: Profile) -> ColumnarSet:
     return ColumnarSet._of_cells(p.grid, sections)
 
 
-def _model_one_piece(
-    p: Profile,
-    keep: Callable[[float], bool],
-    severed: Iterable[Facet] = (),
-    extended: bool = False,
-) -> bool:
-    """Whether the cells whose value passes ``keep`` form one component.
+def _model_one_piece(grid: Grid, inside: list[bool], severed: Iterable[Facet] = ()) -> bool:
+    """Whether the cells of ``grid`` with ``inside`` set (row-major, the
+    exterior last and never set) form one component.
 
-    Cells connect across interior facets that are not ``severed``. This
-    is essential connectedness of a model-set region read on cells (see
-    :mod:`ehrhard.connectedness`): ``keep = v > 0`` gives
-    ``indecomposable(from_profile(p), severed)``, ``keep = t < v < 1 - t``
-    gives the same for the model set restricted to those cells, and
-    ``keep = v < 1`` with ``extended`` gives
-    ``complement_indecomposable(from_profile(p), severed)``. With
-    ``extended`` the grid first gets infinite end breakpoints like
-    :func:`~ehrhard.columnar.complement`, its new cells count as v = 0,
-    and ``severed`` is re-indexed onto it. With no cell kept there is no
-    component, and the answer is False.
+    Cells connect across the facets that are not ``severed``. This is
+    essential connectedness of a model-set region read on cells (see
+    :mod:`ehrhard.connectedness`): the cells with v > 0 give
+    ``indecomposable(from_profile(p), severed)``, and those with
+    t < v < 1 - t the same for the model set restricted to them. With no
+    cell inside there is no component, and the answer is False.
     """
-    grid = p.grid
-    values = list(p._values.values())  # grid.cells() order, which is row-major
-    if extended:
-        big = _extended_grid(grid)
-        shift = _extension_shift(grid, big)
-        # 0.0 cells: in 2-D the new rows before the old ones, then each old
-        # row (along the last axis) padded at both ends, then the rows after
-        n, width = grid.shape[-1], big.shape[-1]
-        left, right = [0.0] * shift[-1], [0.0] * (width - n - shift[-1])
-        padded = [0.0] * (shift[0] * width if grid.base_dim == 2 else 0)
-        for x in range(0, len(values), n):
-            padded += left + values[x : x + n] + right
-        values = padded + [0.0] * (math.prod(big.shape) - len(padded))
-        severed = [complement_facet_map(grid, big, f) for f in severed]
-        grid = big
-    inside = list(map(keep, values))
-    inside.append(False)  # the exterior
-    # the edges inside the region, picked at C speed, then the severed ones cut
-    below, above = grid.edges()
-    mask = bytearray(map(and_, map(inside.__getitem__, below), map(inside.__getitem__, above)))
-    for k in map(grid.edge_index, severed):
-        if k is not None:  # a line at infinity has no facets to sever
-            mask[k] = 0
-    _, joined = _join(len(inside), compress(zip(range(len(below)), below, above), mask))
+    # a line at infinity has no facets to sever
+    cut = [k for k in map(grid.edge_index, severed) if k is not None]
+    _, joined = _join(len(inside), _links(grid, inside, cut))
     return sum(inside) - len(joined) == 1
 
 
 def _set_one_piece(p: Profile, severed: Iterable[Facet] = ()) -> bool:
     """``indecomposable(from_profile(p), severed)``, decided on cells."""
-    return _model_one_piece(p, lambda v: v > 0.0, severed)
+    return _model_one_piece(p.grid, [v > 0.0 for v in p._values.values()] + [False], severed)
 
 
 def _complement_one_piece(p: Profile, severed: Iterable[Facet] = ()) -> bool:
-    """``complement_indecomposable(from_profile(p), severed)``, decided on cells."""
-    return _model_one_piece(p, lambda v: v < 1.0, severed, extended=True)
+    """``complement_indecomposable(from_profile(p), severed)``, decided on cells.
+
+    The cells with v < 1 of the grid given infinite end breakpoints like
+    :func:`~ehrhard.columnar.complement`, whose new cells count as v = 0,
+    with ``severed`` re-indexed onto it.
+    """
+    grid, big = p.grid, _extended_grid(p.grid)
+    shift = _extension_shift(grid, big)
+    inside = [v < 1.0 for v in p._values.values()]  # row-major
+    # the new cells: in 2-D the new rows before the old ones, then each old
+    # row (along the last axis) padded at both ends, then the rows after
+    n, width = grid.shape[-1], big.shape[-1]
+    left, right = [True] * shift[-1], [True] * (width - n - shift[-1])
+    padded = [True] * (shift[0] * width if grid.base_dim == 2 else 0)
+    for x in range(0, len(inside), n):
+        padded += left + inside[x : x + n] + right
+    padded += [True] * (math.prod(big.shape) - len(padded)) + [False]
+    return _model_one_piece(big, padded, [complement_facet_map(grid, big, f) for f in severed])
 
 
 def distribution(e: ColumnarSet) -> Profile:

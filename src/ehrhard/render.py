@@ -15,6 +15,7 @@ import math
 from typing import Optional
 
 from .columnar import ColumnarSet
+from .connectedness import _links
 from .gauss import gamma1
 from .profiles import Profile, from_profile
 from .rigidity import RigidityReport
@@ -131,8 +132,8 @@ def render_profile(p: Profile, report: Optional[RigidityReport] = None) -> str:
     minus: tuple = ()
     if report is not None and report.certificate is not None:
         minus = report.certificate.minus_cells
-    grid = p.grid
-    blocked = [grid.edge_facet(k) for k, _, _, _, _, b in p._scene_links().links if b]
+    grid, in_g, cut = p._scene_data()
+    blocked = [grid.edge_facet(k) for k, _, _ in _links(grid, in_g) if k in cut]
     if grid.base_dim == 2:
         return _render_base_heatmap(
             grid,

@@ -29,7 +29,7 @@ from .columnar import (
     gauss_perimeter,
     halfline_classification,
 )
-from .connectedness import PartitionCertificate, SpanningStructure, _certificate, _decide
+from .connectedness import PartitionCertificate, SpanningStructure, _certificate, _decide, _links
 from .errors import (
     DomainError,
     EhrhardError,
@@ -193,7 +193,7 @@ def rigidity_verdict(p: Profile) -> RigidityReport:
     Decided on the grid's edges; no :class:`~ehrhard.connectedness.Scene`
     is built.
     """
-    disconnected, witness = _decide(p._scene_links())
+    disconnected, witness = _decide(*p._scene_data())
     if not disconnected:
         notes = ()
         if not witness.cells:
@@ -350,8 +350,8 @@ def exhaustive_search(
     """
     if not tolerance >= 0.0:
         raise DomainError(f"tolerance {tolerance!r} must be >= 0")
-    flat = p._scene_links()
-    g = [i for i, inside in enumerate(flat.in_g) if inside]
+    grid, in_g, blocked = p._scene_data()
+    g = [i for i, inside in enumerate(in_g) if inside]
     n = len(g)
     if n > max_cells:
         raise SearchBoundError(
@@ -359,13 +359,14 @@ def exhaustive_search(
             f"of {max_cells}; pass a larger max_cells to force it"
         )
     bit = {i: 1 << k for k, i in enumerate(g)}
-    edge_measures = flat.grid._edge_measures
     # prices matter only under an allowance; with none, any crossing rejects
-    unblocked = [
-        (bit[i], bit[j], _mirror_cost(edge_measures(k)[0], w, v) if tolerance else 0.0)
-        for k, i, j, w, v, blocked in flat.links
-        if not blocked
-    ]
+    unblocked = []
+    for k, i, j in _links(grid, in_g, blocked):
+        cost = 0.0
+        if tolerance:
+            wedge, vee = approx_limits(p, facet=grid.edge_facet(k))
+            cost = _mirror_cost(grid._edge_measures(k)[0], wedge, vee)
+        unblocked.append((bit[i], bit[j], cost))
     checked = 0
     for mask in range(1, (1 << n) - 1):
         checked += 1
@@ -377,7 +378,7 @@ def exhaustive_search(
                 if not tolerance or cost > tolerance:
                     break
         else:
-            cert = _certificate(flat, {i for i in g if mask & bit[i]})
+            cert = _certificate(grid, in_g, blocked, {i for i in g if mask & bit[i]})
             return _nonrigid_report(p, cert, "exhaustive-search", checked)
     return RigidityReport(
         verdict=Verdict.RIGID,
@@ -458,12 +459,13 @@ def check_pino(p: Profile, levels: Optional[Sequence[float]] = None) -> LevelRes
     # a level that keeps every G-value keeps exactly G, so its answer
     # depends only on the facets it severs: each distinct set is asked once
     answers: dict[tuple[Facet, ...], bool] = {}
+    grid, in_g, _ = p._scene_data()
     passed = []
     for t in ts:
         severed = tuple(a.facet for a in p._annotations if a.wedge <= t or a.vee >= 1.0 - t)
         keeps_g = t < lo < 1.0 - t and t < hi < 1.0 - t
         if keeps_g and severed not in answers:
-            answers[severed] = _model_one_piece(p, lambda v: 0.0 < v < 1.0, severed)
+            answers[severed] = _model_one_piece(grid, in_g, severed)
         passed.append(keeps_g and answers[severed])
     return LevelRestrictionReport(
         levels=ts, passed=tuple(passed), overall=bool(passed) and all(passed)

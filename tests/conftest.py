@@ -25,16 +25,23 @@ from ehrhard import (
     IntervalSet,
     JumpInterface,
     LevelRestrictionReport,
+    PartitionCertificate,
     PerimeterBreakdown,
     Profile,
+    Scene,
+    SceneCell,
+    SceneFacet,
     SingularAnnotation,
+    SpanningStructure,
     VerticalFace,
     approx_limits,
     default_levels,
+    from_profile,
     gamma1,
     gauss_perimeter,
     gauss_weight,
 )
+from ehrhard.connectedness import _join
 from ehrhard.jsonio import columnar_to_json, encode_number, facet_to_json
 from ehrhard.profiles import _model_one_piece
 
@@ -308,10 +315,145 @@ def reference_pino(p: Profile, levels=None) -> LevelRestrictionReport:
     for t in ts:
         severed = [a.facet for a in p.annotations if a.wedge <= t or a.vee >= 1.0 - t]
         keeps_g = t < lo < 1.0 - t and t < hi < 1.0 - t
-        passed.append(keeps_g and _model_one_piece(p, lambda v, t=t: t < v < 1.0 - t, severed))
+        inside = [t < v < 1.0 - t for v in p.values.values()] + [False]
+        passed.append(keeps_g and _model_one_piece(p.grid, inside, severed))
     return LevelRestrictionReport(
         levels=ts, passed=tuple(passed), overall=bool(passed) and all(passed)
     )
+
+
+def reference_links(p: Profile, kind: str = "ehrhard") -> tuple[list[bool], list[tuple]]:
+    """The scene of ``p`` by one walk of every edge: each cell's in-G flag
+    (row-major, the exterior last) and one ``(k, i, j, wedge, vee,
+    blocked)`` per edge ``k`` between two G-cells ``i`` and ``j``, its
+    limits from the annotation or else the two cell values, blocked where
+    wedge is 0 or, for an Ehrhard scene, vee is 1."""
+    grid = p.grid
+    values = list(p.values.values())
+    ehrhard = kind == "ehrhard"
+    in_g = [0.0 < v < 1.0 if ehrhard else v > 0.0 for v in values] + [False]
+    declared = {grid.edge_index(a.facet): a for a in p.annotations}
+    links = []
+    for k, (i, j) in enumerate(zip(*grid.edges())):
+        if in_g[i] and in_g[j]:
+            ann = declared.get(k)
+            if ann is not None:
+                wedge, vee = ann.wedge, ann.vee
+            else:
+                wedge, vee = values[i], values[j]
+                if vee < wedge:
+                    wedge, vee = vee, wedge
+            links.append((k, i, j, wedge, vee, wedge == 0.0 or (ehrhard and vee == 1.0)))
+    return in_g, links
+
+
+def reference_scene(p: Profile, kind: str = "ehrhard") -> Scene:
+    """``scene(p, kind)`` as a view of :func:`reference_links`, its
+    measures read through the public accessors."""
+    grid, ids = p.grid, list(p.grid.cells())
+    in_g, links = reference_links(p, kind)
+    cells = tuple(
+        SceneCell(cid, p.value(cid), flag, grid.cell_gauss(cid), grid.cell_lebesgue(cid))
+        for cid, flag in zip(ids, in_g)
+    )
+    facets = tuple(
+        SceneFacet(
+            grid.edge_facet(k),
+            (ids[i], ids[j]),
+            grid.facet_gauss(grid.edge_facet(k)),
+            wedge,
+            vee,
+            blocked,
+            p.annotation(grid.edge_facet(k)) is not None,
+        )
+        for k, i, j, wedge, vee, blocked in links
+    )
+    return Scene(kind, grid.base_dim, cells, facets, _profile=p)
+
+
+def reference_certificate(p: Profile, kind: str, minus: set) -> PartitionCertificate:
+    """The certificate on :func:`reference_links` whose minus side is the
+    G-cells at the row-major indices ``minus``."""
+    grid, ids = p.grid, list(p.grid.cells())
+    in_g, links = reference_links(p, kind)
+    g = [i for i, inside in enumerate(in_g) if inside]
+    crossing = [link for link in links if (link[1] in minus) != (link[2] in minus)]
+    unblocked = [grid.facet_gauss(grid.edge_facet(k)) for k, *_, b in crossing if not b]
+    return PartitionCertificate(
+        plus_cells=tuple(ids[i] for i in g if i not in minus),
+        minus_cells=tuple(ids[i] for i in g if i in minus),
+        interface_facets=tuple(grid.edge_facet(link[0]) for link in crossing),
+        unblocked_interface_measure=math.fsum(unblocked),
+        plus_gauss=math.fsum(grid.cell_gauss(ids[i]) for i in g if i not in minus),
+        minus_gauss=math.fsum(grid.cell_gauss(ids[i]) for i in g if i in minus),
+        _unblocked_crossings=len(unblocked),
+    )
+
+
+def reference_decide(p: Profile, kind: str = "ehrhard"):
+    """``essentially_disconnects(scene(p, kind))`` decided by union-find on
+    the unblocked links of :func:`reference_links`."""
+    in_g, links = reference_links(p, kind)
+    g = [i for i, inside in enumerate(in_g) if inside]
+    if not g:
+        return False, SpanningStructure(cells=(), tree_facets=())
+    unblocked = ((k, i, j) for k, i, j, _, _, blocked in links if not blocked)
+    roots, tree = _join(len(in_g), unblocked)
+    if len(tree) == len(g) - 1:
+        ids = list(p.grid.cells())
+        facets = tuple(map(p.grid.edge_facet, tree))
+        return False, SpanningStructure(cells=tuple(ids[i] for i in g), tree_facets=facets)
+    return True, reference_certificate(p, kind, {i for i in g if roots[i] == g[0]})
+
+
+def reference_search(p: Profile, tolerance: float = 0.0):
+    """``exhaustive_search(p, tolerance)`` on :func:`reference_links`, as
+    ``(partitions checked, certificate of the accepted coloring or None)``:
+    colorings in ascending bitmask order, each unblocked crossing priced
+    ``2 * min(wedge, 1 - vee)`` per unit of facet measure."""
+    in_g, links = reference_links(p)
+    g = [i for i, inside in enumerate(in_g) if inside]
+    bit = {i: 1 << k for k, i in enumerate(g)}
+    prices = [
+        (bit[i], bit[j], p.grid.facet_gauss(p.grid.edge_facet(k)) * 2.0 * min(w, 1.0 - v))
+        for k, i, j, w, v, blocked in links
+        if not blocked
+    ]
+    checked = 0
+    for mask in range(1, (1 << len(g)) - 1):
+        checked += 1
+        cost, crossings = 0.0, 0
+        for ba, bb, price in prices:
+            if bool(mask & ba) != bool(mask & bb):
+                cost += price
+                crossings += 1
+        if crossings == 0 or (tolerance and cost <= tolerance):
+            return checked, reference_certificate(p, "ehrhard", {i for i in g if mask & bit[i]})
+    return checked, None
+
+
+def reference_render(p: Profile, report=None) -> str:
+    """``render_profile(p, report)`` with the blocked interfaces drawn taken
+    from :func:`reference_links`."""
+    render, grid = ehrhard.render, p.grid
+    blocked = [grid.edge_facet(k) for k, *_, b in reference_links(p)[1] if b]
+    minus = () if report is None or report.certificate is None else report.certificate.minus_cells
+    if grid.base_dim == 2:
+        values, title = list(p.values.values()), "profile (base scene)"
+        return render._render_base_heatmap(grid, values, blocked, set(minus), title)
+    target = from_profile(p)
+    if report is not None and report.counterexample is not None:
+        target = report.counterexample
+    svg = render.render_columnar(target, minus_cells=minus)
+    top, bottom = render._py(render.VIEW), render._py(-render.VIEW)
+    decorations = [
+        render._line(render._px(z), bottom, render._px(z), top, render._BLOCKED, dashed=True)
+        for z in map(grid.facet_coordinate, blocked)
+        if -render.VIEW <= z <= render.VIEW
+    ]
+    if decorations:
+        svg = svg.replace("</svg>", "\n".join(decorations) + "\n</svg>")
+    return svg
 
 
 def assert_same_repr(got: object, want: object) -> None:

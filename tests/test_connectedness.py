@@ -1,9 +1,11 @@
+import functools
 import itertools
 import math
 import random
 
 import pytest
 
+import ehrhard.catalog
 from ehrhard import (
     ColumnarSet,
     Facet,
@@ -18,14 +20,28 @@ from ehrhard import (
     complement_indecomposable,
     decompose,
     essentially_disconnects,
+    exhaustive_search,
     gauss_perimeter,
     gauss_volume,
     indecomposable,
+    rigidity_verdict,
     scene,
     symdiff_volume,
 )
 from ehrhard.connectedness import _join, decompose_ids
-from conftest import random_profile_1d
+from ehrhard.render import render_profile
+from conftest import (
+    assert_same_repr,
+    random_annotated,
+    random_profile_1d,
+    random_profile_2d,
+    reference_certificate,
+    reference_decide,
+    reference_render,
+    reference_scene,
+    reference_search,
+)
+from test_exhaustive import FAMILIES
 
 INF = math.inf
 
@@ -294,3 +310,63 @@ class TestComplementSide:
         e = ColumnarSet(g, {})
         assert complement_indecomposable(e)
         assert not complement_indecomposable(e, severed_facets=[Facet(0, 0, 0)])
+
+
+def random_family(name):
+    """200 conftest profiles: 1-D, 2-D, or annotated (half of them 1-D)."""
+    rng = random.Random(f"cut-{name}")
+    if name == "1d":
+        return [random_profile_1d(rng) for _ in range(200)]
+    if name == "2d":
+        return [random_profile_2d(rng) for _ in range(200)]
+    make = (random_profile_1d, random_profile_2d)
+    return [random_annotated(rng, make[k % 2](rng)) for k in range(200)]
+
+
+CUT_FAMILIES = {
+    **{f"conftest-{n}": functools.partial(random_family, n) for n in ("1d", "2d", "annotated")},
+    **{f"exhaustive-{n}": make for n, make in FAMILIES.items()},
+}
+CATALOG = {
+    "mistico-h16": lambda: [ehrhard.catalog._mistico_profile(1 / 16)],
+    "koch-h8": lambda: [ehrhard.catalog._koch_profile(2, 1 / 8)],
+}
+
+
+class TestAnnotationCut:
+    """Two G-cells have values in (0, 1), or (0, 1] for Steiner, so only an
+    annotation blocks the interface between them, and the decisions, the
+    search, the certificates, the scenes and the drawing read the blocked
+    interfaces as that annotation cut. Each is compared by ``repr`` with
+    the walk that prices the blocked rule on every G-G interface
+    (``conftest.reference_links``)."""
+
+    @pytest.mark.parametrize("family", sorted(CUT_FAMILIES))
+    def test_only_annotations_block(self, family):
+        for p in CUT_FAMILIES[family]():
+            for kind in ("ehrhard", "steiner"):
+                for sf in scene(p, kind).facets:
+                    assert sf.blocked == (sf.wedge == 0.0 or (kind == "ehrhard" and sf.vee == 1.0))
+                    assert sf.annotated or not sf.blocked, (p, sf)
+
+    @pytest.mark.parametrize("family", sorted(CUT_FAMILIES) + sorted(CATALOG))
+    def test_routes_match_the_walk(self, family):
+        rng = random.Random(family)
+        for p in {**CUT_FAMILIES, **CATALOG}[family]():
+            report = rigidity_verdict(p)
+            witness = report.certificate or report.connectivity
+            assert_same_repr((not report.rigid, witness), reference_decide(p))
+            for kind in ("ehrhard", "steiner"):
+                s = scene(p, kind)
+                assert_same_repr(s, reference_scene(p, kind))
+                assert_same_repr(essentially_disconnects(s), reference_decide(p, kind))
+                g = [i for i, c in enumerate(s.cells) if c.in_g]
+                minus = {i for i in g if rng.random() < 0.5}
+                got = certificate_for(s, [s.cells[i].id for i in minus])
+                assert_same_repr(got, reference_certificate(p, kind, minus))
+            if len(p.g_cells()) <= 12:
+                for tolerance in (0.0, 1e-3, 0.5):
+                    search = exhaustive_search(p, tolerance=tolerance)
+                    want = reference_search(p, tolerance)
+                    assert_same_repr((search.partitions_checked, search.certificate), want)
+            assert render_profile(p, report) == reference_render(p, report)

@@ -99,6 +99,16 @@ class TestCells:
         assert g.cell_lebesgue((1, 0)) == 4.0
         assert Grid((-INF, 0.0, INF)).cell_lebesgue((0,)) == INF
 
+    def test_cell_measures_reject_off_grid_cells(self):
+        # a negative index would read another cell, or a negative length
+        line, plane = Grid((0.0, 1.0, 2.0)), Grid((0, 1, 2), (0, 1, 3))
+        cases = [(line, (-1,)), (line, (2,)), (line, (0, 0)), (plane, (0, -1)), (plane, (2, 0))]
+        for g, bad in cases:
+            with pytest.raises(GridError):
+                g.cell_gauss(bad)
+            with pytest.raises(GridError):
+                g.cell_lebesgue(bad)
+
 
 class TestFacets:
     def test_ordering(self):

@@ -588,9 +588,9 @@ class TestPinoMemo:
         calls = []
         real = ehrhard.rigidity._model_one_piece
 
-        def spy(p, keep, severed=(), extended=False):
+        def spy(grid, inside, severed=()):
             calls.append(tuple(severed))
-            return real(p, keep, severed, extended)
+            return real(grid, inside, severed)
 
         monkeypatch.setattr(ehrhard.rigidity, "_model_one_piece", spy)
         return calls

@@ -22,7 +22,9 @@ coloring, and each non-rigid report must carry a separating certificate.
 ``_set_one_piece`` and ``_complement_one_piece``, which decide on cells,
 must agree with the generic ``indecomposable`` and
 ``complement_indecomposable`` of the model set, with no facet severed and
-with the annotated facets severed as ``check_gino`` severs them. The
+with the annotated facets severed as ``check_gino`` severs them. In the
+scenes of both kinds, a facet is blocked exactly when its limits have
+wedge 0 (or, for Ehrhard, vee 1), and only annotated facets are. The
 script prints the count and time of each family and exits 1 at the first
 disagreement, naming the profile.
 """
@@ -45,6 +47,7 @@ from ehrhard import (  # noqa: E402
     exhaustive_search,
     from_profile,
     rigidity_verdict,
+    scene,
 )
 from ehrhard.connectedness import complement_indecomposable, indecomposable  # noqa: E402
 from ehrhard.profiles import _complement_one_piece, _set_one_piece  # noqa: E402
@@ -100,6 +103,11 @@ def disagreement(p: Profile) -> str | None:
             model, complement_cut
         ):
             return f"_complement_one_piece differs, severing {complement_cut}"
+    for kind in ("ehrhard", "steiner"):
+        for sf in scene(p, kind).facets:
+            rule = sf.wedge == 0.0 or (kind == "ehrhard" and sf.vee == 1.0)
+            if sf.blocked != rule or (sf.blocked and not sf.annotated):
+                return f"{kind} scene facet {sf.facet} breaks the blocked rule"
     return None
 
 
