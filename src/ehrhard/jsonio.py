@@ -17,19 +17,22 @@ or a dict key that is not a str, raises ``TypeError``. The text is what
 ``json.dumps(doc, indent=2, sort_keys=True)`` gives for the document
 ``doc`` that this rule makes of the report, but the writer applies the
 rule while it writes, in one pass over the report objects, and builds no
-document in between. Lazily priced report fields are priced when the
-writer reads them.
+document in between. Scene rows and int arrays have writers that write the
+rule's bytes, and rows of other field types take the generic path. Lazily
+priced report fields are priced when the writer reads them.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from enum import Enum
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable
 
 from .columnar import ColumnarSet
+from .connectedness import SceneCell, SceneFacet
 from .errors import FormatError
 from .grids import Facet, Grid
 from .intervals import IntervalSet
@@ -234,12 +237,15 @@ def _write_float(x: float, nl: str) -> str:
 _FLOAT_WORDS = {"nan": "NaN"} | {
     repr(x): encode_basestring_ascii(encode_number(x)) for x in (INF, -INF)
 }
+_INT_ONLY = {int}  # the item types of an array written as one join
 
 
 def _write_array(x: Any, nl: str) -> str:
     if not x:
         return "[]"
     inner = nl + "  "
+    if set(map(type, x)) == _INT_ONLY:
+        return "[" + inner + ("," + inner).join(map(int.__repr__, x)) + nl + "]"
     writers = _WRITERS
     parts = [writers[type(v)](v, inner) for v in x]
     return "[" + inner + ("," + inner).join(parts) + nl + "]"
@@ -289,6 +295,58 @@ class _Writers(dict):
         return writer
 
 
+# ----------------------------------------------------------------------
+# scene rows: a ``%`` template per row type, indent and cell-id length,
+# written by the generic writer from a stand-in row whose leaves are slots
+
+
+class _Slot(str):
+    """A template slot, written as its own text."""
+
+
+_D, _S = _Slot("%d"), _Slot("%s")
+_BOOL_TEXT = {False: "false", True: "true"}
+_write_cell_generic, _write_facet_generic = map(_writer_for, (SceneCell, SceneFacet))
+
+
+def _is_cell_id(cid: Any) -> bool:  # a cell id of a 1-D or 2-D grid
+    return type(cid) is tuple and tuple(map(type, cid)) in ((int,), (int, int))
+
+
+@functools.cache
+def _cell_template(nl: str, n: int) -> str:
+    return _write_cell_generic(SceneCell((_D,) * n, _S, _S, _S, _S), nl)
+
+
+@functools.cache
+def _facet_template(nl: str, m: int, n: int) -> str:
+    cells = ((_D,) * m, (_D,) * n)
+    return _write_facet_generic(SceneFacet(Facet(_D, _D, _D), cells, _S, _S, _S, _S, _S), nl)
+
+
+def _write_scene_cell(x: SceneCell, nl: str) -> str:
+    cid, gauss, in_g, leb, value, w = x.id, x.gauss, x.in_g, x.lebesgue, x.value, _write_float
+    if type(gauss) is float is type(leb) is type(value) and type(in_g) is bool and _is_cell_id(cid):
+        leaves = (w(gauss, nl), *cid, _BOOL_TEXT[in_g], w(leb, nl), w(value, nl))
+        return _cell_template(nl, len(cid)) % leaves
+    return _write_cell_generic(x, nl)
+
+
+def _write_scene_facet(x: SceneFacet, nl: str) -> str:
+    f, cells, gauss, vee, wedge, w = x.facet, x.cells, x.gauss, x.vee, x.wedge, _write_float
+    if (
+        type(gauss) is float is type(vee) is type(wedge)
+        and type(x.annotated) is bool is type(x.blocked)
+        and type(f) is Facet and type(f.axis) is int is type(f.line) is type(f.lateral)
+        and type(cells) is tuple and len(cells) == 2 and all(map(_is_cell_id, cells))
+    ):
+        (a, b), bools = cells, _BOOL_TEXT
+        leaves = (bools[x.annotated], bools[x.blocked], *a, *b, f.axis, f.line, f.lateral)
+        floats = (w(gauss, nl), w(vee, nl), w(wedge, nl))
+        return _facet_template(nl, len(a), len(b)) % (*leaves, *floats)
+    return _write_facet_generic(x, nl)
+
+
 _WRITERS = _Writers(
     {
         float: _write_float,
@@ -301,6 +359,9 @@ _WRITERS = _Writers(
         dict: _write_dict,
         Facet: lambda x, nl: _write_array(facet_to_json(x), nl),
         ColumnarSet: lambda x, nl: _write(columnar_to_json(x), nl),
+        SceneCell: _write_scene_cell,
+        SceneFacet: _write_scene_facet,
+        _Slot: lambda x, nl: x,
     }
 )
 

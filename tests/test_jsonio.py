@@ -13,6 +13,8 @@ from ehrhard import (
     Grid,
     IntervalSet,
     Profile,
+    SceneCell,
+    SceneFacet,
     SingularAnnotation,
     Verdict,
     check_gino,
@@ -328,6 +330,32 @@ EDGE_SCALARS = [
     [], (), {}, [[]], {"e": {}}, ([], ()),
 ]
 
+# Scene rows and int arrays have writers of their own; rows of other leaf
+# types than scene() builds, and arrays that are not all ints, must take
+# the generic path and write the same text.
+ROWS_AND_INT_ARRAYS = [
+    SceneCell((0,), 0.5, True, 0.25, 1.0),
+    SceneCell((2, 3), 0.0, False, 5e-324, 0.125),
+    SceneCell((1,), 1.0, False, math.nan, INF),
+    SceneCell((0, 1), -0.0, True, -INF, math.nan),
+    SceneCell((4,), 1, True, 0.5, 2.0),
+    SceneCell((True, 1), 0.5, True, 0.5, 2.0),
+    SceneCell((1, 2, 3), 0.5, True, 0.5, 2.0),
+    SceneCell((), 0.5, True, 0.5, 2.0),
+    SceneFacet(Facet(0, 1, 0), ((0,), (1,)), 0.25, 0.0, 1.0, True, False),
+    SceneFacet(Facet(1, 2, 3), ((3, 1), (3, 2)), INF, -INF, math.nan, False, True),
+    SceneFacet(Facet(0, 1, 0), ((0,), (1,)), 1, 0.0, 1.0, True, False),
+    SceneFacet(Facet(0, 1, 0), ((0,), (1,)), 0.25, 0.0, 1.0, 0, 1),
+    SceneFacet(Facet(0, 1, 2), ((0, 2), (1,)), 0.25, 0.0, 1.0, True, False),
+    SceneFacet(Facet(True, 1, 0), ((0,), (1,)), 0.25, 0.0, 1.0, True, False),
+    (True, 1),
+    (1, True),
+    (),
+    [-0],
+    [2**70, -3, 0],
+    [1, 2.0],
+]
+
 
 class TestWriter:
     """``_dumps(x)`` is ``json.dumps(reference_json(x), indent=2, sort_keys=True)``."""
@@ -336,6 +364,11 @@ class TestWriter:
     def test_edge_scalars(self, x):
         assert _dumps(x) == dumped(x)
         assert _dumps([x, {"k": x}]) == dumped([x, {"k": x}])
+
+    @pytest.mark.parametrize("x", ROWS_AND_INT_ARRAYS, ids=repr)
+    def test_rows_and_int_arrays(self, x):
+        for doc in (x, [x], [{"row": x}]):
+            assert _dumps(doc) == dumped(doc)
 
     def test_random_families(self):
         rng = random.Random(45)

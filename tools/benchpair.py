@@ -18,13 +18,18 @@ pair to pair (the base tree first in the first pair), so that whatever
 favours the first or the second run of a pair falls on both trees alike.
 With ``--runs K`` each tree runs every workload K times; the file keeps
 the run of median ``wall_s``, and every run's ``wall_s`` is printed to
-standard error in run order.
+standard error in run order. After the runs, standard error gets each
+workload's ``wall_s`` summary per tree: the median and the quartiles
+(inclusive method of :func:`statistics.quantiles`), and with ``--base``
+the number of pairs in which this checkout ran faster and the difference
+of the medians against the base tree's interquartile range.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -49,6 +54,30 @@ def wall(result: dict) -> float:
     return result["metrics"]["wall_s"]["value"]
 
 
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """The lower quartile, median and upper quartile of ``values``."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarize(workload: str, walls: dict[str, list[float]]) -> None:
+    """Print the ``wall_s`` medians, quartiles and pairs won of one workload."""
+    for name, values in walls.items():
+        q1, q2, q3 = quartiles(values)
+        print(f"{workload} {name}: wall_s median {q2:.3f}, quartiles {q1:.3f}-{q3:.3f}",
+              file=sys.stderr)
+    if len(walls) == 2:
+        (_, base), (_, head) = walls.items()
+        won = sum(h < b for b, h in zip(base, head))
+        b1, b2, b3 = quartiles(base)
+        h2 = quartiles(head)[1]
+        print(f"{workload}: this checkout faster in {won} of {len(head)} pairs; "
+              f"median {b2:.3f} -> {h2:.3f} s ({h2 - b2:+.3f}, {(h2 - b2) / b2:+.1%}) "
+              f"against the base's interquartile range {b3 - b1:.3f}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("label")
@@ -63,20 +92,24 @@ def main(argv: list[str] | None = None) -> int:
     if args.base is not None:
         trees = {f"BENCH_{args.label}_parent.json": args.base.resolve(), **trees}
     chosen: dict[str, dict[str, dict]] = {name: {} for name in trees}
+    walls: dict[str, dict[str, list[float]]] = {}
     for workload in WORKLOADS:
         runs: dict[str, list[dict]] = {name: [] for name in trees}
         for run in range(args.runs):
             pair = list(trees.items())
             for name, tree in pair[::-1] if run % 2 else pair:
                 runs[name].append(run_once(tree, workload, args.seed, args.seconds))
+        walls[workload] = {name: list(map(wall, results)) for name, results in runs.items()}
         for name, results in runs.items():
-            walls = ", ".join(f"{wall(r):.3f}" for r in results)
-            print(f"{workload} {name}: wall_s {walls}", file=sys.stderr)
+            text = ", ".join(f"{w:.3f}" for w in walls[workload][name])
+            print(f"{workload} {name}: wall_s {text}", file=sys.stderr)
             chosen[name][workload] = sorted(results, key=wall)[(len(results) - 1) // 2]
     for name, doc in chosen.items():
         text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
         (ROOT / name).write_text(text, encoding="utf-8")
         print(f"wrote {name}", file=sys.stderr)
+    for workload, by_tree in walls.items():
+        summarize(workload, by_tree)
     return 0
 
 
