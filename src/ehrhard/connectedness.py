@@ -15,11 +15,13 @@ the annotations that meet the rule (``Profile._scene_data`` gives it with
 the in-G flags). Every reader of the scene graph takes its links from one
 primitive, :func:`_links`, which picks the edges between two kept cells
 at C speed: the verdict and the exhaustive search of
-:mod:`ehrhard.rigidity`, :func:`ehrhard.render.render_profile`,
-:func:`ehrhard.profiles.scene`, and :func:`essentially_disconnects` on
-the profile a :class:`Scene` views; a certificate picks its crossing
-edges from a byte of each cell's side. Cell ids, facets, limits and
-measures are read back only for what a report or a scene carries.
+:mod:`ehrhard.rigidity`, :func:`ehrhard.render.render_profile`, and, on
+the profile a :class:`Scene` views, :func:`essentially_disconnects` and
+``Scene._columns``. The JSON writer of a scene (``jsonio._write_scene``)
+reads those links through ``_columns`` too, and writes the rows' text
+without building them. A certificate picks its crossing edges from a
+byte of each cell's side. Cell ids, facets, limits and measures are read
+back only for what a report or a scene carries.
 
 Separately, a columnar set decomposes into *pieces*: per column, each
 interval of its section is a node, and two pieces are adjacent when their
@@ -51,7 +53,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import compress
 from operator import and_
-from typing import TYPE_CHECKING, Collection, Iterable, Iterator, Sequence, Union
+from typing import TYPE_CHECKING, Any, Collection, Iterable, Iterator, Sequence, Union
 
 from .columnar import ColumnarSet, complement, complement_facet_map
 from .errors import PartitionError
@@ -108,18 +110,52 @@ class Scene:
     ``"steiner"`` scenes take G = {v > 0} and block only wedge 0.
     Every interface between two G-cells is kept: it has positive base
     measure by its structure, even where ``gauss`` underflows to 0.0.
-    Cells come in lexicographic order and facets in sorted order, as
-    :func:`ehrhard.profiles.scene` builds them. A scene is a view, for
-    JSON, the ``connectedness`` command and tests, of the profile in
-    ``_profile`` (left out of equality, ``repr`` and JSON), on whose in-G
-    flags and annotation cut the scene's decision and certificates run.
+
+    A scene is a view of the profile in ``_profile`` (left out of
+    equality, ``repr`` and JSON), on whose in-G flags and annotation cut
+    its decision and certificates run. It holds only ``kind``,
+    ``base_dim`` and the profile: the rows, ``cells`` in lexicographic
+    order and ``facets`` in sorted order, are built from the profile's
+    columns (``_columns``) on the first read of either, and then read like
+    fields. Equality, hashing and ``repr`` read the rows, so they build
+    them; the JSON writer writes their text from the columns and does not.
     """
 
     kind: str
     base_dim: int
-    cells: tuple[SceneCell, ...]
-    facets: tuple[SceneFacet, ...]
+    cells: tuple[SceneCell, ...] = field(init=False)
+    facets: tuple[SceneFacet, ...] = field(init=False)
     _profile: Profile = field(repr=False, compare=False)
+
+    def __getattr__(self, name: str) -> Any:
+        # Reached only while the rows are unbuilt.
+        if name not in ("cells", "facets"):
+            raise AttributeError(name)
+        (ids, *cell_leaves), (ks, lo, hi, *facet_leaves) = self._columns()
+        facets = map(self._profile.grid.edge_facet, ks)
+        ends = zip(map(ids.__getitem__, lo), map(ids.__getitem__, hi))
+        vars(self).update(
+            cells=tuple(map(SceneCell, ids, *cell_leaves)),
+            facets=tuple(map(SceneFacet, facets, ends, *facet_leaves)),
+        )
+        return vars(self)[name]
+
+    def _columns(self) -> tuple[tuple[Sequence, ...], tuple[Sequence, ...]]:
+        """The rows' sources, one column per leaf, in row order: the cells'
+        ids, values, in-G flags (these two end with the exterior's),
+        Gaussian and Lebesgue measures; the facets' edge positions, their
+        cells' row-major indices, Gaussian measures, wedges, vees, and
+        blocked and annotated flags."""
+        p = self._profile
+        grid, in_g, blocked = p._scene_data(self.kind)
+        values = [*p._values.values(), 0.0]
+        links = list(_links(grid, in_g))
+        ks, lo, hi = tuple(zip(*links)) or ((), (), ())
+        limits = tuple(zip(*p._limits(links, values))) or ((), ())
+        gauss = [m for m, _ in map(grid._edge_measures, ks)]
+        flags = [list(map(keys.__contains__, ks)) for keys in (blocked, p._by_edge)]
+        cells = (list(p._values), values, in_g, *zip(*grid._cell_measures()))
+        return cells, (ks, lo, hi, gauss, *limits, *flags)
 
     def g_cells(self) -> list[CellId]:
         return [c.id for c in self.cells if c.in_g]

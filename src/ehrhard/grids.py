@@ -46,10 +46,11 @@ class Facet:
 class Grid:
     """Validated breakpoint grid with measure helpers.
 
-    The Gaussian measure helpers read two per-axis tables of doubles,
-    built on the first measure query, not at construction: the gamma1
-    mass ``phi(b[i]) - phi(b[i+1])`` of every cell side and the weight
-    ``exp(-z*z/2)`` of every grid line (0.0 on infinite lines). The
+    The measure helpers read three per-axis tables of doubles, built on
+    the first measure query, not at construction: the gamma1 mass
+    ``phi(b[i]) - phi(b[i+1])`` of every cell side, the weight
+    ``exp(-z*z/2)`` of every grid line (0.0 on infinite lines) and the
+    length ``b[i+1] - b[i]`` of every cell side. The
     facets have one walk, :meth:`edges`: every facet of :meth:`facets` as
     a position with its two neighbour cells, the exterior counting as one
     more cell. A 2-D grid builds its edge arrays on first use, like the
@@ -87,7 +88,7 @@ class Grid:
             lines[axis] = (first, len(a) - first - math.isinf(a[-1]))
         plane = self._shape if len(cooked) == 2 else (self._shape[0], 1)
         self._layout = (*plane, *lines[0], *lines[1])
-        self._tables: Optional[tuple[_Table, _Table]] = None
+        self._tables: Optional[tuple[_Table, _Table, _Table]] = None
         self._edges: Optional[tuple[array, array]] = None
 
     # ------------------------------------------------------------------
@@ -115,17 +116,18 @@ class Grid:
     def __repr__(self) -> str:
         return f"Grid(base_dim={self.base_dim}, shape={self._shape})"
 
-    def _measures(self) -> tuple[_Table, _Table]:
-        """Per-axis (cell gamma1 masses, line weights)."""
+    def _measures(self) -> tuple[_Table, _Table, _Table]:
+        """Per-axis (cell gamma1 masses, line weights, cell side lengths)."""
         if self._tables is None:
-            gamma, weight = [], []
+            gamma, weight, sides = [], [], []
             for bps in self._axes:
                 tail = [phi(b) for b in bps]
                 gamma.append(array("d", [a - b for a, b in zip(tail, tail[1:])]))
                 weight.append(
                     array("d", [0.0 if math.isinf(z) else math.exp(-0.5 * z * z) for z in bps])
                 )
-            self._tables = (tuple(gamma), tuple(weight))
+                sides.append(array("d", [b - a for a, b in zip(bps, bps[1:])]))
+            self._tables = (tuple(gamma), tuple(weight), tuple(sides))
         return self._tables
 
     @staticmethod
@@ -180,8 +182,7 @@ class Grid:
     def _cell_measures(self) -> Iterator[tuple[float, float]]:
         """:meth:`cell_gauss` and :meth:`cell_lebesgue` of every cell, in
         :meth:`cells` order."""
-        masses = self._measures()[0]
-        sides = [[b - a for a, b in zip(bps, bps[1:])] for bps in self._axes]
+        masses, _, sides = self._measures()
         if len(self._axes) == 1:
             return zip(masses[0], sides[0])
         return (
@@ -271,11 +272,10 @@ class Grid:
         position ``k`` of :meth:`edges`, read from the tables; no
         :class:`Facet` is built. Every such facet lies on a finite line."""
         axis, line, lat = self._edge_place(k)
-        gamma, weight = self._measures()
+        gamma, weight, sides = self._measures()
         if len(self._axes) == 1:
             return weight[0][line], 1.0
-        bps = self._axes[1 - axis]
-        return weight[axis][line] * gamma[1 - axis][lat], bps[lat + 1] - bps[lat]
+        return weight[axis][line] * gamma[1 - axis][lat], sides[1 - axis][lat]
 
     def facet_cells(self, f: Facet) -> tuple[Optional[CellId], Optional[CellId]]:
         """Neighbor cells (below, above) along the facet axis; None = exterior."""

@@ -17,9 +17,12 @@ or a dict key that is not a str, raises ``TypeError``. The text is what
 ``json.dumps(doc, indent=2, sort_keys=True)`` gives for the document
 ``doc`` that this rule makes of the report, but the writer applies the
 rule while it writes, in one pass over the report objects, and builds no
-document in between. Scene rows and int arrays have writers that write the
-rule's bytes, and rows of other field types take the generic path. Lazily
-priced report fields are priced when the writer reads them.
+document in between. A scene is written from the profile it views: its
+rows' texts are filled into templates with the rule's bytes, and no row
+object is built (a scene whose rows were read writes the same text). A
+``SceneCell`` or ``SceneFacet`` written on its own takes the generic
+path, and an array of exact ints is written as one join. Lazily priced
+report fields are priced when the writer reads them.
 """
 
 from __future__ import annotations
@@ -29,10 +32,11 @@ import functools
 import math
 from enum import Enum
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable
+from types import SimpleNamespace
+from typing import Any, Callable, Iterable
 
 from .columnar import ColumnarSet
-from .connectedness import SceneCell, SceneFacet
+from .connectedness import Scene, SceneCell, SceneFacet
 from .errors import FormatError
 from .grids import Facet, Grid
 from .intervals import IntervalSet
@@ -241,13 +245,18 @@ _INT_ONLY = {int}  # the item types of an array written as one join
 
 
 def _write_array(x: Any, nl: str) -> str:
-    if not x:
+    if set(map(type, x)) == _INT_ONLY:
+        return _array_text(list(map(int.__repr__, x)), nl)
+    inner, writers = nl + "  ", _WRITERS
+    return _array_text([writers[type(v)](v, inner) for v in x], nl)
+
+
+def _array_text(parts: list[str], nl: str) -> str:
+    """The text of an array whose items have the texts ``parts``, each on
+    its own line at the indent of ``nl`` plus two spaces."""
+    if not parts:
         return "[]"
     inner = nl + "  "
-    if set(map(type, x)) == _INT_ONLY:
-        return "[" + inner + ("," + inner).join(map(int.__repr__, x)) + nl + "]"
-    writers = _WRITERS
-    parts = [writers[type(v)](v, inner) for v in x]
     return "[" + inner + ("," + inner).join(parts) + nl + "]"
 
 
@@ -296,8 +305,8 @@ class _Writers(dict):
 
 
 # ----------------------------------------------------------------------
-# scene rows: a ``%`` template per row type, indent and cell-id length,
-# written by the generic writer from a stand-in row whose leaves are slots
+# scenes: a ``%`` template per row type, indent and cell-id length, written
+# by the generic writer from a stand-in whose leaves are slots
 
 
 class _Slot(str):
@@ -306,45 +315,55 @@ class _Slot(str):
 
 _D, _S = _Slot("%d"), _Slot("%s")
 _BOOL_TEXT = {False: "false", True: "true"}
-_write_cell_generic, _write_facet_generic = map(_writer_for, (SceneCell, SceneFacet))
 
 
-def _is_cell_id(cid: Any) -> bool:  # a cell id of a 1-D or 2-D grid
-    return type(cid) is tuple and tuple(map(type, cid)) in ((int,), (int, int))
+@functools.cache
+def _scene_template(nl: str) -> str:
+    return _writer_for(Scene)(SimpleNamespace(base_dim=_S, cells=_S, facets=_S, kind=_S), nl)
 
 
 @functools.cache
 def _cell_template(nl: str, n: int) -> str:
-    return _write_cell_generic(SceneCell((_D,) * n, _S, _S, _S, _S), nl)
+    return _write(SceneCell((_D,) * n, _S, _S, _S, _S), nl)
 
 
 @functools.cache
-def _facet_template(nl: str, m: int, n: int) -> str:
-    cells = ((_D,) * m, (_D,) * n)
-    return _write_facet_generic(SceneFacet(Facet(_D, _D, _D), cells, _S, _S, _S, _S, _S), nl)
+def _facet_template(nl: str, n: int) -> str:
+    cells = ((_D,) * n, (_D,) * n)
+    return _write(SceneFacet(Facet(_D, _D, _D), cells, _S, _S, _S, _S, _S), nl)
 
 
-def _write_scene_cell(x: SceneCell, nl: str) -> str:
-    cid, gauss, in_g, leb, value, w = x.id, x.gauss, x.in_g, x.lebesgue, x.value, _write_float
-    if type(gauss) is float is type(leb) is type(value) and type(in_g) is bool and _is_cell_id(cid):
-        leaves = (w(gauss, nl), *cid, _BOOL_TEXT[in_g], w(leb, nl), w(value, nl))
-        return _cell_template(nl, len(cid)) % leaves
-    return _write_cell_generic(x, nl)
+def _float_texts(xs: Iterable[float]) -> list[str]:
+    """:func:`_write_float` of every float of ``xs``, mapped at C speed."""
+    texts = list(map(float.__repr__, xs))
+    return list(map(_FLOAT_WORDS.get, texts, texts))
 
 
-def _write_scene_facet(x: SceneFacet, nl: str) -> str:
-    f, cells, gauss, vee, wedge, w = x.facet, x.cells, x.gauss, x.vee, x.wedge, _write_float
-    if (
-        type(gauss) is float is type(vee) is type(wedge)
-        and type(x.annotated) is bool is type(x.blocked)
-        and type(f) is Facet and type(f.axis) is int is type(f.line) is type(f.lateral)
-        and type(cells) is tuple and len(cells) == 2 and all(map(_is_cell_id, cells))
-    ):
-        (a, b), bools = cells, _BOOL_TEXT
-        leaves = (bools[x.annotated], bools[x.blocked], *a, *b, f.axis, f.line, f.lateral)
-        floats = (w(gauss, nl), w(vee, nl), w(wedge, nl))
-        return _facet_template(nl, len(a), len(b)) % (*leaves, *floats)
-    return _write_facet_generic(x, nl)
+def _write_scene(x: Scene, nl: str) -> str:
+    """The generic writer's text of the scene ``x``, with no row built: the
+    templates are filled from the columns its rows are built from, each
+    column's leaf texts made at once."""
+    (ids, values, in_g, cell_gauss, lebesgue), facet_columns = x._columns()
+    ks, lo, hi, gauss, wedge, vee, blocked, annotated = facet_columns
+    id_axes = list(zip(*ids))  # each cell's index along each axis
+    inner, row, flag, texts = nl + "  ", nl + "    ", _BOOL_TEXT.__getitem__, _float_texts
+    # the leaves in the templates' order: by key, then along each key's value
+    cells = zip(texts(cell_gauss), *id_axes, map(flag, in_g), texts(lebesgue), texts(values))
+    facets = zip(
+        map(flag, annotated),
+        map(flag, blocked),
+        *(map(axis.__getitem__, ends) for ends in (lo, hi) for axis in id_axes),
+        *zip(*map(x._profile.grid._edge_place, ks)),
+        texts(gauss),
+        texts(vee),
+        texts(wedge),
+    )
+    n = len(id_axes)
+    rows = (
+        _array_text(list(map(_cell_template(row, n).__mod__, cells)), inner),
+        _array_text(list(map(_facet_template(row, n).__mod__, facets)), inner),
+    )
+    return _scene_template(nl) % (_write(x.base_dim, inner), *rows, _write(x.kind, inner))
 
 
 _WRITERS = _Writers(
@@ -359,8 +378,7 @@ _WRITERS = _Writers(
         dict: _write_dict,
         Facet: lambda x, nl: _write_array(facet_to_json(x), nl),
         ColumnarSet: lambda x, nl: _write(columnar_to_json(x), nl),
-        SceneCell: _write_scene_cell,
-        SceneFacet: _write_scene_facet,
+        Scene: _write_scene,
         _Slot: lambda x, nl: x,
     }
 )

@@ -17,16 +17,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .columnar import ColumnarSet, _extended_grid, _extension_shift, complement_facet_map
-from .connectedness import Scene, SceneCell, SceneFacet, _join, _links
+from .connectedness import Scene, _join, _links
 from .errors import ProfileError
 from .gauss import gamma1, psi
 from .grids import CellId, Facet, Grid
 from .intervals import IntervalSet
 
 INF = math.inf
+
+
+def _is_ehrhard(kind: str) -> bool:
+    """Whether a scene of ``kind`` is an Ehrhard one, not a Steiner one."""
+    if kind not in ("ehrhard", "steiner"):
+        raise ProfileError(f"unknown scene kind {kind!r}")
+    return kind == "ehrhard"
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,7 +60,7 @@ class SingularAnnotation:
 class Profile:
     """Cell values in [0, 1] on a grid, plus optional facet annotations."""
 
-    __slots__ = ("_grid", "_values", "_annotations", "_ann_map")
+    __slots__ = ("_grid", "_values", "_annotations", "_by_edge")
 
     def __init__(
         self,
@@ -72,7 +79,8 @@ class Profile:
         if len(values) != len(cooked):
             extra = set(map(tuple, values)) - set(cooked)
             raise ProfileError(f"values given for cells outside the grid: {sorted(extra)}")
-        ann_map: dict[Facet, SingularAnnotation] = {}
+        # edge position of Grid.edges() -> annotation; an interior facet has one
+        by_edge: dict[int, SingularAnnotation] = {}
         for ann in annotations:
             if not isinstance(ann, SingularAnnotation):
                 raise ProfileError(
@@ -83,13 +91,14 @@ class Profile:
                 raise ProfileError(
                     f"annotation on {ann.facet} is not on an interior facet"
                 )
-            if ann.facet in ann_map:
+            k = grid.edge_index(ann.facet)
+            if k in by_edge:
                 raise ProfileError(f"duplicate annotation on {ann.facet}")
-            ann_map[ann.facet] = ann
+            by_edge[k] = ann
         self._grid = grid
         self._values = cooked
-        self._annotations = tuple(sorted(ann_map.values(), key=lambda a: a.facet))
-        self._ann_map = ann_map
+        self._annotations = tuple(sorted(by_edge.values(), key=lambda a: a.facet))
+        self._by_edge = by_edge
 
     @property
     def grid(self) -> Grid:
@@ -110,7 +119,7 @@ class Profile:
         return self._values[cid]
 
     def annotation(self, facet: Facet) -> Optional[SingularAnnotation]:
-        return self._ann_map.get(facet)
+        return self._by_edge.get(self._grid.edge_index(facet)) if isinstance(facet, Facet) else None
 
     def g_cells(self) -> list[CellId]:
         """Cells with 0 < v < 1, in lexicographic order (the stored order)."""
@@ -140,18 +149,31 @@ class Profile:
         No other interface between two G-cells is blocked, since their
         values lie in (0, 1), or in (0, 1] for a Steiner scene.
         """
-        if kind not in ("ehrhard", "steiner"):
-            raise ProfileError(f"unknown scene kind {kind!r}")
-        ehrhard = kind == "ehrhard"
+        ehrhard = _is_ehrhard(kind)
         values = self._values.values()
         in_g = [0.0 < v < 1.0 for v in values] if ehrhard else [v > 0.0 for v in values]
         in_g.append(False)  # the exterior
         blocked = {
-            self._grid.edge_index(a.facet)
-            for a in self._annotations
-            if a.wedge == 0.0 or (ehrhard and a.vee == 1.0)
+            k for k, a in self._by_edge.items() if a.wedge == 0.0 or (ehrhard and a.vee == 1.0)
         }
         return self._grid, in_g, blocked
+
+    def _limits(
+        self, links: Iterable[tuple[Optional[int], int, int]], values: Sequence[float]
+    ) -> Iterator[tuple[float, float]]:
+        """The limits ``(wedge, vee)`` at each link ``(k, i, j)``, the facet at
+        position ``k`` of :meth:`~ehrhard.grids.Grid.edges` (None on an
+        infinite line) between cells of values ``values[i]``, ``values[j]``:
+        an annotation's, else the min and max of the two values as ``min``
+        and ``max`` pick them (the first of two equal ones)."""
+        ann_at = self._by_edge.get
+        for k, i, j in links:
+            ann = ann_at(k)
+            if ann is None:
+                a, b = values[i], values[j]
+                yield (b, a) if b < a else (a, b) if a < b else (a, a)
+            else:
+                yield ann.wedge, ann.vee
 
     # ------------------------------------------------------------------
     # grid surgery
@@ -246,8 +268,7 @@ def approx_limits(
     if facet is not None:
         # the exterior (a None neighbour) has no value of its own: 0
         pair = [p._values.get(cid, 0.0) for cid in p.grid.facet_cells(facet)]
-        ann = p._ann_map.get(facet)
-        return (min(pair), max(pair)) if ann is None else (ann.wedge, ann.vee)
+        return next(p._limits([(p.grid.edge_index(facet), 0, 1)], pair))
     if p.grid.base_dim != 2:
         raise ProfileError("vertex limits need a 2-D base")
     i, j = vertex
@@ -293,15 +314,13 @@ def jump_interfaces(p: Profile) -> list[JumpInterface]:
     """All facets with wedge < vee, including those against the exterior."""
     grid = p.grid
     values = [*p._values.values(), 0.0]  # row-major cells, then the exterior
-    declared = {grid.edge_index(a.facet): a for a in p._annotations}
-    out = []
-    for k, (i, j) in enumerate(zip(*grid.edges())):
-        v_lo, v_hi = values[i], values[j]
-        ann = declared.get(k)
-        wedge, vee = (min(v_lo, v_hi), max(v_lo, v_hi)) if ann is None else (ann.wedge, ann.vee)
-        if wedge < vee:
-            out.append(JumpInterface(grid.edge_facet(k), wedge, vee, toward_upper=v_hi >= v_lo))
-    return out
+    below, above = grid.edges()
+    links = range(len(below)), below, above
+    return [
+        JumpInterface(grid.edge_facet(k), wedge, vee, toward_upper=values[j] >= values[i])
+        for k, i, j, (wedge, vee) in zip(*links, p._limits(zip(*links), values))
+        if wedge < vee
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -318,37 +337,11 @@ def scene(p: Profile, kind: str = "ehrhard") -> Scene:
     measure by its structure (a finite line and a non-degenerate span),
     even where its float measure underflows to 0. A facet is blocked
     exactly when it is in the annotation cut that the verdict and the
-    search decide on.
+    search decide on. The scene is a view of ``p``: its rows are built
+    when they are first read (see :class:`~ehrhard.connectedness.Scene`).
     """
-    grid, in_g, blocked = p._scene_data(kind)
-    ids, values = list(p._values), list(p._values.values())
-    cells = tuple(
-        SceneCell(id=cid, value=v, in_g=flag, gauss=gauss, lebesgue=lebesgue)
-        for cid, v, flag, (gauss, lebesgue) in zip(ids, values, in_g, grid._cell_measures())
-    )
-    declared = {grid.edge_index(a.facet): a for a in p._annotations}
-    facets = []
-    for k, i, j in _links(grid, in_g):
-        # the interface's limits: an annotation overrides the cell values
-        ann = declared.get(k)
-        if ann is not None:
-            wedge, vee = ann.wedge, ann.vee
-        else:
-            wedge, vee = values[i], values[j]
-            if vee < wedge:
-                wedge, vee = vee, wedge
-        facets.append(
-            SceneFacet(
-                facet=grid.edge_facet(k),
-                cells=(ids[i], ids[j]),
-                gauss=grid._edge_measures(k)[0],
-                wedge=wedge,
-                vee=vee,
-                blocked=k in blocked,
-                annotated=ann is not None,
-            )
-        )
-    return Scene(kind, grid.base_dim, cells, tuple(facets), _profile=p)
+    _is_ehrhard(kind)  # rejects an unknown kind now, not on first read
+    return Scene(kind, p.grid.base_dim, p)
 
 
 def from_profile(p: Profile) -> ColumnarSet:

@@ -31,7 +31,6 @@ from .columnar import (
 )
 from .connectedness import PartitionCertificate, SpanningStructure, _certificate, _decide, _links
 from .errors import (
-    DomainError,
     EhrhardError,
     PartitionError,
     ProfileError,
@@ -329,9 +328,7 @@ def _mirror_cost(gauss: float, wedge: float, vee: float) -> float:
     return gauss * 2.0 * min(wedge, 1.0 - vee)
 
 
-def exhaustive_search(
-    p: Profile, max_cells: int = 12, tolerance: float = 0.0
-) -> RigidityReport:
+def exhaustive_search(p: Profile, max_cells: int = 12) -> RigidityReport:
     """Price every non-trivial two-coloring of the G-cells.
 
     Enumerates all 2^g - 2 colorings in ascending bitmask order (bit k is
@@ -340,16 +337,9 @@ def exhaustive_search(
     interfaces cost exactly zero; an unblocked one has positive measure by
     its structure and is never free, even where its float price
     underflows to 0.0. Both sides of a coloring are non-empty, so an
-    accepted coloring separates. A positive ``tolerance`` is an opt-in
-    allowance: it also accepts colorings whose unblocked crossings cost at
-    most ``tolerance`` in total (their certificates do not separate),
-    priced by the closed-form mirror cost 2*min(wedge, 1 - vee) per unit
-    of base measure, which is what the perimeter difference of the built
-    competitor works out to. Instances with more than ``max_cells``
+    accepted coloring separates. Instances with more than ``max_cells``
     G-cells are refused outright to keep the enumeration honest.
     """
-    if not tolerance >= 0.0:
-        raise DomainError(f"tolerance {tolerance!r} must be >= 0")
     grid, in_g, blocked = p._scene_data()
     g = [i for i, inside in enumerate(in_g) if inside]
     n = len(g)
@@ -359,24 +349,13 @@ def exhaustive_search(
             f"of {max_cells}; pass a larger max_cells to force it"
         )
     bit = {i: 1 << k for k, i in enumerate(g)}
-    # prices matter only under an allowance; with none, any crossing rejects
-    unblocked = []
-    for k, i, j in _links(grid, in_g, blocked):
-        cost = 0.0
-        if tolerance:
-            wedge, vee = approx_limits(p, facet=grid.edge_facet(k))
-            cost = _mirror_cost(grid._edge_measures(k)[0], wedge, vee)
-        unblocked.append((bit[i], bit[j], cost))
+    unblocked = [(bit[i], bit[j]) for _, i, j in _links(grid, in_g, blocked)]
     checked = 0
     for mask in range(1, (1 << n) - 1):
         checked += 1
-        cost = 0.0
-        for ba, bb, w in unblocked:
+        for ba, bb in unblocked:
             if bool(mask & ba) != bool(mask & bb):
-                cost += w
-                # with no allowance, any unblocked crossing rejects the coloring
-                if not tolerance or cost > tolerance:
-                    break
+                break
         else:
             cert = _certificate(grid, in_g, blocked, {i for i in g if mask & bit[i]})
             return _nonrigid_report(p, cert, "exhaustive-search", checked)

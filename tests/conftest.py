@@ -28,7 +28,6 @@ from ehrhard import (
     PartitionCertificate,
     PerimeterBreakdown,
     Profile,
-    Scene,
     SceneCell,
     SceneFacet,
     SingularAnnotation,
@@ -347,9 +346,10 @@ def reference_links(p: Profile, kind: str = "ehrhard") -> tuple[list[bool], list
     return in_g, links
 
 
-def reference_scene(p: Profile, kind: str = "ehrhard") -> Scene:
-    """``scene(p, kind)`` as a view of :func:`reference_links`, its
-    measures read through the public accessors."""
+def reference_scene_repr(p: Profile, kind: str = "ehrhard") -> str:
+    """``repr(scene(p, kind))``: the rows of :func:`reference_links`, their
+    measures read through the public accessors, in the text of a Scene's
+    repr (a Scene is a view of a profile and takes no rows)."""
     grid, ids = p.grid, list(p.grid.cells())
     in_g, links = reference_links(p, kind)
     cells = tuple(
@@ -368,7 +368,7 @@ def reference_scene(p: Profile, kind: str = "ehrhard") -> Scene:
         )
         for k, i, j, wedge, vee, blocked in links
     )
-    return Scene(kind, grid.base_dim, cells, facets, _profile=p)
+    return f"Scene(kind={kind!r}, base_dim={grid.base_dim!r}, cells={cells!r}, facets={facets!r})"
 
 
 def reference_certificate(p: Profile, kind: str, minus: set) -> PartitionCertificate:
@@ -406,28 +406,19 @@ def reference_decide(p: Profile, kind: str = "ehrhard"):
     return True, reference_certificate(p, kind, {i for i in g if roots[i] == g[0]})
 
 
-def reference_search(p: Profile, tolerance: float = 0.0):
-    """``exhaustive_search(p, tolerance)`` on :func:`reference_links`, as
+def reference_search(p: Profile):
+    """``exhaustive_search(p)`` on :func:`reference_links`, as
     ``(partitions checked, certificate of the accepted coloring or None)``:
-    colorings in ascending bitmask order, each unblocked crossing priced
-    ``2 * min(wedge, 1 - vee)`` per unit of facet measure."""
+    colorings in ascending bitmask order, the first that crosses no
+    unblocked link accepted."""
     in_g, links = reference_links(p)
     g = [i for i, inside in enumerate(in_g) if inside]
     bit = {i: 1 << k for k, i in enumerate(g)}
-    prices = [
-        (bit[i], bit[j], p.grid.facet_gauss(p.grid.edge_facet(k)) * 2.0 * min(w, 1.0 - v))
-        for k, i, j, w, v, blocked in links
-        if not blocked
-    ]
+    unblocked = [(bit[i], bit[j]) for k, i, j, w, v, blocked in links if not blocked]
     checked = 0
     for mask in range(1, (1 << len(g)) - 1):
         checked += 1
-        cost, crossings = 0.0, 0
-        for ba, bb, price in prices:
-            if bool(mask & ba) != bool(mask & bb):
-                cost += price
-                crossings += 1
-        if crossings == 0 or (tolerance and cost <= tolerance):
+        if all(bool(mask & ba) == bool(mask & bb) for ba, bb in unblocked):
             return checked, reference_certificate(p, "ehrhard", {i for i in g if mask & bit[i]})
     return checked, None
 
@@ -456,16 +447,19 @@ def reference_render(p: Profile, report=None) -> str:
     return svg
 
 
-def assert_same_repr(got: object, want: object) -> None:
-    """Assert ``repr(got) == repr(want)``, reporting a mismatch by its first
-    differing character and the text around it. pytest's own report diffs
-    the two strings whole, which for a catalog-size repr (one long line)
-    can run for minutes."""
-    a, b = repr(got), repr(want)
+def assert_same_text(a: str, b: str) -> None:
+    """Assert ``a == b``, reporting a mismatch by its first differing
+    character and the text around it. pytest's own report diffs the two
+    strings whole, which for a catalog-size text can run for minutes."""
     if a != b:
         at = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
         lo = max(0, at - 40)
-        assert a[lo : at + 40] == b[lo : at + 40], f"reprs differ at character {at}"
+        assert a[lo : at + 40] == b[lo : at + 40], f"texts differ at character {at}"
+
+
+def assert_same_repr(got: object, want: object) -> None:
+    """Assert ``repr(got) == repr(want)`` by :func:`assert_same_text`."""
+    assert_same_text(repr(got), repr(want))
 
 
 def assert_same_perimeter(e: ColumnarSet) -> None:

@@ -222,7 +222,7 @@ def test_criterion_04_verdict_agreement(verdict_suite):
     reports = _theorem_reports(verdict_suite)
     nonrigid = 0
     for p, rep in zip(verdict_suite, reports):
-        srep = exhaustive_search(p, tolerance=1e-9)
+        srep = exhaustive_search(p)
         assert rep.verdict is srep.verdict
         if rep.verdict is Verdict.NONRIGID:
             nonrigid += 1

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import pytest
+from hypothesis import given, settings
 
 from ehrhard import (
     ColumnarSet,
@@ -47,12 +48,14 @@ from ehrhard.jsonio import (
     profile_to_json,
 )
 from conftest import (
+    assert_same_text,
     random_annotated,
     random_columnar,
     random_profile_1d,
     random_profile_2d,
     reference_json,
 )
+from test_rigidity import far_tail_profiles_1d
 
 INF = math.inf
 
@@ -330,9 +333,9 @@ EDGE_SCALARS = [
     [], (), {}, [[]], {"e": {}}, ([], ()),
 ]
 
-# Scene rows and int arrays have writers of their own; rows of other leaf
-# types than scene() builds, and arrays that are not all ints, must take
-# the generic path and write the same text.
+# A scene row written on its own takes the generic writer, whatever its
+# leaf types; int arrays have a writer of their own, and arrays that are
+# not all exact ints must take the generic path and write the same text.
 ROWS_AND_INT_ARRAYS = [
     SceneCell((0,), 0.5, True, 0.25, 1.0),
     SceneCell((2, 3), 0.0, False, 5e-324, 0.125),
@@ -362,13 +365,13 @@ class TestWriter:
 
     @pytest.mark.parametrize("x", EDGE_SCALARS, ids=repr)
     def test_edge_scalars(self, x):
-        assert _dumps(x) == dumped(x)
-        assert _dumps([x, {"k": x}]) == dumped([x, {"k": x}])
+        assert_same_text(_dumps(x), dumped(x))
+        assert_same_text(_dumps([x, {"k": x}]), dumped([x, {"k": x}]))
 
     @pytest.mark.parametrize("x", ROWS_AND_INT_ARRAYS, ids=repr)
     def test_rows_and_int_arrays(self, x):
         for doc in (x, [x], [{"row": x}]):
-            assert _dumps(doc) == dumped(doc)
+            assert_same_text(_dumps(doc), dumped(doc))
 
     def test_random_families(self):
         rng = random.Random(45)
@@ -377,14 +380,15 @@ class TestWriter:
         profiles += [random_annotated(rng, random_profile_2d(rng)) for _ in range(8)]
         for p in profiles:
             for x in cli_reports(p):
-                assert _dumps(x) == dumped(x)
+                assert_same_text(_dumps(x), dumped(x))
         for _ in range(10):
             e = random_columnar(rng)
-            assert _dumps(e) == dumped(e) == dumped(columnar_to_json(e))
+            assert_same_text(_dumps(e), dumped(e))
+            assert_same_text(dumped(e), dumped(columnar_to_json(e)))
 
     def test_mistico(self):
         for x in cli_reports(_mistico_profile(1 / 16)):
-            assert _dumps(x) == dumped(x)
+            assert_same_text(_dumps(x), dumped(x))
 
     @pytest.mark.parametrize("name", catalog_names())
     def test_catalog_payload(self, name):
@@ -401,13 +405,13 @@ class TestWriter:
             "checks": reference_json(result.checks),
             "report": reference_json(result.report),
         }
-        assert _dumps(payload) == dumped(payload)
-        assert _dumps(payload) == json.dumps(written, indent=2, sort_keys=True)
+        assert_same_text(_dumps(payload), dumped(payload))
+        assert_same_text(_dumps(payload), json.dumps(written, indent=2, sort_keys=True))
 
     def test_encoding_rule(self):
         inner = (_Inner(Facet(0, 2, 0), INF), _Inner(Facet(1, 1, 3), -INF))
         x = _Outer(Verdict.RIGID, inner, ((0,), (1, 2)), count=3)
-        assert _dumps(x) == dumped(x)
+        assert_same_text(_dumps(x), dumped(x))
 
     def test_dict_values_follow_the_rule(self):
         inner = _Inner(Facet(0, 2, 0), INF)
@@ -438,3 +442,46 @@ class _Watched:
         if name.startswith("_") and not name.startswith("__"):
             raise AssertionError(f"private field {name} read")
         return object.__getattribute__(self, name)
+
+
+def assert_scene_written(p):
+    """``_dumps`` of a scene of each kind of ``p``, before and after its rows
+    are read, is the reference text of its rows, and writing builds no row."""
+    for kind in ("ehrhard", "steiner"):
+        sc = scene(p, kind)
+        unread = _dumps(sc)
+        assert "cells" not in vars(sc) and "facets" not in vars(sc)
+        want = dumped(sc)  # reads the rows
+        assert_same_text(unread, want)
+        assert_same_text(_dumps(sc), want)
+        assert_same_text(_dumps([{"scene": sc}]), dumped([{"scene": sc}]))
+
+
+class TestSceneWriter:
+    """A scene is written straight from the profile it views, with no row
+    built, as the generic rule writes the rows it builds when read."""
+
+    @pytest.mark.parametrize("family", ["1d", "2d", "annotated"])
+    def test_conftest_families(self, family):
+        rng = random.Random(f"scene-writer-{family}")
+        for k in range(60):
+            if family == "1d":
+                p = random_profile_1d(rng)
+            elif family == "2d":
+                p = random_profile_2d(rng)
+            else:
+                p = random_annotated(rng, (random_profile_1d, random_profile_2d)[k % 2](rng))
+            assert_scene_written(p)
+
+    @settings(deadline=None, max_examples=100)
+    @given(far_tail_profiles_1d())
+    def test_far_tail(self, p):
+        assert_scene_written(p)
+
+    def test_mistico(self):
+        assert_scene_written(_mistico_profile(1 / 16))
+
+    def test_empty_g(self):
+        p = Profile(Grid((-INF, 0.0, INF)), {(0,): 0.0, (1,): 1.0})
+        assert_scene_written(p)
+        assert json.loads(_dumps(scene(p)))["facets"] == []

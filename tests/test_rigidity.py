@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ehrhard.profiles
+import ehrhard.connectedness
 import ehrhard.rigidity
 from ehrhard import (
     ColumnarSet,
-    DomainError,
     EhrhardError,
     Facet,
     Grid,
@@ -54,8 +53,10 @@ from conftest import (
     random_annotated,
     random_profile_1d,
     random_profile_2d,
+    reference_links,
     reference_pino,
 )
+from test_exhaustive import FAMILIES
 
 INF = math.inf
 
@@ -308,17 +309,13 @@ class TestExhaustiveSearch:
             exhaustive_search(p)
         assert exhaustive_search(p, max_cells=13).rigid
 
-    def test_tolerance_prices_cheap_interfaces_as_free(self):
-        p = Profile(Grid((-INF, 0.0, INF)), {(0,): 0.5, (1,): 1e-6})
-        assert exhaustive_search(p).rigid
-        loose = exhaustive_search(p, tolerance=1e-2)
-        assert not loose.rigid
-
-    def test_tolerance_must_be_nonnegative(self):
-        p = Profile(Grid((-INF, 0.0, INF)), {(0,): 0.5, (1,): 0.5})
-        for bad in (-1e-9, math.nan):
-            with pytest.raises(DomainError):
-                exhaustive_search(p, tolerance=bad)
+    def test_takes_no_tolerance(self):
+        # the cheap-crossing allowance is gone: its NonRigid reports did not separate
+        g = Grid((-INF, 0.0, 3.0, INF))
+        p = Profile(g, dict.fromkeys(g.cells(), 0.5))
+        assert rigidity_verdict(p).rigid and exhaustive_search(p).rigid
+        with pytest.raises(TypeError):
+            exhaustive_search(p, tolerance=0.5)
 
 
 @st.composite
@@ -364,10 +361,6 @@ class TestFarTail:
         p = Profile(g, {cid: 0.5 for cid in g.cells()})
         assert rigidity_verdict(p).rigid
         assert exhaustive_search(p).rigid
-        loose = exhaustive_search(p, tolerance=1e-9)
-        assert not loose.rigid
-        assert loose.certificate.interface_facets == (Facet(0, 2, 0),)
-        assert not loose.certificate.separating
 
     @settings(deadline=None)
     @given(far_tail_profiles_1d())
@@ -390,6 +383,35 @@ def family_profiles(draw):
     if draw(st.booleans()):
         p = random_annotated(rng, p)
     return p
+
+
+def route_reports(p):
+    """The reports of every verdict route on ``p``: the theorem, the planar
+    criterion on a 1-D base and the search within its bound."""
+    reports = [rigidity_verdict(p)]
+    if p.grid.base_dim == 1:
+        reports.append(rigidity_verdict_planar(p))
+    if len(p.g_cells()) <= 12:
+        reports.append(exhaustive_search(p))
+    return reports
+
+
+class TestNonRigidSeparates:
+    """Every NonRigid report, on every route, carries a certificate that
+    separates: no unblocked interface crosses it and both sides are
+    non-empty."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.one_of(family_profiles(), far_tail_profiles_1d()))
+    def test_random_families(self, p):
+        for report in route_reports(p):
+            assert report.rigid or report.certificate.separating, (report.method, p)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_small_scope_families(self, family):
+        for p in FAMILIES[family]():
+            for report in route_reports(p):
+                assert report.rigid or report.certificate.separating, (report.method, p)
 
 
 def interval_pino(p, levels):
@@ -664,21 +686,26 @@ class TestComplementSplit:
 
 @pytest.fixture
 def scene_builds(monkeypatch):
-    """Count SceneCell constructions: every Scene build makes one per cell."""
+    """Count scene rows built: a SceneCell per cell and a SceneFacet per
+    G-G interface, made on the first read of a Scene's rows."""
     count = [0]
-    real = ehrhard.profiles.SceneCell
 
-    def counted(*args, **kwargs):
-        count[0] += 1
-        return real(*args, **kwargs)
+    def counting(real):
+        def counted(*args, **kwargs):
+            count[0] += 1
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(ehrhard.profiles, "SceneCell", counted)
+        return counted
+
+    module = ehrhard.connectedness
+    for name in ("SceneCell", "SceneFacet"):
+        monkeypatch.setattr(module, name, counting(getattr(module, name)))
     return count
 
 
 class TestSceneFree:
     """The verdict, the search and render_profile decide on flat edge data;
-    a Scene is built only where a caller reads one."""
+    a Scene's rows are built only where a caller reads them."""
 
     def test_decisions_build_no_scene(self, scene_builds):
         rng = random.Random(88)
@@ -693,15 +720,19 @@ class TestSceneFree:
                 render_profile(p)
                 render_profile(p, report)
         assert scene_builds[0] == 0
-        scene(p)
-        assert scene_builds[0] == len(list(p.grid.cells()))
+        sc = scene(p)
+        assert scene_builds[0] == 0
+        assert len(sc.facets) == len(reference_links(p)[1])
+        assert scene_builds[0] == len(list(p.grid.cells())) + len(sc.facets)
 
     def test_connectedness_command_builds_a_scene(self, scene_builds, tmp_path, capsys):
         infile = tmp_path / "profile.json"
         infile.write_text(json.dumps(profile_to_json(three_column(0.3, 0.5, 0.6))))
         assert main(["connectedness", "--in", str(infile)]) == 0
-        assert json.loads(capsys.readouterr().out)["disconnects"] is False
-        assert scene_builds[0] == 3
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["disconnects"] is False
+        assert (len(doc["scene"]["cells"]), len(doc["scene"]["facets"])) == (3, 2)
+        assert scene_builds[0] == 0  # the writer writes the rows from the profile
 
 
 def drawn_blocked(p):
@@ -735,7 +766,7 @@ class TestFlatRoutes:
             assert theorem.certificate == witness
         reports = [theorem]
         if len(p.g_cells()) <= 12:
-            reports += [exhaustive_search(p), exhaustive_search(p, tolerance=1e-2)]
+            reports.append(exhaustive_search(p))
         for report in reports:
             if not report.rigid:
                 cert = report.certificate

@@ -8,10 +8,11 @@ The matrix: ``catalog NAME --out DIR`` for every catalog entry, ``sweep``
 for every family, and on each entry's profile ``rigidity`` (three
 methods), ``counterexample``, ``connectedness`` (two kinds), ``render``
 (the profile and its model set), ``perimeter`` and ``symmetrize`` (two
-modes) of the model set, and ``rigidity`` and ``perimeter`` once more
-with their JSON on stdout; then ``phi``, ``psi``, the ``catalog`` listing
-and three input errors (exit 1). Each command's directory holds its
-``stdout``, ``stderr``, ``exit`` code and the files it wrote. The inputs
+modes) of the model set, and ``rigidity``, ``connectedness`` and
+``perimeter`` once more with their JSON on stdout; then ``phi``,
+``psi``, the ``catalog`` listing and three input errors (exit 1). Each
+command's directory holds its ``stdout``, ``stderr``, ``exit`` code and
+the files it wrote. The inputs
 are built by the library under test, from the ``src`` tree next to this
 script.
 
@@ -50,6 +51,7 @@ PROFILE_COMMANDS = {
     "symmetrize-ehrhard": ["symmetrize", "--mode", "ehrhard", "--in", "{model}", "--out", "{out}"],
     "symmetrize-steiner": ["symmetrize", "--mode", "steiner", "--in", "{model}", "--out", "{out}"],
     "rigidity-stdout": ["rigidity", "--in", "{profile}"],
+    "connectedness-stdout": ["connectedness", "--in", "{profile}"],
     "perimeter-stdout": ["perimeter", "--in", "{model}"],
 }
 
