@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .columnar import gauss_perimeter
+from .connectedness import _one_piece
 from .errors import CatalogError
 from .gauss import gamma1, phi
 from .grids import Facet, Grid
@@ -22,8 +23,6 @@ from .intervals import Interval
 from .profiles import (
     Profile,
     SingularAnnotation,
-    _complement_one_piece,
-    _set_one_piece,
     from_profile,
     g_boundary_gauss,
     scene,
@@ -344,8 +343,10 @@ def _mistico_checks(ck: _Checks, p: Profile, rep: RigidityReport) -> None:
         len(minus_signs) == 1 and len(plus_signs) == 1 and minus_signs != plus_signs,
         f"minus on top: {minus_signs}",
     )
-    ck.add("set-one-piece", _set_one_piece(p), "")
-    ck.add("complement-one-piece", _complement_one_piece(p), "")
+    grid, inside, _ = p._band(0.0, INF)
+    ck.add("set-one-piece", _one_piece(grid, inside), "")
+    grid, inside, _ = p._complement_band()
+    ck.add("complement-one-piece", _one_piece(grid, inside), "")
 
 
 @_entry("mistico", default_resolution=0.125)

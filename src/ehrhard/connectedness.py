@@ -8,15 +8,17 @@ two-coloring of its components with no unblocked interface between the
 colors certifies that the singular set essentially disconnects G.
 
 An interface is blocked where its one-sided limits reach 0, or 1 for an
-Ehrhard scene. Two G-cells have values strictly inside (0, 1), or in
-(0, 1] for Steiner, so only an annotation can block the interface between
-them: the blocked interfaces are an annotation cut, the edge positions of
-the annotations that meet the rule (``Profile._scene_data`` gives it with
-the in-G flags). Every reader of the scene graph takes its links from one
-primitive, :func:`_links`, which picks the edges between two kept cells
-at C speed: the verdict and the exhaustive search of
-:mod:`ehrhard.rigidity`, :func:`ehrhard.render.render_profile`, and, on
-the profile a :class:`Scene` views, :func:`essentially_disconnects` and
+Ehrhard scene. Both kinds ask one band rule (``Profile._band(low, high)``,
+``_BANDS`` gives each kind's band): the cells with low < v < high are in,
+and the annotations with wedge <= low or vee >= high are cut. Two G-cells
+have values inside the band, so only an annotation can block the
+interface between them: the blocked interfaces are an annotation cut, the
+edge positions of the annotations that meet the rule. Every reader of the
+scene graph takes its links from one primitive, :func:`_links`, which
+picks the edges between two kept cells at C speed: the verdict and the
+exhaustive search of :mod:`ehrhard.rigidity`,
+:func:`ehrhard.render.render_profile`, and, on the profile a
+:class:`Scene` views, :func:`essentially_disconnects` and
 ``Scene._columns``. The JSON writer of a scene (``jsonio._write_scene``)
 reads those links through ``_columns`` too, and writes the rows' text
 without building them. A certificate picks its crossing edges from a
@@ -35,12 +37,13 @@ On the model set of a profile this reduces to cells. Its columns are
 ``(psi(v), inf)``, the full line, or empty, and its complement's columns
 are ``(-inf, psi(v))``, the full line, or empty, so each occupied column
 is one piece and any two occupied neighbors overlap. The model set is
-one essential piece exactly when the cells with v > 0 are connected
-across the facets that are not severed, and its complement exactly when
-the cells with v < 1 are, on the grid extended to infinity (whose new
-cells count as v = 0). :func:`ehrhard.profiles._model_one_piece` decides
-these questions on the same primitive, over a grid's row-major cell
-indices, on which the exterior is never kept.
+one essential piece exactly when the cells with v > 0 (the Steiner band
+``(0, inf)``) are connected across the facets that are not severed, and
+its complement exactly when the cells with v < 1 (the band ``(-inf, 1)``)
+are, on the grid extended to infinity (whose new cells count as v = 0;
+``Profile._complement_band``). The level restriction at t is the band
+``(t, 1 - t)``. :func:`_one_piece` decides these questions on the same
+primitive, over a band's flags and cut.
 
 Every connectivity question, on scenes, pieces or cells, runs on one
 union-find kernel over integer links (:func:`_join`); results keep their
@@ -56,7 +59,7 @@ from operator import and_
 from typing import TYPE_CHECKING, Any, Collection, Iterable, Iterator, Sequence, Union
 
 from .columnar import ColumnarSet, complement, complement_facet_map
-from .errors import PartitionError
+from .errors import PartitionError, ProfileError
 from .grids import CellId, Facet, Grid
 from .intervals import _of_ends
 
@@ -64,6 +67,9 @@ if TYPE_CHECKING:
     from .profiles import Profile
 
 INF = math.inf
+# the band (low, high) of each scene kind: G is the cells with low < v < high,
+# and an annotation with wedge <= low or vee >= high blocks its interface
+_BANDS = {"ehrhard": (0.0, 1.0), "steiner": (0.0, INF)}
 # translates byte 3, the XOR of a plus (1) and a minus (2) side byte, to 1
 _CROSSES = bytes(c == 3 for c in range(256))
 
@@ -147,7 +153,7 @@ class Scene:
         cells' row-major indices, Gaussian measures, wedges, vees, and
         blocked and annotated flags."""
         p = self._profile
-        grid, in_g, blocked = p._scene_data(self.kind)
+        grid, in_g, blocked = self._band()
         values = [*p._values.values(), 0.0]
         links = list(_links(grid, in_g))
         ks, lo, hi = tuple(zip(*links)) or ((), (), ())
@@ -157,8 +163,15 @@ class Scene:
         cells = (list(p._values), values, in_g, *zip(*grid._cell_measures()))
         return cells, (ks, lo, hi, gauss, *limits, *flags)
 
+    def _band(self) -> tuple[Grid, list[bool], set[int]]:
+        """The grid, in-G flags and blocked edge positions (see ``_BANDS``)."""
+        if self.kind not in _BANDS:
+            raise ProfileError(f"unknown scene kind {self.kind!r}")
+        return self._profile._band(*_BANDS[self.kind])
+
     def g_cells(self) -> list[CellId]:
-        return [c.id for c in self.cells if c.in_g]
+        grid, in_g, _ = self._band()
+        return list(compress(grid.cells(), in_g))
 
 
 @dataclass(frozen=True)
@@ -256,7 +269,7 @@ def _links(
 
 def certificate_for(scene: Scene, minus_cells: Iterable[CellId]) -> PartitionCertificate:
     """Build the certificate for a given minus-side among the scene's G-cells."""
-    grid, in_g, blocked = scene._profile._scene_data(scene.kind)
+    grid, in_g, blocked = scene._band()
     g_index = {cid: i for i, cid in enumerate(grid.cells()) if in_g[i]}
     minus = {tuple(c) for c in minus_cells}
     if not minus <= g_index.keys():
@@ -311,7 +324,7 @@ def essentially_disconnects(
     of unblocked interfaces is returned. Empty G is vacuously connected
     and yields an empty structure.
     """
-    return _decide(*scene._profile._scene_data(scene.kind))
+    return _decide(*scene._band())
 
 
 def _decide(
@@ -329,6 +342,15 @@ def _decide(
         )
     # g[0], the smallest G-cell, roots the first component
     return True, _certificate(grid, in_g, blocked, {i for i in g if roots[i] == g[0]})
+
+
+def _one_piece(grid: Grid, inside: Sequence[bool], cut: Iterable[int] = ()) -> bool:
+    """Whether the cells with ``inside`` set (row-major, the exterior last
+    and never set) form one component across the edges not in ``cut``;
+    False with no cell inside. On a band of a profile this is a one-piece
+    question of its model set (see the module docstring)."""
+    _, joined = _join(len(inside), _links(grid, inside, cut))
+    return sum(inside) - len(joined) == 1
 
 
 # ----------------------------------------------------------------------

@@ -21,8 +21,7 @@ document in between. A scene is written from the profile it views: its
 rows' texts are filled into templates with the rule's bytes, and no row
 object is built (a scene whose rows were read writes the same text). A
 ``SceneCell`` or ``SceneFacet`` written on its own takes the generic
-path, and an array of exact ints is written as one join. Lazily priced
-report fields are priced when the writer reads them.
+path. Lazily priced report fields are priced when the writer reads them.
 """
 
 from __future__ import annotations
@@ -241,12 +240,9 @@ def _write_float(x: float, nl: str) -> str:
 _FLOAT_WORDS = {"nan": "NaN"} | {
     repr(x): encode_basestring_ascii(encode_number(x)) for x in (INF, -INF)
 }
-_INT_ONLY = {int}  # the item types of an array written as one join
 
 
 def _write_array(x: Any, nl: str) -> str:
-    if set(map(type, x)) == _INT_ONLY:
-        return _array_text(list(map(int.__repr__, x)), nl)
     inner, writers = nl + "  ", _WRITERS
     return _array_text([writers[type(v)](v, inner) for v in x], nl)
 

@@ -20,20 +20,13 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .columnar import ColumnarSet, _extended_grid, _extension_shift, complement_facet_map
-from .connectedness import Scene, _join, _links
+from .connectedness import _BANDS, Scene
 from .errors import ProfileError
 from .gauss import gamma1, psi
 from .grids import CellId, Facet, Grid
 from .intervals import IntervalSet
 
 INF = math.inf
-
-
-def _is_ehrhard(kind: str) -> bool:
-    """Whether a scene of ``kind`` is an Ehrhard one, not a Steiner one."""
-    if kind not in ("ehrhard", "steiner"):
-        raise ProfileError(f"unknown scene kind {kind!r}")
-    return kind == "ehrhard"
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,23 +133,43 @@ class Profile:
             f"{len(self._annotations)} annotations)"
         )
 
-    def _scene_data(self, kind: str = "ehrhard") -> tuple[Grid, list[bool], set[int]]:
-        """The scene of the profile as the decision reads it (see :func:`scene`).
+    def _band(self, low: float, high: float) -> tuple[Grid, list[bool], set[int]]:
+        """The cells and the cut of the band ``low < v < high``.
 
-        The grid, each cell's in-G flag in row-major order with the
-        exterior (never in G) last, and the edge positions of the
-        annotations that block: wedge 0 or, for an Ehrhard scene, vee 1.
-        No other interface between two G-cells is blocked, since their
-        values lie in (0, 1), or in (0, 1] for a Steiner scene.
+        The grid, each cell's flag ``low < v < high`` in row-major order
+        with the exterior (never in) last, and the edge positions of the
+        annotations that leave the band: wedge <= low or vee >= high. Every
+        connectivity question reads a band: the Ehrhard scene ``(0, 1)``,
+        the Steiner scene and the model set ``(0, inf)``, the level
+        restriction at t ``(t, 1 - t)`` and, on the extended grid, the
+        complement ``(-inf, 1)`` (:meth:`_complement_band`).
         """
-        ehrhard = _is_ehrhard(kind)
-        values = self._values.values()
-        in_g = [0.0 < v < 1.0 for v in values] if ehrhard else [v > 0.0 for v in values]
-        in_g.append(False)  # the exterior
-        blocked = {
-            k for k, a in self._by_edge.items() if a.wedge == 0.0 or (ehrhard and a.vee == 1.0)
-        }
-        return self._grid, in_g, blocked
+        inside = [low < v < high for v in self._values.values()]
+        inside.append(False)  # the exterior
+        cut = {k for k, a in self._by_edge.items() if a.wedge <= low or a.vee >= high}
+        return self._grid, inside, cut
+
+    def _complement_band(self) -> tuple[Grid, list[bool], set[int]]:
+        """The band ``(-inf, 1)`` on the grid of the model set's complement.
+
+        The grid gets infinite end breakpoints like
+        :func:`~ehrhard.columnar.complement`; its new cells count as v = 0,
+        so they are in, and the cut (the annotations with vee 1) moves onto
+        the same facets of it.
+        """
+        grid, inside, cut = self._band(-INF, 1.0)
+        big = _extended_grid(grid)
+        shift = _extension_shift(grid, big)
+        # the new cells: in 2-D the new rows before the old ones, then each old
+        # row (along the last axis) padded at both ends, then the rows after
+        n, width = grid.shape[-1], big.shape[-1]
+        left, right = [True] * shift[-1], [True] * (width - n - shift[-1])
+        padded = [True] * (shift[0] * width if grid.base_dim == 2 else 0)
+        for x in range(0, len(inside) - 1, n):
+            padded += left + inside[x : x + n] + right
+        padded += [True] * (math.prod(big.shape) - len(padded)) + [False]
+        moved = {big.edge_index(complement_facet_map(grid, big, grid.edge_facet(k))) for k in cut}
+        return big, padded, moved
 
     def _limits(
         self, links: Iterable[tuple[Optional[int], int, int]], values: Sequence[float]
@@ -185,6 +198,8 @@ class Profile:
         and both halves keep the old value, so every limit, scene, and
         verdict downstream is unchanged.
         """
+        if axis not in range(self._grid.base_dim):
+            raise ProfileError(f"axis {axis!r} outside the {self._grid.base_dim}-D base")
         coordinate = float(coordinate)
         bps = self._grid.axes[axis]
         if coordinate in bps:
@@ -340,7 +355,8 @@ def scene(p: Profile, kind: str = "ehrhard") -> Scene:
     search decide on. The scene is a view of ``p``: its rows are built
     when they are first read (see :class:`~ehrhard.connectedness.Scene`).
     """
-    _is_ehrhard(kind)  # rejects an unknown kind now, not on first read
+    if kind not in _BANDS:  # rejects an unknown kind now, not on first read
+        raise ProfileError(f"unknown scene kind {kind!r}")
     return Scene(kind, p.grid.base_dim, p)
 
 
@@ -354,49 +370,6 @@ def from_profile(p: Profile) -> ColumnarSet:
     above = {v: IntervalSet.above(psi(v)) for v in set(p._values.values()) if v > 0.0}
     sections = {cid: above[v] for cid, v in p._values.items() if v > 0.0}
     return ColumnarSet._of_cells(p.grid, sections)
-
-
-def _model_one_piece(grid: Grid, inside: list[bool], severed: Iterable[Facet] = ()) -> bool:
-    """Whether the cells of ``grid`` with ``inside`` set (row-major, the
-    exterior last and never set) form one component.
-
-    Cells connect across the facets that are not ``severed``. This is
-    essential connectedness of a model-set region read on cells (see
-    :mod:`ehrhard.connectedness`): the cells with v > 0 give
-    ``indecomposable(from_profile(p), severed)``, and those with
-    t < v < 1 - t the same for the model set restricted to them. With no
-    cell inside there is no component, and the answer is False.
-    """
-    # a line at infinity has no facets to sever
-    cut = [k for k in map(grid.edge_index, severed) if k is not None]
-    _, joined = _join(len(inside), _links(grid, inside, cut))
-    return sum(inside) - len(joined) == 1
-
-
-def _set_one_piece(p: Profile, severed: Iterable[Facet] = ()) -> bool:
-    """``indecomposable(from_profile(p), severed)``, decided on cells."""
-    return _model_one_piece(p.grid, [v > 0.0 for v in p._values.values()] + [False], severed)
-
-
-def _complement_one_piece(p: Profile, severed: Iterable[Facet] = ()) -> bool:
-    """``complement_indecomposable(from_profile(p), severed)``, decided on cells.
-
-    The cells with v < 1 of the grid given infinite end breakpoints like
-    :func:`~ehrhard.columnar.complement`, whose new cells count as v = 0,
-    with ``severed`` re-indexed onto it.
-    """
-    grid, big = p.grid, _extended_grid(p.grid)
-    shift = _extension_shift(grid, big)
-    inside = [v < 1.0 for v in p._values.values()]  # row-major
-    # the new cells: in 2-D the new rows before the old ones, then each old
-    # row (along the last axis) padded at both ends, then the rows after
-    n, width = grid.shape[-1], big.shape[-1]
-    left, right = [True] * shift[-1], [True] * (width - n - shift[-1])
-    padded = [True] * (shift[0] * width if grid.base_dim == 2 else 0)
-    for x in range(0, len(inside), n):
-        padded += left + inside[x : x + n] + right
-    padded += [True] * (math.prod(big.shape) - len(padded)) + [False]
-    return _model_one_piece(big, padded, [complement_facet_map(grid, big, f) for f in severed])
 
 
 def distribution(e: ColumnarSet) -> Profile:

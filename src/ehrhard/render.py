@@ -132,7 +132,7 @@ def render_profile(p: Profile, report: Optional[RigidityReport] = None) -> str:
     minus: tuple = ()
     if report is not None and report.certificate is not None:
         minus = report.certificate.minus_cells
-    grid, in_g, cut = p._scene_data()
+    grid, in_g, cut = p._band(0.0, 1.0)
     blocked = [grid.edge_facet(k) for k, _, _ in _links(grid, in_g) if k in cut]
     if grid.base_dim == 2:
         return _render_base_heatmap(

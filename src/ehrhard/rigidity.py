@@ -29,7 +29,14 @@ from .columnar import (
     gauss_perimeter,
     halfline_classification,
 )
-from .connectedness import PartitionCertificate, SpanningStructure, _certificate, _decide, _links
+from .connectedness import (
+    PartitionCertificate,
+    SpanningStructure,
+    _certificate,
+    _decide,
+    _links,
+    _one_piece,
+)
 from .errors import (
     EhrhardError,
     PartitionError,
@@ -38,14 +45,7 @@ from .errors import (
 )
 from .gauss import gamma1
 from .grids import Facet
-from .profiles import (
-    Profile,
-    _complement_one_piece,
-    _model_one_piece,
-    _set_one_piece,
-    approx_limits,
-    from_profile,
-)
+from .profiles import Profile, approx_limits, from_profile
 
 __all__ = [
     "Verdict",
@@ -192,7 +192,7 @@ def rigidity_verdict(p: Profile) -> RigidityReport:
     Decided on the grid's edges; no :class:`~ehrhard.connectedness.Scene`
     is built.
     """
-    disconnected, witness = _decide(*p._scene_data())
+    disconnected, witness = _decide(*p._band(0.0, 1.0))
     if not disconnected:
         notes = ()
         if not witness.cells:
@@ -340,7 +340,7 @@ def exhaustive_search(p: Profile, max_cells: int = 12) -> RigidityReport:
     accepted coloring separates. Instances with more than ``max_cells``
     G-cells are refused outright to keep the enumeration honest.
     """
-    grid, in_g, blocked = p._scene_data()
+    grid, in_g, blocked = p._band(0.0, 1.0)
     g = [i for i, inside in enumerate(in_g) if inside]
     n = len(g)
     if n > max_cells:
@@ -431,21 +431,18 @@ def check_pino(p: Profile, levels: Optional[Sequence[float]] = None) -> LevelRes
     for a, b in zip(ts, ts[1:]):
         if not b < a:
             raise ProfileError("levels must be strictly decreasing")
-    # a level keeps every G-value when it keeps the extreme ones (and an
-    # empty G loses no cell)
-    g = [v for v in p._values.values() if 0.0 < v < 1.0]
-    lo, hi = min(g, default=0.5), max(g, default=0.5)
-    # a level that keeps every G-value keeps exactly G, so its answer
-    # depends only on the facets it severs: each distinct set is asked once
-    answers: dict[tuple[Facet, ...], bool] = {}
-    grid, in_g, _ = p._scene_data()
+    # a level keeps G exactly when its band's flags are G's, and then its
+    # answer depends only on its cut: each distinct cut is asked once
+    grid, in_g, _ = p._band(0.0, 1.0)
+    answers: dict[frozenset[int], bool] = {}
     passed = []
     for t in ts:
-        severed = tuple(a.facet for a in p._annotations if a.wedge <= t or a.vee >= 1.0 - t)
-        keeps_g = t < lo < 1.0 - t and t < hi < 1.0 - t
-        if keeps_g and severed not in answers:
-            answers[severed] = _model_one_piece(grid, in_g, severed)
-        passed.append(keeps_g and answers[severed])
+        _, inside, cut = p._band(t, 1.0 - t)
+        keeps_g = inside == in_g
+        key = frozenset(cut)
+        if keeps_g and key not in answers:
+            answers[key] = _one_piece(grid, in_g, cut)
+        passed.append(keeps_g and answers[key])
     return LevelRestrictionReport(
         levels=ts, passed=tuple(passed), overall=bool(passed) and all(passed)
     )
@@ -474,10 +471,8 @@ def check_gino(p: Profile) -> ComplementSplitReport:
     """
     if p.grid.base_dim != 1:
         raise ProfileError("complement split check needs a 1-D base")
-    severed_low = [a.facet for a in p.annotations if a.wedge == 0.0]
-    severed_high = [a.facet for a in p.annotations if a.vee == 1.0]
-    set_ok = _set_one_piece(p, severed_low)
-    comp_ok = _complement_one_piece(p, severed_high)
+    set_ok = _one_piece(*p._band(0.0, math.inf))
+    comp_ok = _one_piece(*p._complement_band())
     return ComplementSplitReport(
         set_indecomposable=set_ok,
         complement_indecomposable=comp_ok,

@@ -40,9 +40,9 @@ from ehrhard import (
     gauss_perimeter,
     gauss_weight,
 )
-from ehrhard.connectedness import _join
+from ehrhard.columnar import complement_facet_map
+from ehrhard.connectedness import _join, _one_piece
 from ehrhard.jsonio import columnar_to_json, encode_number, facet_to_json
-from ehrhard.profiles import _model_one_piece
 
 INF = math.inf
 
@@ -303,10 +303,31 @@ def reference_symdiff(e: ColumnarSet, f: ColumnarSet) -> float:
     )
 
 
+def severed_one_piece(grid: Grid, inside, severed) -> bool:
+    """``_one_piece`` with the cut given as facets. A facet on a line at
+    infinity is not a facet of the grid and severs nothing."""
+    return _one_piece(grid, inside, [k for k in map(grid.edge_index, severed) if k is not None])
+
+
+def set_one_piece(p: Profile, severed=()) -> bool:
+    """``indecomposable(from_profile(p), severed)`` on the band ``(0, inf)``,
+    with any facets ``severed`` instead of the band's cut."""
+    grid, inside, _ = p._band(0.0, INF)
+    return severed_one_piece(grid, inside, severed)
+
+
+def complement_one_piece(p: Profile, severed=()) -> bool:
+    """``complement_indecomposable(from_profile(p), severed)`` on
+    ``p._complement_band()``, with any facets of ``p.grid`` ``severed``
+    (re-indexed onto the extended grid) instead of the band's cut."""
+    big, inside, _ = p._complement_band()
+    return severed_one_piece(big, inside, [complement_facet_map(p.grid, big, f) for f in severed])
+
+
 def reference_pino(p: Profile, levels=None) -> LevelRestrictionReport:
     """``check_pino`` as a loop over the levels: each level that keeps
-    every G-value asks ``_model_one_piece`` once, on the cells strictly
-    between it and 1 minus it, with the annotations it reaches severed."""
+    every G-value asks ``_one_piece`` once, on the cells strictly between
+    it and 1 minus it, with the annotations it reaches severed."""
     ts = default_levels(p) if levels is None else tuple(levels)
     g = [v for v in p.values.values() if 0.0 < v < 1.0]
     lo, hi = min(g, default=0.5), max(g, default=0.5)
@@ -315,7 +336,7 @@ def reference_pino(p: Profile, levels=None) -> LevelRestrictionReport:
         severed = [a.facet for a in p.annotations if a.wedge <= t or a.vee >= 1.0 - t]
         keeps_g = t < lo < 1.0 - t and t < hi < 1.0 - t
         inside = [t < v < 1.0 - t for v in p.values.values()] + [False]
-        passed.append(keeps_g and _model_one_piece(p.grid, inside, severed))
+        passed.append(keeps_g and severed_one_piece(p.grid, inside, severed))
     return LevelRestrictionReport(
         levels=ts, passed=tuple(passed), overall=bool(passed) and all(passed)
     )

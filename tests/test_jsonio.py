@@ -334,8 +334,8 @@ EDGE_SCALARS = [
 ]
 
 # A scene row written on its own takes the generic writer, whatever its
-# leaf types; int arrays have a writer of their own, and arrays that are
-# not all exact ints must take the generic path and write the same text.
+# leaf types; arrays of exact ints, of bools and of mixed items take the
+# same generic path as any other array and must write the same text.
 ROWS_AND_INT_ARRAYS = [
     SceneCell((0,), 0.5, True, 0.25, 1.0),
     SceneCell((2, 3), 0.0, False, 5e-324, 0.125),

@@ -21,12 +21,13 @@ from ehrhard import (
     gauss_volume,
     jump_interfaces,
     psi,
+    rigidity_verdict,
     scene,
 )
 from ehrhard.connectedness import complement_indecomposable
 from ehrhard.jsonio import _dumps
-from ehrhard.profiles import _complement_one_piece
 from conftest import (
+    complement_one_piece,
     random_annotated,
     random_profile_1d,
     random_profile_2d,
@@ -127,6 +128,12 @@ def inner_point(axis):
     return 0.5 * (a + b)
 
 
+def split_parents(cells, axis, i):
+    """The cells of a split inside cell ``i`` of ``axis`` as the cells they
+    came from: those after the cut shift down by one along the axis."""
+    return {c[:axis] + (c[axis] - (c[axis] > i),) + c[axis + 1 :] for c in cells}
+
+
 class TestSplitAndRefine:
     def test_g_cells_in_lexicographic_order(self):
         rng = random.Random(71)
@@ -169,6 +176,36 @@ class TestSplitAndRefine:
         p = Profile(g, vals, [ann])
         q = p.split_cell(1, 0.5)
         assert [a.facet for a in q.annotations] == [Facet(0, 1, 0), Facet(0, 1, 1)]
+
+    def test_split_axis_outside_the_base_rejected(self):
+        grid = Grid((-INF, 0.0, 1.0, 2.0, INF))
+        anns = [SingularAnnotation(Facet(0, 3, 0), 0.2, 0.6)]
+        line = Profile(grid, dict.fromkeys(grid.cells(), 0.5), anns)
+        # a split inside cell 1 moves the annotation at 2.0 from line 3 to 4
+        assert [a.facet for a in line.split_cell(0, 0.5).annotations] == [Facet(0, 4, 0)]
+        grid = Grid((0.0, 1.0, 2.0), (0.0, 1.0, 2.0))
+        anns = [SingularAnnotation(Facet(1, 1, 0), 0.2, 0.6)]
+        square = Profile(grid, dict.fromkeys(grid.cells(), 0.5), anns)
+        for p in (line, square):
+            for axis in (-1, p.grid.base_dim):
+                with pytest.raises(ProfileError, match="axis"):
+                    p.split_cell(axis, 0.5)
+
+    def test_split_on_each_axis_keeps_the_verdict(self):
+        rng = random.Random(72)
+        for k in range(120):
+            base = random_profile_1d(rng, max_cells=8) if k % 2 else random_profile_2d(rng)
+            p = random_annotated(rng, base, p_annotate=0.5)
+            want = rigidity_verdict(p)
+            for axis, bps in enumerate(p.grid.axes):
+                i = rng.randrange(len(bps) - 1)
+                coordinate = inner_point(bps[i : i + 2])
+                got = rigidity_verdict(p.split_cell(axis, coordinate))
+                assert got.verdict is want.verdict, (p, axis, coordinate)
+                if want.certificate is not None:
+                    for side in ("minus_cells", "plus_cells"):
+                        cells = getattr(got.certificate, side)
+                        assert split_parents(cells, axis, i) == set(getattr(want.certificate, side))
 
     def test_split_is_a_null_modification(self):
         p = three_column(0.3, 1.0, 0.6)
@@ -406,7 +443,7 @@ def outer_facets(grid):
 
 
 class TestPaddedComplement:
-    """_complement_one_piece pads the profile's rows with 0.0 cells on the
+    """Profile._complement_band pads the profile's rows with 0.0 cells on the
     extended grid; the generic complement of the model set is the oracle,
     for every combination of finite and infinite ends."""
 
@@ -424,7 +461,7 @@ class TestPaddedComplement:
             model = from_profile(p)
             for severed in cuts:
                 want = complement_indecomposable(model, severed)
-                assert _complement_one_piece(p, severed) == want, (grid.axes, values, severed)
+                assert complement_one_piece(p, severed) == want, (grid.axes, values, severed)
 
     @pytest.mark.parametrize("axis", end_variants((-1.0, 0.0, 1.0)))
     def test_line(self, axis):

@@ -44,17 +44,23 @@ from ehrhard import (
 from ehrhard.catalog import run_entry
 from ehrhard.cli import main
 from ehrhard.columnar import restrict
-from ehrhard.connectedness import complement_indecomposable, decompose_ids, indecomposable
+from ehrhard.connectedness import (
+    _one_piece,
+    complement_indecomposable,
+    decompose_ids,
+    indecomposable,
+)
 from ehrhard.jsonio import profile_to_json
-from ehrhard.profiles import _complement_one_piece, _set_one_piece
 from ehrhard.render import render_profile
 from conftest import (
     assert_same_repr,
+    complement_one_piece,
     random_annotated,
     random_profile_1d,
     random_profile_2d,
     reference_links,
     reference_pino,
+    set_one_piece,
 )
 from test_exhaustive import FAMILIES
 
@@ -448,13 +454,18 @@ class TestModelSetKernel:
         f = from_profile(p)
         facets = list(p.grid.facets())
         severed = data.draw(st.lists(st.sampled_from(facets), max_size=4)) if facets else []
-        assert _set_one_piece(p, severed) == indecomposable(f, severed)
-        assert _complement_one_piece(p, severed) == complement_indecomposable(f, severed)
+        assert set_one_piece(p, severed) == indecomposable(f, severed)
+        assert complement_one_piece(p, severed) == complement_indecomposable(f, severed)
 
+        # the bands' own cuts: on a 1-D grid an edge keeps its position on
+        # the extended grid, so only a 2-D profile shows the complement's cut
+        # moved onto the wrong facets
+        low = [a.facet for a in p.annotations if a.wedge == 0.0]
+        high = [a.facet for a in p.annotations if a.vee == 1.0]
+        assert _one_piece(*p._band(0.0, INF)) == indecomposable(f, low)
+        assert _one_piece(*p._complement_band()) == complement_indecomposable(f, high)
         if p.grid.base_dim == 1:
             gino = check_gino(p)
-            low = [a.facet for a in p.annotations if a.wedge == 0.0]
-            high = [a.facet for a in p.annotations if a.vee == 1.0]
             assert gino.set_indecomposable == indecomposable(f, low)
             assert gino.complement_indecomposable == complement_indecomposable(f, high)
 
@@ -602,19 +613,19 @@ class TestLevelRestriction:
 
 
 class TestPinoMemo:
-    """check_pino asks _model_one_piece once per distinct set of severed
-    facets; its reports equal the per-level loop's."""
+    """check_pino asks _one_piece once per distinct cut, seen here as its
+    sorted edge positions; its reports equal the per-level loop's."""
 
     @pytest.fixture
     def asked(self, monkeypatch):
         calls = []
-        real = ehrhard.rigidity._model_one_piece
+        real = ehrhard.rigidity._one_piece
 
-        def spy(grid, inside, severed=()):
-            calls.append(tuple(severed))
-            return real(grid, inside, severed)
+        def spy(grid, inside, cut=()):
+            calls.append(sorted(cut))
+            return real(grid, inside, cut)
 
-        monkeypatch.setattr(ehrhard.rigidity, "_model_one_piece", spy)
+        monkeypatch.setattr(ehrhard.rigidity, "_one_piece", spy)
         return calls
 
     def test_levels_severing_the_same_facets_ask_once(self, asked):
@@ -632,7 +643,8 @@ class TestPinoMemo:
         ]
         p = Profile(Grid((-INF, -1.0, 1.0, INF)), dict.fromkeys([(0,), (1,), (2,)], 0.5), anns)
         report = check_pino(p, levels=(0.4, 0.2, 0.1))
-        assert asked == [(Facet(0, 1, 0), Facet(0, 2, 0)), (Facet(0, 2, 0),), ()]
+        first, second = map(p.grid.edge_index, (Facet(0, 1, 0), Facet(0, 2, 0)))
+        assert asked == [[first, second], [second], []]
         assert report.passed == (False, False, True)
         assert report == reference_pino(p, (0.4, 0.2, 0.1))
 
@@ -643,6 +655,43 @@ class TestPinoMemo:
             p = random_annotated(rng, bare, p_annotate=0.5)
             for levels in (None, (0.45, 0.3, 0.1), (0.2,), (0.3, 0.01)):
                 assert_same_repr(check_pino(p, levels), reference_pino(p, levels))
+
+
+def value_complement(p):
+    """The profile with each value v as 1 - v and each annotation's limits
+    (wedge, vee) as (1 - vee, 1 - wedge)."""
+    return Profile(
+        p.grid,
+        {cid: 1.0 - v for cid, v in p.values.items()},
+        [SingularAnnotation(a.facet, 1.0 - a.vee, 1.0 - a.wedge) for a in p.annotations],
+    )
+
+
+class TestValueComplement:
+    """The value complement q of p has p's Ehrhard band, its band below 1 is
+    p's band above 0 (the complement half of check_gino is the set half of
+    p's), and the verdict does not see the swap.
+
+    Checked on the conftest families only: their values are 0, 1 or at
+    least 1e-5 from both, and their annotation limits are 0, 1 or multiples
+    of 2**-53, so 1 - (1 - x) == x. A positive value or wedge below 2**-54
+    has 1 - x == 1.0, so in q a G-cell would leave G or an unblocked
+    interface would block.
+    """
+
+    def test_conftest_families(self):
+        rng = random.Random(2204)
+        for k in range(1500):
+            base = random_profile_1d(rng, max_cells=8) if k % 2 else random_profile_2d(rng)
+            p = random_annotated(rng, base) if k % 3 == 2 else base
+            q = value_complement(p)
+            assert q._band(0.0, 1.0) == p._band(0.0, 1.0), p
+            assert q._band(-INF, 1.0) == p._band(0.0, INF), p
+            got, want = rigidity_verdict(q), rigidity_verdict(p)
+            assert_same_repr(
+                (got.verdict, got.certificate, got.connectivity),
+                (want.verdict, want.certificate, want.connectivity),
+            )
 
 
 class TestComplementSplit:
@@ -704,8 +753,9 @@ def scene_builds(monkeypatch):
 
 
 class TestSceneFree:
-    """The verdict, the search and render_profile decide on flat edge data;
-    a Scene's rows are built only where a caller reads them."""
+    """The verdict, the search, render_profile, a scene's G-cells and the
+    sufficient conditions decide on flat edge data; a Scene's rows are
+    built only where a caller reads them."""
 
     def test_decisions_build_no_scene(self, scene_builds):
         rng = random.Random(88)
@@ -717,8 +767,11 @@ class TestSceneFree:
                     exhaustive_search(p)
                 if p.grid.base_dim == 1:
                     rigidity_verdict_planar(p)
+                    check_gino(p)
                 render_profile(p)
                 render_profile(p, report)
+                assert scene(p).g_cells() == p.g_cells()
+                check_pino(p)
         assert scene_builds[0] == 0
         sc = scene(p)
         assert scene_builds[0] == 0

@@ -19,14 +19,20 @@ ends (on the 3x3 grid, all but the top of its second axis). On every
 profile ``rigidity_verdict``, which decides on the union-find kernel,
 must give the verdict of ``exhaustive_search``, which prices every
 coloring, and each non-rigid report must carry a separating certificate.
-``_set_one_piece`` and ``_complement_one_piece``, which decide on cells,
-must agree with the generic ``indecomposable`` and
+The model set's one-piece questions, decided on cells by
+``connectedness._one_piece`` over the bands of ``Profile._band`` (the band
+``(0, inf)`` for the set, ``Profile._complement_band`` for its
+complement), must agree with the generic ``indecomposable`` and
 ``complement_indecomposable`` of the model set, with no facet severed and
-with the annotated facets severed as ``check_gino`` severs them. In the
-scenes of both kinds, a facet is blocked exactly when its limits have
-wedge 0 (or, for Ehrhard, vee 1), and only annotated facets are. The
-script prints the count and time of each family and exits 1 at the first
-disagreement, naming the profile.
+with the band's cut severed. On the 3-cell family ``check_gino`` must give
+those generic answers with the annotations of wedge 0 and of vee 1
+severed, and on both families ``check_pino`` at the levels ``LEVELS``
+must give the passes of the interval route: generic pieces of the model
+set restricted to each band ``(t, 1 - t)``, where the band keeps every
+cell of G. In the scenes of both kinds, a facet is blocked exactly when
+its limits have wedge 0 (or, for Ehrhard, vee 1), and only annotated
+facets are. The script prints the count and time of each family and
+exits 1 at the first disagreement, naming the profile.
 """
 
 from __future__ import annotations
@@ -44,13 +50,20 @@ from ehrhard import (  # noqa: E402
     Grid,
     Profile,
     SingularAnnotation,
+    check_gino,
+    check_pino,
     exhaustive_search,
     from_profile,
+    restrict,
     rigidity_verdict,
     scene,
 )
-from ehrhard.connectedness import complement_indecomposable, indecomposable  # noqa: E402
-from ehrhard.profiles import _complement_one_piece, _set_one_piece  # noqa: E402
+from ehrhard.connectedness import (  # noqa: E402
+    _one_piece,
+    complement_indecomposable,
+    decompose_ids,
+    indecomposable,
+)
 
 INF = math.inf
 
@@ -58,6 +71,9 @@ VALUES_1D = (0.0, 5e-324, 0.3, 0.5, 1.0 - 2.0**-53, 1.0)
 VALUES_2D = (0.0, 0.5, 1.0)
 # (wedge, vee) of an annotated facet; None leaves the facet unannotated
 ANNOTATION_CLASSES = (None, (0.0, 0.0), (0.0, 0.5), (0.5, 1.0), (1.0, 1.0), (0.0, 1.0), (0.3, 0.7))
+# check_pino's levels: 0.3 is a cell value and an annotation limit, and the
+# band of 0.45 drops the cells of 0.3 but keeps those of 0.5
+LEVELS = (0.45, 0.3, 0.2, 0.01)
 
 
 def three_cells():
@@ -96,13 +112,26 @@ def disagreement(p: Profile) -> str | None:
     model = from_profile(p)
     low = [a.facet for a in p.annotations if a.wedge == 0.0]
     high = [a.facet for a in p.annotations if a.vee == 1.0]
-    for set_cut, complement_cut in (((), ()), (low, high)):
-        if _set_one_piece(p, set_cut) != indecomposable(model, set_cut):
-            return f"_set_one_piece differs from indecomposable, severing {set_cut}"
-        if _complement_one_piece(p, complement_cut) != complement_indecomposable(
-            model, complement_cut
-        ):
-            return f"_complement_one_piece differs, severing {complement_cut}"
+    got, want = [], []
+    for (grid, inside, cut), generic, severed in (
+        (p._band(0.0, INF), indecomposable, low),
+        (p._complement_band(), complement_indecomposable, high),
+    ):
+        got += [_one_piece(grid, inside), _one_piece(grid, inside, cut)]
+        want += [generic(model), generic(model, severed)]
+    if got != want:
+        return f"the set and complement bands give {got}, the generic route {want}"
+    if p.grid.base_dim == 1:
+        gino = check_gino(p)
+        if [gino.set_indecomposable, gino.complement_indecomposable] != want[1::2]:
+            return f"check_gino gives {gino}, the generic route {want[1::2]}"
+    g = set(p.g_cells())
+    for t, passed in zip(LEVELS, check_pino(p, LEVELS).passed):
+        keep = [cid for cid in p.grid.cells() if t < p.value(cid) < 1.0 - t]
+        severed = [a.facet for a in p.annotations if a.wedge <= t or a.vee >= 1.0 - t]
+        pieces = decompose_ids(restrict(model, keep), severed)
+        if passed != (g <= set(keep) and len(pieces) == 1):
+            return f"check_pino at level {t} differs from the interval route"
     for kind in ("ehrhard", "steiner"):
         for sf in scene(p, kind).facets:
             rule = sf.wedge == 0.0 or (kind == "ehrhard" and sf.vee == 1.0)
