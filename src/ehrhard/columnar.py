@@ -188,10 +188,12 @@ class PerimeterBreakdown:
 def _cell_ends(e: ColumnarSet) -> list[tuple[float, ...]]:
     """Every section's endpoint tuple by row-major cell index, then the
     exterior's; the exterior and unoccupied cells have none."""
-    g = e.grid
-    ends: list[tuple[float, ...]] = [()] * (math.prod(g.shape) + 1)
+    shape = e.grid.shape
+    ends: list[tuple[float, ...]] = [()] * (math.prod(shape) + 1)
+    # the row-major index i * width + j of (i, j); (i,) has width 0
+    width = shape[1] if len(shape) == 2 else 0
     for cid, s in e._sections.items():
-        ends[g.cell_index(cid)] = s._ends
+        ends[cid[0] * width + cid[-1]] = s._ends
     return ends
 
 

@@ -137,8 +137,8 @@ class Scene:
         # Reached only while the rows are unbuilt.
         if name not in ("cells", "facets"):
             raise AttributeError(name)
-        (ids, *cell_leaves), (ks, lo, hi, *facet_leaves) = self._columns()
-        facets = map(self._profile.grid.edge_facet, ks)
+        (ids, *cell_leaves), (places, lo, hi, *facet_leaves) = self._columns()
+        facets = map(Facet, *places)
         ends = zip(map(ids.__getitem__, lo), map(ids.__getitem__, hi))
         vars(self).update(
             cells=tuple(map(SceneCell, ids, *cell_leaves)),
@@ -149,19 +149,19 @@ class Scene:
     def _columns(self) -> tuple[tuple[Sequence, ...], tuple[Sequence, ...]]:
         """The rows' sources, one column per leaf, in row order: the cells'
         ids, values, in-G flags (these two end with the exterior's),
-        Gaussian and Lebesgue measures; the facets' edge positions, their
-        cells' row-major indices, Gaussian measures, wedges, vees, and
-        blocked and annotated flags."""
+        Gaussian and Lebesgue measures; the facets' places (their axes,
+        lines and laterals, three columns), their cells' row-major indices,
+        Gaussian measures, wedges, vees, and blocked and annotated flags."""
         p = self._profile
         grid, in_g, blocked = self._band()
         values = [*p._values.values(), 0.0]
         links = list(_links(grid, in_g))
         ks, lo, hi = tuple(zip(*links)) or ((), (), ())
         limits = tuple(zip(*p._limits(links, values))) or ((), ())
-        gauss = [m for m, _ in map(grid._edge_measures, ks)]
+        *places, gauss = grid._edge_columns(ks)
         flags = [list(map(keys.__contains__, ks)) for keys in (blocked, p._by_edge)]
         cells = (list(p._values), values, in_g, *zip(*grid._cell_measures()))
-        return cells, (ks, lo, hi, gauss, *limits, *flags)
+        return cells, (places, lo, hi, gauss, *limits, *flags)
 
     def _band(self) -> tuple[Grid, list[bool], set[int]]:
         """The grid, in-G flags and blocked edge positions (see ``_BANDS``)."""

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
+from itertools import product, repeat
+from operator import floordiv, mod, mul, sub
 from typing import Iterator, Optional, Sequence
 
 from .errors import GridError
@@ -54,7 +55,10 @@ class Grid:
     facets have one walk, :meth:`edges`: every facet of :meth:`facets` as
     a position with its two neighbour cells, the exterior counting as one
     more cell. A 2-D grid builds its edge arrays on first use, like the
-    tables.
+    tables. A facet is read back from its position one at a time
+    (:meth:`edge_facet`, ``_edge_place``, ``_edge_measures``) or, for many
+    ascending positions at once, as columns of axes, lines, laterals and
+    Gaussian measures (``_edge_columns``), with the same arithmetic.
     """
 
     __slots__ = ("_axes", "_shape", "_layout", "_tables", "_edges")
@@ -276,6 +280,33 @@ class Grid:
         if len(self._axes) == 1:
             return weight[0][line], 1.0
         return weight[axis][line] * gamma[1 - axis][lat], sides[1 - axis][lat]
+
+    def _edge_columns(self, ks: Sequence[int]) -> tuple[list[int], list[int], list[int], list[float]]:
+        """The axes, lines, laterals and :meth:`facet_gauss` of the facets at
+        the ascending edge positions ``ks``, one list each: the columns of
+        :meth:`_edge_place` and of the first item of :meth:`_edge_measures`,
+        with the same float product, built at C speed."""
+        nx, ny, first0, lines0, first1, _ = self._layout
+        gamma, weight, _ = self._measures()
+        split = bisect_left(ks, lines0 * ny)  # the first axis-1 position
+        axes = [0] * split + [1] * (len(ks) - split)
+        lines: list[int] = []
+        lats: list[int] = []
+        gauss: list[float] = []
+        # the facets of one axis are numbered line by line past those of the
+        # axes before, so position k is offset + line * width + lateral
+        for axis, part, offset, width in (
+            (0, ks[:split], -first0 * ny, ny),
+            (1, ks[split:], lines0 * ny - first1 * nx, nx),
+        )[: len(self._axes)]:
+            shifted = list(map(sub, part, repeat(offset)))
+            line = list(map(floordiv, shifted, repeat(width)))
+            lat = list(map(mod, shifted, repeat(width)))
+            lines += line
+            lats += lat
+            w = map(weight[axis].__getitem__, line)
+            gauss += w if len(self._axes) == 1 else map(mul, w, map(gamma[1 - axis].__getitem__, lat))
+        return axes, lines, lats, gauss
 
     def facet_cells(self, f: Facet) -> tuple[Optional[CellId], Optional[CellId]]:
         """Neighbor cells (below, above) along the facet axis; None = exterior."""

@@ -17,11 +17,23 @@ or a dict key that is not a str, raises ``TypeError``. The text is what
 ``json.dumps(doc, indent=2, sort_keys=True)`` gives for the document
 ``doc`` that this rule makes of the report, but the writer applies the
 rule while it writes, in one pass over the report objects, and builds no
-document in between. A scene is written from the profile it views: its
-rows' texts are filled into templates with the rule's bytes, and no row
-object is built (a scene whose rows were read writes the same text). A
-``SceneCell`` or ``SceneFacet`` written on its own takes the generic
-path. Lazily priced report fields are priced when the writer reads them.
+document in between. Lazily priced report fields are priced when the
+writer reads them.
+
+Three large shapes have column writers, which fill ``%`` templates that
+the generic writer makes from a stand-in whose leaves are slots, so the
+bytes are the rule's. A scene is written from the profile it views, one
+template per row type, and no row object is built (a scene whose rows
+were read writes the same text); a ``SceneCell`` or ``SceneFacet``
+written on its own takes the generic path. A columnar set fills one
+template per section, by its interval count, from its endpoint tuples
+(``columnar._cell_ends``), and builds no ``columnar_to_json`` document. A
+tuple of two or more cell ids, tuples of one length of exact ints (not
+bool), fills one template per id; any other array is written item by
+item. Each float column's texts are made at once
+(:func:`_float_texts`): the text of each distinct float once, the rest
+looked up. ``0.0`` and ``-0.0`` are one key there but print differently,
+so a zero always takes its own text.
 """
 
 from __future__ import annotations
@@ -30,11 +42,12 @@ import dataclasses
 import functools
 import math
 from enum import Enum
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Sequence
 
-from .columnar import ColumnarSet
+from .columnar import ColumnarSet, _cell_ends
 from .connectedness import Scene, SceneCell, SceneFacet
 from .errors import FormatError
 from .grids import Facet, Grid
@@ -301,8 +314,8 @@ class _Writers(dict):
 
 
 # ----------------------------------------------------------------------
-# scenes: a ``%`` template per row type, indent and cell-id length, written
-# by the generic writer from a stand-in whose leaves are slots
+# column writers: a ``%`` template per shape, indent and length, written by
+# the generic writer from a stand-in whose leaves are slots
 
 
 class _Slot(str):
@@ -329,10 +342,17 @@ def _facet_template(nl: str, n: int) -> str:
     return _write(SceneFacet(Facet(_D, _D, _D), cells, _S, _S, _S, _S, _S), nl)
 
 
-def _float_texts(xs: Iterable[float]) -> list[str]:
-    """:func:`_write_float` of every float of ``xs``, mapped at C speed."""
-    texts = list(map(float.__repr__, xs))
-    return list(map(_FLOAT_WORDS.get, texts, texts))
+def _float_texts(xs: Sequence[float]) -> list[str]:
+    """:func:`_write_float` of every float of ``xs``: the text of each
+    distinct float is made once and the rest are looked up. ``0.0`` and
+    ``-0.0`` are one key, so a zero takes its own text; a NaN is found by
+    identity."""
+    distinct = list(set(xs))
+    reprs = list(map(float.__repr__, distinct))
+    words = dict(zip(distinct, map(_FLOAT_WORDS.get, reprs, reprs)))
+    if 0.0 in words:
+        return [words[x] if x else _write_float(x, "") for x in xs]
+    return list(map(words.__getitem__, xs))
 
 
 def _write_scene(x: Scene, nl: str) -> str:
@@ -340,7 +360,7 @@ def _write_scene(x: Scene, nl: str) -> str:
     templates are filled from the columns its rows are built from, each
     column's leaf texts made at once."""
     (ids, values, in_g, cell_gauss, lebesgue), facet_columns = x._columns()
-    ks, lo, hi, gauss, wedge, vee, blocked, annotated = facet_columns
+    places, lo, hi, gauss, wedge, vee, blocked, annotated = facet_columns
     id_axes = list(zip(*ids))  # each cell's index along each axis
     inner, row, flag, texts = nl + "  ", nl + "    ", _BOOL_TEXT.__getitem__, _float_texts
     # the leaves in the templates' order: by key, then along each key's value
@@ -349,7 +369,7 @@ def _write_scene(x: Scene, nl: str) -> str:
         map(flag, annotated),
         map(flag, blocked),
         *(map(axis.__getitem__, ends) for ends in (lo, hi) for axis in id_axes),
-        *zip(*map(x._profile.grid._edge_place, ks)),
+        *places,
         texts(gauss),
         texts(vee),
         texts(wedge),
@@ -362,6 +382,55 @@ def _write_scene(x: Scene, nl: str) -> str:
     return _scene_template(nl) % (_write(x.base_dim, inner), *rows, _write(x.kind, inner))
 
 
+@functools.cache
+def _columnar_template(nl: str) -> str:
+    return _write({"grid": _S, "sections": _S}, nl)
+
+
+@functools.cache
+def _section_template(nl: str, n: int) -> str:
+    """The template of a section of ``n`` endpoints (``n // 2`` intervals)."""
+    return _write(((_S, _S),) * (n // 2), nl)
+
+
+def _write_columnar(x: ColumnarSet, nl: str) -> str:
+    """The generic writer's text of ``columnar_to_json(x)``, with no
+    document built: every endpoint's text is made in one column, and each
+    section fills the template of its interval count."""
+    grid = x.grid
+    inner = nl + "  "
+    ends = _cell_ends(x)[:-1]  # not the exterior's
+    counts = list(map(len, ends))
+    texts = iter(_float_texts(list(chain.from_iterable(ends))))
+    # the sections nest one level deeper on a 2-D base: rows, then cells
+    at = inner + "    " if grid.base_dim == 2 else inner + "  "
+    # each section takes the next len(ends) texts of the one iterator
+    templates = map(_section_template, repeat(at), counts)
+    sections = list(map(str.__mod__, templates, map(tuple, map(islice, repeat(texts), counts))))
+    if grid.base_dim == 2:
+        width = grid.shape[1]
+        sections = [
+            _array_text(sections[i : i + width], inner + "  ") for i in range(0, len(sections), width)
+        ]
+    return _columnar_template(nl) % (_write(grid_to_json(grid), inner), _array_text(sections, inner))
+
+
+@functools.cache
+def _id_template(nl: str, n: int) -> str:
+    return _write((_D,) * n, nl)
+
+
+def _write_tuple(x: tuple, nl: str) -> str:
+    """:func:`_write_array`, with a tuple of two or more cell ids (tuples of
+    one length of exact ints) filling one template per id."""
+    if len(x) > 1 and set(map(type, x)) == {tuple}:
+        lengths = set(map(len, x))
+        if len(lengths) == 1 and set(map(type, chain.from_iterable(x))) == {int}:
+            inner = nl + "  "
+            return _array_text(list(map(_id_template(inner, *lengths).__mod__, x)), nl)
+    return _write_array(x, nl)
+
+
 _WRITERS = _Writers(
     {
         float: _write_float,
@@ -369,11 +438,11 @@ _WRITERS = _Writers(
         int: lambda x, nl: int.__repr__(x),
         str: lambda x, nl: encode_basestring_ascii(x),
         type(None): lambda x, nl: "null",
-        tuple: _write_array,
+        tuple: _write_tuple,
         list: _write_array,
         dict: _write_dict,
         Facet: lambda x, nl: _write_array(facet_to_json(x), nl),
-        ColumnarSet: lambda x, nl: _write(columnar_to_json(x), nl),
+        ColumnarSet: _write_columnar,
         Scene: _write_scene,
         _Slot: lambda x, nl: x,
     }

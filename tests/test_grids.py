@@ -404,6 +404,25 @@ class TestEdges:
         assert line.edge_index(Facet(1, 0, 0)) is None
         assert [list(a) for a in line.edges()] == [[2, 0, 1], [0, 1, 2]]
 
+    @pytest.mark.parametrize("base_dim", [1, 2])
+    def test_edge_columns_match_the_per_edge_reads(self, base_dim):
+        """The columns of ascending positions are ``_edge_place`` and the
+        Gaussian half of ``_edge_measures`` at each, bit for bit; so are
+        those of every position, of none and of one."""
+        rng = random.Random(61 + base_dim)
+        for _ in range(60):
+            g = random_grid(rng, base_dim)
+            n = len(g.edges()[0])
+            every = list(range(n))
+            subsets = [every, [], sorted(rng.sample(every, rng.randint(0, n)))]
+            subsets += [[k] for k in rng.sample(every, min(n, 2))]
+            for ks in subsets:
+                *places, gauss = g._edge_columns(ks)
+                assert list(zip(*places)) == [g._edge_place(k) for k in ks]
+                want = [g._edge_measures(k)[0] for k in ks]
+                assert gauss == want
+                assert list(map(repr, gauss)) == list(map(repr, want))
+
     def test_line_grids_share_edges(self):
         assert Grid((0, 1, 2)).edges() is Grid((5, 6, 7)).edges()
         assert Grid((0, 1, 2)).edges() is not Grid((0, 1, 2, 3)).edges()

@@ -334,8 +334,11 @@ EDGE_SCALARS = [
 ]
 
 # A scene row written on its own takes the generic writer, whatever its
-# leaf types; arrays of exact ints, of bools and of mixed items take the
-# same generic path as any other array and must write the same text.
+# leaf types. A tuple of two or more cell ids (tuples of one length of
+# exact ints) fills one template per id; every other array, a list of
+# cell ids or a tuple of ids with a bool, a float, a nested tuple or
+# another length among them, takes the generic path. Both must write the
+# same text.
 ROWS_AND_INT_ARRAYS = [
     SceneCell((0,), 0.5, True, 0.25, 1.0),
     SceneCell((2, 3), 0.0, False, 5e-324, 0.125),
@@ -357,7 +360,43 @@ ROWS_AND_INT_ARRAYS = [
     [-0],
     [2**70, -3, 0],
     [1, 2.0],
+    ((0, 1), (2, 3), (0, 1)),
+    ((2**70, -3), (0, -0)),
+    ((5,), (7,)),
+    ((True, 1), (0, 1)),
+    ((0, 1), (0, False)),
+    ((0.5, 1), (1, 2)),
+    ((0,), (1, 2)),
+    (((0,), 1), ((1,), 2)),
+    ((0, (1,)), (2, 3)),
+    [(0, 1), (2, 3)],
+    ((0, 1),),
+    ((3,),),
+    ((), ()),
+    ((0, 1), [2, 3]),
 ]
+
+
+def signed_zero_sets():
+    """Columnar sets whose endpoints mix 0.0, -0.0 and the infinities, with
+    empty sections and sections of several intervals, on 1-D and 2-D bases,
+    and the empty set on each."""
+    below, above, line = IntervalSet.below, IntervalSet.above, IntervalSet.line
+    several = IntervalSet.from_pairs([(-INF, -0.0), (0.5, 1.0), (2.0, INF)])
+    two = IntervalSet.from_pairs([(-1.0, 0.0), (0.25, 0.5)])
+    flat = Grid((-INF, -1.0, 0.0, 1.0, INF))
+    plane = Grid((-INF, 0.0, INF), (-1.0, 0.0, 1.0, 2.0))
+    return [
+        ColumnarSet(flat, {(0,): below(-0.0), (1,): several, (3,): above(0.0)}),
+        ColumnarSet(flat, {(1,): above(-0.0), (2,): two, (3,): line()}),
+        ColumnarSet(plane, {(0, 0): several, (0, 2): below(0.0), (1, 1): above(-0.0), (1, 2): two}),
+        ColumnarSet(plane, {(1, 0): IntervalSet.of(-0.0, 1.0), (0, 1): above(0.0)}),
+        ColumnarSet(flat, {}),
+        ColumnarSet(plane, {}),
+    ]
+
+
+SIGNED_ZERO_SETS = signed_zero_sets()
 
 
 class TestWriter:
@@ -385,6 +424,15 @@ class TestWriter:
             e = random_columnar(rng)
             assert_same_text(_dumps(e), dumped(e))
             assert_same_text(dumped(e), dumped(columnar_to_json(e)))
+
+    @pytest.mark.parametrize(
+        "e", SIGNED_ZERO_SETS, ids=["1d", "1d-line", "2d", "2d-two", "1d-empty", "2d-empty"]
+    )
+    def test_columnar_sets(self, e):
+        """Every endpoint's text comes from one per-set memo, in which 0.0
+        and -0.0 are one key; each must still print its own sign."""
+        for doc in (e, [e], {"set": e, "again": [e]}):
+            assert_same_text(_dumps(doc), dumped(doc))
 
     def test_mistico(self):
         for x in cli_reports(_mistico_profile(1 / 16)):
@@ -444,6 +492,26 @@ class _Watched:
         return object.__getattribute__(self, name)
 
 
+def signed_zero_profiles():
+    """1-D and 2-D profiles whose values mix 0.0 and -0.0, one of them with
+    a blocking annotation of wedge -0.0, and one with empty G."""
+    flat = Grid((-INF, -1.0, 0.0, 1.0, INF))
+    plane = Grid((-INF, -1.0, 0.0, 1.0, INF), (-1.0, 0.0, 1.0))
+    pinch = [SingularAnnotation(Facet(0, 1, 0), -0.0, 0.5)]
+    rows = [[0.5, 0.5], [0.5, -0.0], [0.0, 0.5], [0.25, 0.5]]
+    values = {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row)}
+    return [
+        Profile(flat, {(0,): 0.5, (1,): 0.5, (2,): -0.0, (3,): 0.0}, pinch),
+        Profile(flat, {(0,): -0.0, (1,): 0.5, (2,): 0.0, (3,): 0.75}),
+        Profile(plane, values, pinch),
+        Profile(plane, values, [SingularAnnotation(Facet(1, 1, 3), -0.0, 0.0)]),
+        Profile(flat, {(0,): -0.0, (1,): 1.0, (2,): 0.0, (3,): -0.0}),
+    ]
+
+
+SIGNED_ZERO_PROFILES = signed_zero_profiles()
+
+
 def assert_scene_written(p):
     """``_dumps`` of a scene of each kind of ``p``, before and after its rows
     are read, is the reference text of its rows, and writing builds no row."""
@@ -485,3 +553,13 @@ class TestSceneWriter:
         p = Profile(Grid((-INF, 0.0, INF)), {(0,): 0.0, (1,): 1.0})
         assert_scene_written(p)
         assert json.loads(_dumps(scene(p)))["facets"] == []
+
+    @pytest.mark.parametrize(
+        "p", SIGNED_ZERO_PROFILES, ids=["1d-pinch", "1d", "2d-pinch", "2d-lateral", "1d-empty-g"]
+    )
+    def test_signed_zeros(self, p):
+        """A column's texts come from one memo in which 0.0 and -0.0 are one
+        key; values and wedges of either sign must print their own."""
+        assert_scene_written(p)
+        for x in cli_reports(p):
+            assert_same_text(_dumps(x), dumped(x))

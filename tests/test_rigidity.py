@@ -694,6 +694,77 @@ class TestValueComplement:
             )
 
 
+def transpose(p):
+    """The 2-D profile with its axes swapped: cell (i, j) as (j, i) and the
+    facet (axis, line, lateral) as (1 - axis, line, lateral)."""
+    return Profile(
+        Grid(*p.grid.axes[::-1]),
+        {cid[::-1]: v for cid, v in p.values.items()},
+        [SingularAnnotation(transposed(a.facet), a.wedge, a.vee) for a in p.annotations],
+    )
+
+
+def transposed(f):
+    return Facet(1 - f.axis, f.line, f.lateral)
+
+
+def transposed_rows(sc):
+    """The rows of the scene ``sc`` with axes swapped, keyed by cell and by facet."""
+    cells = {c.id[::-1]: replace(c, id=c.id[::-1]) for c in sc.cells}
+    facets = {
+        transposed(f.facet): replace(
+            f, facet=transposed(f.facet), cells=tuple(c[::-1] for c in f.cells)
+        )
+        for f in sc.facets
+    }
+    return cells, facets
+
+
+class TestTransposition:
+    """Swapping the axes of a 2-D profile, with its values and annotations,
+    swaps the axes of everything the verdict and the scene say.
+
+    The cell and facet masses are one product of the two axes' table
+    entries, taken in the other order, so the scene rows are compared with
+    ``==`` and the certificates by ``repr``. The first G-cell in row-major order can change, and with it the
+    component a certificate takes for its minus side; so each certificate,
+    mapped onto the other profile, must be the certificate of the same
+    minus side there (:func:`certificate_for`).
+    """
+
+    def test_conftest_families(self):
+        rng = random.Random(2404)
+        for k in range(600):
+            p = random_profile_2d(rng)
+            if k % 2:
+                p = random_annotated(rng, p)
+            q = transpose(p)
+            got, want = rigidity_verdict(q), rigidity_verdict(p)
+            assert got.verdict is want.verdict, p
+            for a, b, cert in ((p, q, got.certificate), (q, p, want.certificate)):
+                if cert is not None:
+                    mapped = certificate_for(scene(a), [c[::-1] for c in cert.minus_cells])
+                    assert mapped.separating and cert.separating
+                    assert_same_repr(
+                        mapped,
+                        replace(
+                            cert,
+                            plus_cells=tuple(sorted(c[::-1] for c in cert.plus_cells)),
+                            minus_cells=tuple(sorted(c[::-1] for c in cert.minus_cells)),
+                            interface_facets=tuple(sorted(map(transposed, cert.interface_facets))),
+                        ),
+                    )
+            if want.connectivity is not None:
+                assert sorted(c[::-1] for c in got.connectivity.cells) == list(
+                    want.connectivity.cells
+                )
+            for kind in ("ehrhard", "steiner"):
+                sp = scene(p, kind)
+                assert transposed_rows(scene(q, kind)) == ({c.id: c for c in sp.cells}, {
+                    f.facet: f for f in sp.facets
+                }), p
+
+
 class TestComplementSplit:
     def test_needs_one_dimension(self):
         p = Profile(Grid((0.0, 1.0), (0.0, 1.0)), {(0, 0): 0.5})

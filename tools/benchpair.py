@@ -17,12 +17,17 @@ the same runs are made in that tree, each with its own ``bench/`` and
 pair to pair (the base tree first in the first pair), so that whatever
 favours the first or the second run of a pair falls on both trees alike.
 With ``--runs K`` each tree runs every workload K times; the file keeps
-the run of median ``wall_s``, and every run's ``wall_s`` is printed to
-standard error in run order. After the runs, standard error gets each
-workload's ``wall_s`` summary per tree: the median and the quartiles
-(inclusive method of :func:`statistics.quantiles`), and with ``--base``
-the number of pairs in which this checkout ran faster and the difference
-of the medians against the base tree's interquartile range.
+the run of median ``wall_s``. Every run's end-to-end metrics (the
+``end_to_end`` list of ``BENCHMARK.json``: ``setup_s``, ``wall_s``,
+``profiles_per_s`` and ``peak_rss_mb``) are printed to standard error in
+run order. After the runs, standard error gets a summary of each metric
+of each workload per tree: the median and the quartiles (inclusive
+method of :func:`statistics.quantiles`), and with ``--base`` the number
+of pairs in which this checkout read better, the difference of the
+medians against the base tree's interquartile range, and whether this
+checkout's median is worse than the base's by more than the metric's
+``BENCHMARK.json`` bound (a share of the base's median). The bounds are
+read, never written.
 """
 
 from __future__ import annotations
@@ -50,8 +55,12 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def metric(result: dict, name: str) -> float:
+    return result["metrics"][name]["value"]
+
+
 def wall(result: dict) -> float:
-    return result["metrics"]["wall_s"]["value"]
+    return metric(result, "wall_s")
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -62,20 +71,29 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(workload: str, walls: dict[str, list[float]]) -> None:
-    """Print the ``wall_s`` medians, quartiles and pairs won of one workload."""
-    for name, values in walls.items():
-        q1, q2, q3 = quartiles(values)
-        print(f"{workload} {name}: wall_s median {q2:.3f}, quartiles {q1:.3f}-{q3:.3f}",
-              file=sys.stderr)
-    if len(walls) == 2:
-        (_, base), (_, head) = walls.items()
-        won = sum(h < b for b, h in zip(base, head))
-        b1, b2, b3 = quartiles(base)
-        h2 = quartiles(head)[1]
-        print(f"{workload}: this checkout faster in {won} of {len(head)} pairs; "
-              f"median {b2:.3f} -> {h2:.3f} s ({h2 - b2:+.3f}, {(h2 - b2) / b2:+.1%}) "
-              f"against the base's interquartile range {b3 - b1:.3f}", file=sys.stderr)
+def summarize(workload: str, runs: dict[str, list[dict]], end_to_end: list[dict]) -> None:
+    """Print, for each end-to-end metric of one workload, its medians,
+    quartiles and pairs won, and whether this checkout's median is worse
+    than the base's by more than the metric's bound."""
+    for spec in end_to_end:
+        name, lower = spec["name"], spec["better"] == "lower"
+        values = {tree: [metric(r, name) for r in results] for tree, results in runs.items()}
+        for tree, vs in values.items():
+            q1, q2, q3 = quartiles(vs)
+            print(f"{workload} {tree}: {name} median {q2:.3f}, quartiles {q1:.3f}-{q3:.3f}",
+                  file=sys.stderr)
+        if len(values) == 2:
+            (_, base), (_, head) = values.items()
+            won = sum(h < b if lower else h > b for b, h in zip(base, head))
+            b1, b2, b3 = quartiles(base)
+            h2 = quartiles(head)[1]
+            change = (h2 - b2) / b2
+            worse = change > spec["bound"] if lower else -change > spec["bound"]
+            print(f"{workload}: {name} better here in {won} of {len(head)} pairs; "
+                  f"median {b2:.3f} -> {h2:.3f} {spec['unit']} ({h2 - b2:+.3f}, {change:+.1%}) "
+                  f"against the base's interquartile range {b3 - b1:.3f}; "
+                  f"{'WORSE than' if worse else 'within'} the bound {spec['bound']:.0%}",
+                  file=sys.stderr)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -91,25 +109,27 @@ def main(argv: list[str] | None = None) -> int:
     trees = {f"BENCH_{args.label}.json": ROOT}
     if args.base is not None:
         trees = {f"BENCH_{args.label}_parent.json": args.base.resolve(), **trees}
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
     chosen: dict[str, dict[str, dict]] = {name: {} for name in trees}
-    walls: dict[str, dict[str, list[float]]] = {}
+    every: dict[str, dict[str, list[dict]]] = {}
     for workload in WORKLOADS:
         runs: dict[str, list[dict]] = {name: [] for name in trees}
         for run in range(args.runs):
             pair = list(trees.items())
             for name, tree in pair[::-1] if run % 2 else pair:
                 runs[name].append(run_once(tree, workload, args.seed, args.seconds))
-        walls[workload] = {name: list(map(wall, results)) for name, results in runs.items()}
+        every[workload] = runs
         for name, results in runs.items():
-            text = ", ".join(f"{w:.3f}" for w in walls[workload][name])
-            print(f"{workload} {name}: wall_s {text}", file=sys.stderr)
+            for spec in end_to_end:
+                text = ", ".join(f"{metric(r, spec['name']):.3f}" for r in results)
+                print(f"{workload} {name}: {spec['name']} {text}", file=sys.stderr)
             chosen[name][workload] = sorted(results, key=wall)[(len(results) - 1) // 2]
     for name, doc in chosen.items():
         text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
         (ROOT / name).write_text(text, encoding="utf-8")
         print(f"wrote {name}", file=sys.stderr)
-    for workload, by_tree in walls.items():
-        summarize(workload, by_tree)
+    for workload, runs in every.items():
+        summarize(workload, runs, end_to_end)
     return 0
 
 

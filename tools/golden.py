@@ -9,12 +9,14 @@ for every family, and on each entry's profile ``rigidity`` (three
 methods), ``counterexample``, ``connectedness`` (two kinds), ``render``
 (the profile and its model set), ``perimeter`` and ``symmetrize`` (two
 modes) of the model set, and ``rigidity``, ``connectedness`` and
-``perimeter`` once more with their JSON on stdout; then ``phi``,
-``psi``, the ``catalog`` listing and three input errors (exit 1). Each
-command's directory holds its ``stdout``, ``stderr``, ``exit`` code and
-the files it wrote. The inputs
-are built by the library under test, from the ``src`` tree next to this
-script.
+``perimeter`` once more with their JSON on stdout. On one hand-built
+profile with zeros of both signs it runs ``rigidity`` (theorem),
+``counterexample``, ``connectedness`` (two kinds), and ``perimeter`` and
+``symmetrize`` (two modes) of the model set. Then come ``phi``, ``psi``,
+the ``catalog`` listing and three input errors (exit 1). Each command's
+directory holds its ``stdout``, ``stderr``, ``exit`` code and the files
+it wrote. The inputs are built by the library under test, from the
+``src`` tree next to this script.
 
 Run one copy of this script in two trees and compare the outputs with
 ``diff -r``: equal trees mean byte-identical CLI output.
@@ -25,16 +27,20 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import sys
 from pathlib import Path
+from typing import Iterable
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from ehrhard import Facet, Grid, Profile, SingularAnnotation  # noqa: E402
 from ehrhard.catalog import catalog_names, run_entry  # noqa: E402
 from ehrhard.cli import main  # noqa: E402
 from ehrhard.jsonio import columnar_to_json, profile_to_json  # noqa: E402
 from ehrhard.profiles import from_profile  # noqa: E402
 
+INF = math.inf
 SWEEP_FAMILIES = ("mistico", "unannotated", "koch")
 
 # label -> argv; "{profile}", "{model}" and "{out}" are filled in per entry.
@@ -54,6 +60,17 @@ PROFILE_COMMANDS = {
     "connectedness-stdout": ["connectedness", "--in", "{profile}"],
     "perimeter-stdout": ["perimeter", "--in", "{model}"],
 }
+
+# the labels run on the hand-built signed-zero profile
+SIGNED_ZERO_COMMANDS = (
+    "rigidity-theorem",
+    "connectedness-ehrhard",
+    "connectedness-steiner",
+    "counterexample",
+    "perimeter",
+    "symmetrize-ehrhard",
+    "symmetrize-steiner",
+)
 
 # label -> argv of commands that read no entry; "{other}" is a JSON object that
 # is neither a profile nor a columnar set. No error here names a file, so two
@@ -82,23 +99,37 @@ def run(argv: list[str], where: Path) -> None:
     (where / "exit").write_text(f"{code}\n", encoding="utf-8")
 
 
+def signed_zero_profile() -> Profile:
+    """A 2-D profile whose cell values hold both 0.0 and -0.0, with an
+    annotation of wedge -0.0 that blocks the interface between two G-cells
+    and so separates G: its scenes, its mirrored competitor and its model
+    set carry zeros of both signs, which print differently."""
+    grid = Grid((-INF, -1.0, 0.0, 1.0, INF), (-1.0, 0.0, 1.0))
+    values = [[0.5, 0.5], [0.5, -0.0], [0.0, 0.5], [0.25, 0.5]]
+    cells = {(i, j): v for i, row in enumerate(values) for j, v in enumerate(row)}
+    return Profile(grid, cells, [SingularAnnotation(Facet(0, 1, 0), -0.0, 0.5)])
+
+
+def run_profile(outdir: Path, name: str, p: Profile, labels: Iterable[str]) -> None:
+    """Run the ``PROFILE_COMMANDS`` of ``labels`` on the profile ``p``."""
+    inputs = outdir / "inputs" / name
+    inputs.mkdir(parents=True, exist_ok=True)
+    files = {"profile": inputs / "profile.json", "model": inputs / "model.json"}
+    files["profile"].write_text(json.dumps(profile_to_json(p)), encoding="utf-8")
+    files["model"].write_text(json.dumps(columnar_to_json(from_profile(p))), encoding="utf-8")
+    for label in labels:
+        where = outdir / "profile" / name / label
+        fill = {k: str(v) for k, v in files.items()}
+        fill["out"] = str(where / "artifact")
+        run([arg.format(**fill) for arg in PROFILE_COMMANDS[label]], where)
+
+
 def write_matrix(outdir: Path) -> None:
     for name in catalog_names():
         entry = outdir / "catalog" / name
         run(["catalog", name, "--out", str(entry / "files")], entry)
-        inputs = outdir / "inputs" / name
-        inputs.mkdir(parents=True, exist_ok=True)
-        p = run_entry(name).profile
-        files = {"profile": inputs / "profile.json", "model": inputs / "model.json"}
-        files["profile"].write_text(json.dumps(profile_to_json(p)), encoding="utf-8")
-        files["model"].write_text(
-            json.dumps(columnar_to_json(from_profile(p))), encoding="utf-8"
-        )
-        for label, template in PROFILE_COMMANDS.items():
-            where = outdir / "profile" / name / label
-            fill = {k: str(v) for k, v in files.items()}
-            fill["out"] = str(where / "artifact")
-            run([arg.format(**fill) for arg in template], where)
+        run_profile(outdir, name, run_entry(name).profile, PROFILE_COMMANDS)
+    run_profile(outdir, "signed-zero", signed_zero_profile(), SIGNED_ZERO_COMMANDS)
     for family in SWEEP_FAMILIES:
         where = outdir / "sweep" / family
         run(["sweep", "--family", family, "--out", str(where / "artifact")], where)
