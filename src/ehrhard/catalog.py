@@ -434,14 +434,14 @@ def _gperfinito(ck: _Checks, h: None, seed: int) -> _Built:
 # rasterized snowflake boundary
 
 
-def koch_snowflake(iterations: int, rotation: float = 0.3) -> list[tuple[float, float]]:
+def koch_snowflake(iterations: int) -> list[tuple[float, float]]:
     """Closed polygon of the snowflake curve after the given refinements.
 
-    Starts from an equilateral triangle of circumradius 1 rotated to keep
-    its vertices and edges off the dyadic grid lines used by the catalog.
+    Starts from an equilateral triangle of circumradius 1 turned by 0.3
+    radians, to keep its vertices and edges off the catalog's dyadic lines.
     """
     pts = [
-        (math.cos(a + rotation), math.sin(a + rotation))
+        (math.cos(a + 0.3), math.sin(a + 0.3))
         for a in (math.pi / 2, math.pi / 2 + 2 * math.pi / 3, math.pi / 2 + 4 * math.pi / 3)
     ]
     for _ in range(iterations):

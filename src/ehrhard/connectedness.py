@@ -113,9 +113,10 @@ class Scene:
 
     ``kind`` records which symmetrization the scene serves: ``"ehrhard"``
     scenes take G = {0 < v < 1} and block interfaces with wedge 0 or vee 1;
-    ``"steiner"`` scenes take G = {v > 0} and block only wedge 0.
-    Every interface between two G-cells is kept: it has positive base
-    measure by its structure, even where ``gauss`` underflows to 0.0.
+    ``"steiner"`` scenes take G = {v > 0} and block only wedge 0; any
+    other kind raises ``ProfileError`` at construction. Every interface
+    between two G-cells is kept: it has positive base measure by its
+    structure, even where ``gauss`` underflows to 0.0.
 
     A scene is a view of the profile in ``_profile`` (left out of
     equality, ``repr`` and JSON), on whose in-G flags and annotation cut
@@ -132,6 +133,10 @@ class Scene:
     cells: tuple[SceneCell, ...] = field(init=False)
     facets: tuple[SceneFacet, ...] = field(init=False)
     _profile: Profile = field(repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.kind not in _BANDS:
+            raise ProfileError(f"unknown scene kind {self.kind!r}")
 
     def __getattr__(self, name: str) -> Any:
         # Reached only while the rows are unbuilt.
@@ -165,8 +170,6 @@ class Scene:
 
     def _band(self) -> tuple[Grid, list[bool], set[int]]:
         """The grid, in-G flags and blocked edge positions (see ``_BANDS``)."""
-        if self.kind not in _BANDS:
-            raise ProfileError(f"unknown scene kind {self.kind!r}")
         return self._profile._band(*_BANDS[self.kind])
 
     def g_cells(self) -> list[CellId]:

@@ -177,10 +177,10 @@ class Grid:
         return out
 
     def cell_lebesgue(self, cid: CellId) -> float:
+        sides = self._measures()[2]
         out = 1.0
         for axis, c in enumerate(self.check_cell(cid)):
-            bps = self._axes[axis]
-            out *= bps[c + 1] - bps[c]
+            out *= sides[axis][c]
         return out
 
     def _cell_measures(self) -> Iterator[tuple[float, float]]:

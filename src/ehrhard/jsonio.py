@@ -22,15 +22,18 @@ writer reads them.
 
 Three large shapes have column writers, which fill ``%`` templates that
 the generic writer makes from a stand-in whose leaves are slots, so the
-bytes are the rule's. A scene is written from the profile it views, one
-template per row type, and no row object is built (a scene whose rows
-were read writes the same text); a ``SceneCell`` or ``SceneFacet``
-written on its own takes the generic path. A columnar set fills one
-template per section, by its interval count, from its endpoint tuples
-(``columnar._cell_ends``), and builds no ``columnar_to_json`` document. A
-tuple of two or more cell ids, tuples of one length of exact ints (not
-bool), fills one template per id; any other array is written item by
-item. Each float column's texts are made at once
+bytes are the rule's. One cached maker, ``_template(standin, nl)``, writes
+every row, id and section template from a hashable stand-in; the two
+outer objects, a scene and a columnar set, fill the template of an object
+whose values are slots, ``_object_template(keys, nl)``. A scene is
+written from the profile it views, one template per row type, and no row
+object is built (a scene whose rows were read writes the same text); a
+``SceneCell`` or ``SceneFacet`` written on its own takes the generic
+path. A columnar set fills one template per section, by its interval
+count, from its endpoint tuples (``columnar._cell_ends``), and builds no
+``columnar_to_json`` document. A tuple of two or more cell ids, tuples of
+one length of exact ints (not bool), fills one template per id; any other
+array is written item by item. Each float column's texts are made at once
 (:func:`_float_texts`): the text of each distinct float once, the rest
 looked up. ``0.0`` and ``-0.0`` are one key there but print differently,
 so a zero always takes its own text.
@@ -44,7 +47,6 @@ import math
 from enum import Enum
 from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
-from types import SimpleNamespace
 from typing import Any, Callable, Sequence
 
 from .columnar import ColumnarSet, _cell_ends
@@ -148,11 +150,13 @@ def facet_from_json(data: Any, base_dim: int) -> Facet:
 # profiles
 
 
-def _nest(grid: Grid, flat: dict) -> Any:
+def _nest(grid: Grid, items: list) -> list:
+    """The row-major list ``items`` nested by cell index: itself on a 1-D
+    base, its rows (first axis index outermost) on a 2-D one."""
     if grid.base_dim == 1:
-        return [flat[(i,)] for i in range(grid.shape[0])]
-    nx, ny = grid.shape
-    return [[flat[(i, j)] for j in range(ny)] for i in range(nx)]
+        return items
+    width = grid.shape[1]
+    return [items[i : i + width] for i in range(0, len(items), width)]
 
 
 def _unnest(grid: Grid, data: Any, what: str) -> dict:
@@ -179,11 +183,7 @@ def _unnest(grid: Grid, data: Any, what: str) -> dict:
 
 
 def profile_to_json(p: Profile) -> dict[str, Any]:
-    doc = {
-        "base_dim": p.grid.base_dim,
-        "breakpoints": [[encode_number(b) for b in axis] for axis in p.grid.axes],
-        "values": _nest(p.grid, p.values),
-    }
+    doc = grid_to_json(p.grid) | {"values": _nest(p.grid, list(p._values.values()))}
     if p.annotations:
         doc["annotations"] = [
             {"facet": facet_to_json(a.facet), "wedge": a.wedge, "vee": a.vee}
@@ -220,7 +220,7 @@ def profile_from_json(data: Any) -> Profile:
 
 
 def columnar_to_json(e: ColumnarSet) -> dict[str, Any]:
-    sections = {cid: interval_set_to_json(e.section(cid)) for cid in e.grid.cells()}
+    sections = [interval_set_to_json(e.section(cid)) for cid in e.grid.cells()]
     return {"grid": grid_to_json(e.grid), "sections": _nest(e.grid, sections)}
 
 
@@ -327,19 +327,16 @@ _BOOL_TEXT = {False: "false", True: "true"}
 
 
 @functools.cache
-def _scene_template(nl: str) -> str:
-    return _writer_for(Scene)(SimpleNamespace(base_dim=_S, cells=_S, facets=_S, kind=_S), nl)
+def _template(standin: Any, nl: str) -> str:
+    """The generic writer's text of the hashable stand-in ``standin``,
+    whose slots are the template's."""
+    return _write(standin, nl)
 
 
 @functools.cache
-def _cell_template(nl: str, n: int) -> str:
-    return _write(SceneCell((_D,) * n, _S, _S, _S, _S), nl)
-
-
-@functools.cache
-def _facet_template(nl: str, n: int) -> str:
-    cells = ((_D,) * n, (_D,) * n)
-    return _write(SceneFacet(Facet(_D, _D, _D), cells, _S, _S, _S, _S, _S), nl)
+def _object_template(keys: tuple[str, ...], nl: str) -> str:
+    """The template of an object of the keys ``keys``, each value a slot."""
+    return _write_dict(dict.fromkeys(keys, _S), nl)
 
 
 def _float_texts(xs: Sequence[float]) -> list[str]:
@@ -374,23 +371,15 @@ def _write_scene(x: Scene, nl: str) -> str:
         texts(vee),
         texts(wedge),
     )
-    n = len(id_axes)
-    rows = (
-        _array_text(list(map(_cell_template(row, n).__mod__, cells)), inner),
-        _array_text(list(map(_facet_template(row, n).__mod__, facets)), inner),
-    )
-    return _scene_template(nl) % (_write(x.base_dim, inner), *rows, _write(x.kind, inner))
-
-
-@functools.cache
-def _columnar_template(nl: str) -> str:
-    return _write({"grid": _S, "sections": _S}, nl)
-
-
-@functools.cache
-def _section_template(nl: str, n: int) -> str:
-    """The template of a section of ``n`` endpoints (``n // 2`` intervals)."""
-    return _write(((_S, _S),) * (n // 2), nl)
+    slots = (_D,) * len(id_axes)  # a cell id stand-in
+    cell = SceneCell(slots, _S, _S, _S, _S)
+    facet = SceneFacet(Facet(_D, _D, _D), (slots, slots), _S, _S, _S, _S, _S)
+    arrays = [
+        _array_text(list(map(_template(standin, row).__mod__, leaves)), inner)
+        for standin, leaves in ((cell, cells), (facet, facets))
+    ]
+    keys = ("base_dim", "cells", "facets", "kind")
+    return _object_template(keys, nl) % (_write(x.base_dim, inner), *arrays, _write(x.kind, inner))
 
 
 def _write_columnar(x: ColumnarSet, nl: str) -> str:
@@ -404,20 +393,15 @@ def _write_columnar(x: ColumnarSet, nl: str) -> str:
     texts = iter(_float_texts(list(chain.from_iterable(ends))))
     # the sections nest one level deeper on a 2-D base: rows, then cells
     at = inner + "    " if grid.base_dim == 2 else inner + "  "
+    # a section of n endpoints is n // 2 intervals
+    templates = {n: _template(((_S, _S),) * (n // 2), at) for n in set(counts)}
     # each section takes the next len(ends) texts of the one iterator
-    templates = map(_section_template, repeat(at), counts)
-    sections = list(map(str.__mod__, templates, map(tuple, map(islice, repeat(texts), counts))))
+    fills = map(tuple, map(islice, repeat(texts), counts))
+    sections = _nest(grid, list(map(str.__mod__, map(templates.__getitem__, counts), fills)))
     if grid.base_dim == 2:
-        width = grid.shape[1]
-        sections = [
-            _array_text(sections[i : i + width], inner + "  ") for i in range(0, len(sections), width)
-        ]
-    return _columnar_template(nl) % (_write(grid_to_json(grid), inner), _array_text(sections, inner))
-
-
-@functools.cache
-def _id_template(nl: str, n: int) -> str:
-    return _write((_D,) * n, nl)
+        sections = [_array_text(row, inner + "  ") for row in sections]
+    grid_text = _write(grid_to_json(grid), inner)
+    return _object_template(("grid", "sections"), nl) % (grid_text, _array_text(sections, inner))
 
 
 def _write_tuple(x: tuple, nl: str) -> str:
@@ -426,8 +410,8 @@ def _write_tuple(x: tuple, nl: str) -> str:
     if len(x) > 1 and set(map(type, x)) == {tuple}:
         lengths = set(map(len, x))
         if len(lengths) == 1 and set(map(type, chain.from_iterable(x))) == {int}:
-            inner = nl + "  "
-            return _array_text(list(map(_id_template(inner, *lengths).__mod__, x)), nl)
+            template = _template((_D,) * len(x[0]), nl + "  ")
+            return _array_text(list(map(template.__mod__, x)), nl)
     return _write_array(x, nl)
 
 

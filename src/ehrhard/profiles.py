@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .columnar import ColumnarSet, _extended_grid, _extension_shift, complement_facet_map
-from .connectedness import _BANDS, Scene
+from .connectedness import Scene
 from .errors import ProfileError
 from .gauss import gamma1, psi
 from .grids import CellId, Facet, Grid
@@ -355,8 +355,6 @@ def scene(p: Profile, kind: str = "ehrhard") -> Scene:
     search decide on. The scene is a view of ``p``: its rows are built
     when they are first read (see :class:`~ehrhard.connectedness.Scene`).
     """
-    if kind not in _BANDS:  # rejects an unknown kind now, not on first read
-        raise ProfileError(f"unknown scene kind {kind!r}")
     return Scene(kind, p.grid.base_dim, p)
 
 
@@ -387,9 +385,7 @@ def g_boundary_gauss(p: Profile) -> float:
     Sums the measures of all facets with exactly one side in G, counting
     the exterior of the grid as not in G.
     """
-    grid = p.grid
-    in_g = [0.0 < v < 1.0 for v in p._values.values()]
-    in_g.append(False)  # the exterior
+    grid, in_g, _ = p._band(0.0, 1.0)
     return math.fsum(
         grid._edge_measures(k)[0]
         for k, (i, j) in enumerate(zip(*grid.edges()))

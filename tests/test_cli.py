@@ -440,6 +440,13 @@ class TestRigidity:
         assert info.value.code == 1
         assert "--tolerance" in capsys.readouterr().err
 
+    def test_unknown_kind_is_usage_error(self, tmp_path, capsys):
+        infile = write_profile(tmp_path, nonrigid_profile())
+        with pytest.raises(SystemExit) as info:
+            main(["connectedness", "--kind", "bogus", "--in", infile])
+        assert info.value.code == 1
+        assert "--kind" in capsys.readouterr().err
+
     def test_malformed_profile_is_input_error(self, tmp_path, capsys):
         doc = profile_to_json(nonrigid_profile())
         for bad in (dict(doc, annotations=5), dict(doc, annotations=[{"facet": [True]}])):

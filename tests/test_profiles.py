@@ -11,6 +11,7 @@ from ehrhard import (
     IntervalSet,
     Profile,
     ProfileError,
+    Scene,
     SingularAnnotation,
     approx_limits,
     distribution,
@@ -329,6 +330,12 @@ class TestScene:
     def test_kind_validation(self):
         with pytest.raises(ProfileError):
             scene(three_column(0.3, 1.0, 0.6), kind="other")
+        # the constructor checks the kind, so a directly built scene fails too
+        p = three_column(0.3, 1.0, 0.6)
+        with pytest.raises(ProfileError, match="unknown scene kind 'bogus'"):
+            scene(p, "bogus")
+        with pytest.raises(ProfileError, match="unknown scene kind 'bogus'"):
+            Scene("bogus", p.grid.base_dim, p)
 
     def test_g_membership(self):
         p = three_column(0.3, 1.0, 0.0)

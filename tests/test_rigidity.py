@@ -3,6 +3,7 @@ import math
 import random
 from contextlib import suppress
 from dataclasses import replace
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -708,61 +709,141 @@ def transposed(f):
     return Facet(1 - f.axis, f.line, f.lateral)
 
 
-def transposed_rows(sc):
-    """The rows of the scene ``sc`` with axes swapped, keyed by cell and by facet."""
-    cells = {c.id[::-1]: replace(c, id=c.id[::-1]) for c in sc.cells}
-    facets = {
-        transposed(f.facet): replace(
-            f, facet=transposed(f.facet), cells=tuple(c[::-1] for c in f.cells)
-        )
-        for f in sc.facets
-    }
-    return cells, facets
+def reflect_axis0(p):
+    """The profile mirrored by x -> -x on axis 0: its breakpoints b as -b in
+    reverse order, cell i as n - 1 - i, an axis-0 facet on line l on line
+    n - l, and an axis-1 facet's lateral i as n - 1 - i; annotations follow
+    their facets."""
+    axes, n = p.grid.axes, p.grid.shape[0]
+    return Profile(
+        Grid(tuple(-b for b in reversed(axes[0])), *axes[1:]),
+        {reflected_cell(n, cid): v for cid, v in p.values.items()},
+        [SingularAnnotation(reflected_facet(n, a.facet), a.wedge, a.vee) for a in p.annotations],
+    )
+
+
+def reflected_cell(n, cid):
+    return (n - 1 - cid[0], *cid[1:])
+
+
+def reflected_facet(n, f):
+    if f.axis == 0:
+        return Facet(0, n - f.line, f.lateral)
+    return Facet(1, f.line, n - 1 - f.lateral)
+
+
+def same(x):
+    return x
+
+
+def keyed_rows(sc, cell=same, facet=same):
+    """The rows of the scene ``sc`` as tuples of their fields, the Gaussian
+    mass last, keyed by ``cell(id)`` and by ``facet(facet)``. A facet's two
+    cells are mapped by ``cell`` and sorted again into (below, above)."""
+    rows = {cell(c.id): (c.value, c.in_g, c.lebesgue, c.gauss) for c in sc.cells}
+    for f in sc.facets:
+        ends = tuple(sorted(map(cell, f.cells)))
+        rows[facet(f.facet)] = (ends, f.wedge, f.vee, f.blocked, f.annotated, f.gauss)
+    return rows
+
+
+MASSES = ("unblocked_interface_measure", "plus_gauss", "minus_gauss")
+
+
+def assert_relation(p, q, cell, facet, tolerance=0.0):
+    """``q`` is ``p`` with its cells mapped by ``cell`` and its facets by
+    ``facet`` (each map its own inverse), and everything the verdict and the
+    scene say maps along: the verdict, the certificates, the spanning cells
+    and both kinds' scene rows. Gaussian masses may differ by ``tolerance``;
+    all else is equal.
+
+    The first G-cell in row-major order can change, and with it the
+    component a certificate takes for its minus side; so each certificate,
+    mapped onto the other profile, must be the certificate of the same
+    minus side there (:func:`certificate_for`).
+    """
+    got, want = rigidity_verdict(q), rigidity_verdict(p)
+    assert got.verdict is want.verdict, p
+    for a, cert in ((p, got.certificate), (q, want.certificate)):
+        if cert is not None:
+            mapped = certificate_for(scene(a), map(cell, cert.minus_cells))
+            assert mapped.separating and cert.separating
+            for name in MASSES:
+                assert abs(getattr(mapped, name) - getattr(cert, name)) <= tolerance, p
+            assert_same_repr(
+                mapped,
+                replace(
+                    cert,
+                    plus_cells=tuple(sorted(map(cell, cert.plus_cells))),
+                    minus_cells=tuple(sorted(map(cell, cert.minus_cells))),
+                    interface_facets=tuple(sorted(map(facet, cert.interface_facets))),
+                    **{name: getattr(mapped, name) for name in MASSES},
+                ),
+            )
+    if want.connectivity is not None:
+        assert sorted(map(cell, got.connectivity.cells)) == list(want.connectivity.cells)
+    for kind in ("ehrhard", "steiner"):
+        rows, want_rows = keyed_rows(scene(q, kind), cell, facet), keyed_rows(scene(p, kind))
+        assert rows.keys() == want_rows.keys(), p
+        for key, row in rows.items():
+            assert row[:-1] == want_rows[key][:-1], (p, key)
+            assert abs(row[-1] - want_rows[key][-1]) <= tolerance, (p, key)
 
 
 class TestTransposition:
     """Swapping the axes of a 2-D profile, with its values and annotations,
-    swaps the axes of everything the verdict and the scene say.
-
-    The cell and facet masses are one product of the two axes' table
-    entries, taken in the other order, so the scene rows are compared with
-    ``==`` and the certificates by ``repr``. The first G-cell in row-major order can change, and with it the
-    component a certificate takes for its minus side; so each certificate,
-    mapped onto the other profile, must be the certificate of the same
-    minus side there (:func:`certificate_for`).
+    swaps the axes of everything the verdict and the scene say
+    (:func:`assert_relation`). The cell and facet masses are one product of
+    the two axes' table entries, taken in the other order, so every float
+    is compared exactly.
     """
 
     def test_conftest_families(self):
         rng = random.Random(2404)
         for k in range(600):
             p = random_profile_2d(rng)
-            if k % 2:
-                p = random_annotated(rng, p)
-            q = transpose(p)
-            got, want = rigidity_verdict(q), rigidity_verdict(p)
-            assert got.verdict is want.verdict, p
-            for a, b, cert in ((p, q, got.certificate), (q, p, want.certificate)):
-                if cert is not None:
-                    mapped = certificate_for(scene(a), [c[::-1] for c in cert.minus_cells])
-                    assert mapped.separating and cert.separating
-                    assert_same_repr(
-                        mapped,
-                        replace(
-                            cert,
-                            plus_cells=tuple(sorted(c[::-1] for c in cert.plus_cells)),
-                            minus_cells=tuple(sorted(c[::-1] for c in cert.minus_cells)),
-                            interface_facets=tuple(sorted(map(transposed, cert.interface_facets))),
-                        ),
-                    )
-            if want.connectivity is not None:
-                assert sorted(c[::-1] for c in got.connectivity.cells) == list(
-                    want.connectivity.cells
-                )
-            for kind in ("ehrhard", "steiner"):
-                sp = scene(p, kind)
-                assert transposed_rows(scene(q, kind)) == ({c.id: c for c in sp.cells}, {
-                    f.facet: f for f in sp.facets
-                }), p
+            self.check(random_annotated(rng, p) if k % 2 else p)
+
+    @pytest.mark.parametrize("family", ["2x2", "2x3"])
+    def test_small_scope_families(self, family):
+        for p in FAMILIES[family]():
+            self.check(p)
+
+    @staticmethod
+    def check(p):
+        assert_relation(p, transpose(p), lambda c: c[::-1], transposed)
+
+
+class TestReflection:
+    """Mirroring axis 0 of a profile, with its cells, facets and annotations,
+    mirrors everything the verdict and the scene say
+    (:func:`assert_relation`).
+
+    Values, limits, flags and Lebesgue measures map exactly: a mirrored side
+    length (-a) - (-b) is b - a in floats. Gaussian masses do not, because
+    ``phi(-t)`` and ``1 - phi(t)`` round differently: a mirrored cell's
+    gamma1 mass is phi(-b) - phi(-a) for phi(a) - phi(b), two upper tails of
+    at most 1 each rounded to within an ulp of 1.0. So masses, and the fsum
+    of them, agree within a few ulps of 1.0 (4 * 2**-52), not of the mass
+    itself: a narrow cell near 3 differs by up to 3e-12 of its mass.
+    """
+
+    def test_conftest_families(self):
+        rng = random.Random(2504)
+        for k in range(800):
+            base = random_profile_1d(rng, max_cells=8) if k % 2 else random_profile_2d(rng)
+            self.check(random_annotated(rng, base) if k % 4 >= 2 else base)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_small_scope_families(self, family):
+        for p in FAMILIES[family]():
+            self.check(p)
+
+    @staticmethod
+    def check(p):
+        n = p.grid.shape[0]
+        cell, facet = partial(reflected_cell, n), partial(reflected_facet, n)
+        assert_relation(p, reflect_axis0(p), cell, facet, tolerance=4 * 2.0**-52)
 
 
 class TestComplementSplit:

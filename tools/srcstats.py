@@ -2,7 +2,7 @@
 
 Usage::
 
-    python3 tools/srcstats.py
+    python3 tools/srcstats.py [BASE]
 
 Counts, in total and per module, every line of every ``.py`` file under
 ``src/`` (blank lines and comments included) and its code-only lines: the
@@ -10,22 +10,26 @@ lines that hold a token of code, with blank lines, comments and
 docstrings left out. A docstring is the string literal that opens a
 module, class or function body (found with ``ast``); the other tokens are
 read with ``tokenize``, and a token that spans lines counts on each of
-them. Then it imports the package from that tree to count
-``ehrhard.__all__``.
+them. Then it counts ``ehrhard.__all__``, importing the package from that
+tree in a child process.
+
+With ``BASE``, a checkout of another commit (usually the parent), it
+counts that tree's ``src/`` too and prints each count as base -> this
+checkout with the difference: the totals, each module (0 where a tree
+lacks it) and ``ehrhard.__all__``. One process cannot import two copies
+of the package, so each tree's names are counted in a process of its own.
 """
 
 from __future__ import annotations
 
 import ast
 import io
+import subprocess
 import sys
 import tokenize
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
-sys.path.insert(0, str(SRC))
-
-import ehrhard  # noqa: E402
+ROOT = Path(__file__).resolve().parent.parent
 
 LAYOUT = {
     tokenize.COMMENT,
@@ -58,17 +62,46 @@ def code_lines(text: str) -> int:
     return len(lines - docstrings)
 
 
+def public_names(src: Path) -> int:
+    """The size of ``ehrhard.__all__`` in the package under ``src``."""
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import ehrhard; print(len(ehrhard.__all__))"
+    run = subprocess.run([sys.executable, "-c", code, src], capture_output=True, check=True, text=True)
+    return int(run.stdout)
+
+
+def tree_stats(root: Path) -> tuple[dict[str, tuple[int, int]], int]:
+    """Per module under ``root/src``, its (lines, code lines); and the
+    size of ``ehrhard.__all__``."""
+    src = root / "src"
+    counts = {}
+    for f in sorted(src.rglob("*.py")):
+        text = f.read_text(encoding="utf-8")
+        counts[str(f.relative_to(src))] = (len(text.splitlines()), code_lines(text))
+    return counts, public_names(src)
+
+
+def change(old: int, new: int) -> str:
+    return f"{old} -> {new} ({new - old:+d})"
+
+
 def main() -> None:
-    files = sorted(SRC.rglob("*.py"))
-    texts = {f: f.read_text(encoding="utf-8") for f in files}
-    counts = {f: (len(t.splitlines()), code_lines(t)) for f, t in texts.items()}
-    total = sum(n for n, _ in counts.values())
-    code = sum(c for _, c in counts.values())
-    print(f"src lines: {total} in {len(files)} files, {code} of them code")
-    print(f"  {'lines':>6}  {'code':>6}")
-    for f, (n, c) in counts.items():
-        print(f"  {n:6d}  {c:6d}  {f.relative_to(SRC)}")
-    print(f"ehrhard.__all__: {len(ehrhard.__all__)} names")
+    counts, names = tree_stats(ROOT)
+    total, code = (sum(col) for col in zip(*counts.values()))
+    if len(sys.argv) < 2:
+        print(f"src lines: {total} in {len(counts)} files, {code} of them code")
+        print(f"  {'lines':>6}  {'code':>6}")
+        for f, (n, c) in counts.items():
+            print(f"  {n:6d}  {c:6d}  {f}")
+        print(f"ehrhard.__all__: {names} names")
+        return
+    base, base_names = tree_stats(Path(sys.argv[1]))
+    base_total, base_code = (sum(col) for col in zip(*base.values()))
+    print(f"src lines: {change(base_total, total)}, code {change(base_code, code)}")
+    print(f"  {'lines':>20}  {'code':>20}")
+    for f in sorted(base.keys() | counts.keys()):
+        (bn, bc), (n, c) = base.get(f, (0, 0)), counts.get(f, (0, 0))
+        print(f"  {change(bn, n):>20}  {change(bc, c):>20}  {f}")
+    print(f"ehrhard.__all__: {change(base_names, names)} names")
 
 
 if __name__ == "__main__":
