@@ -5,15 +5,23 @@ arguments, unknown names, malformed JSON, an output path that cannot be
 written), 2 when a requested expectation fails (a catalog or sweep check,
 or asking for a counterexample of a rigid profile). Set operations read
 and write the JSON encodings from :mod:`ehrhard.jsonio`; ``-`` means
-stdin or stdout.
+stdin or stdout. Every output, JSON, CSV or SVG and each file of
+``catalog --out DIR``, goes through one routine, :func:`_write_out`: a
+file takes a report's text chunk by chunk as the writer makes it, so a
+large report is never held whole, and stdout takes the text whole once
+it is complete. A command that fails while writing a file exits 1 and
+leaves no regular file holding part of its text.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
+import os
 import re
+import stat
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -24,7 +32,7 @@ from .catalog import CatalogCheck, catalog_names, run_entry, sweep
 from .columnar import ehrhard_symmetral, gauss_perimeter, steiner_symmetral
 from .errors import EhrhardError, FormatError
 from .gauss import phi, psi
-from .jsonio import _dumps, columnar_from_json, profile_from_json
+from .jsonio import _dump, _dumps, columnar_from_json, profile_from_json
 from .connectedness import essentially_disconnects
 from .profiles import scene
 from .render import render_columnar, render_profile
@@ -64,17 +72,32 @@ def _read_json(path: str) -> Any:
         raise FormatError(f"cannot read {path!r}: {exc}") from exc
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_out(path: str, data: Any) -> None:
+    """Write ``data`` to ``path``: a str as it is, any other value as its
+    report text. ``-`` is stdout, written once the text is complete, with a
+    newline added if the text does not end in one. A file takes the text as
+    :func:`jsonio._dump` hands it over, chunk by chunk. If writing fails
+    part way (a lazily priced field of the report can raise), a regular
+    file is removed, so that none is left holding part of a text; any other
+    target, such as ``os.devnull`` or a pipe, keeps what it got."""
     if path == "-":
+        text = data if isinstance(data, str) else _dumps(data)
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
-    else:
-        Path(path).write_text(text, encoding="utf-8")
-
-
-def _write_json(path: str, data: Any) -> None:
-    _write_text(path, _dumps(data))
+        return
+    regular = False
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+            if isinstance(data, str):
+                fh.write(data)
+            else:
+                _dump(data, fh.write)
+    except BaseException:
+        if regular:
+            os.unlink(os.path.realpath(path))
+        raise
 
 
 def _print_checks(
@@ -175,19 +198,19 @@ def _cmd_psi(args: argparse.Namespace) -> int:
 
 def _cmd_perimeter(args: argparse.Namespace) -> int:
     e = columnar_from_json(_read_json(args.infile))
-    _write_json(args.out, gauss_perimeter(e))
+    _write_out(args.out, gauss_perimeter(e))
     return 0
 
 
 def _cmd_symmetrize(args: argparse.Namespace) -> int:
     e = columnar_from_json(_read_json(args.infile))
-    _write_json(args.out, _symmetrals()[args.mode](e))
+    _write_out(args.out, _symmetrals()[args.mode](e))
     return 0
 
 
 def _cmd_rigidity(args: argparse.Namespace) -> int:
     prof = profile_from_json(_read_json(args.infile))
-    _write_json(args.out, _methods()[args.method](prof))
+    _write_out(args.out, _methods()[args.method](prof))
     return 0
 
 
@@ -197,7 +220,7 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
     if report.rigid:
         print("profile is rigid: no perimeter-tying competitor exists", file=sys.stderr)
         return 2
-    _write_json(args.out, report.counterexample)
+    _write_out(args.out, report.counterexample)
     return 0
 
 
@@ -205,7 +228,7 @@ def _cmd_connectedness(args: argparse.Namespace) -> int:
     prof = profile_from_json(_read_json(args.infile))
     sc = scene(prof, kind=args.kind)
     disconnected, witness = essentially_disconnects(sc)
-    _write_json(args.out, {"scene": sc, "disconnects": disconnected, "witness": witness})
+    _write_out(args.out, {"scene": sc, "disconnects": disconnected, "witness": witness})
     return 0
 
 
@@ -226,22 +249,20 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
             "extras": result.extras,
             "report": result.report,
         }
-        _write_json(str(outdir / f"{result.name}.json"), payload)
-        with open(outdir / f"{result.name}.csv", "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["label", "ok", "detail"])
-            for c in result.checks:
-                writer.writerow([c.label, c.ok, c.detail])
-        (outdir / f"{result.name}.svg").write_text(
-            render_profile(result.profile, result.report), encoding="utf-8"
-        )
+        table = io.StringIO()
+        writer = csv.writer(table)
+        writer.writerow(["label", "ok", "detail"])
+        writer.writerows([c.label, c.ok, c.detail] for c in result.checks)
+        svg = render_profile(result.profile, result.report)
+        for suffix, data in (("json", payload), ("csv", table.getvalue()), ("svg", svg)):
+            _write_out(str(outdir / f"{result.name}.{suffix}"), data)
     return 0 if result.passed else 2
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     result = sweep(args.family, args.resolutions)
     _print_checks(f"sweep {result.family}", result.checks, sys.stderr)
-    _write_text(args.out, result.csv())
+    _write_out(args.out, result.csv())
     return 0 if result.passed else 2
 
 
@@ -253,7 +274,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
         svg = render_columnar(columnar_from_json(data))
     else:
         raise FormatError("expected a profile ('values') or columnar set ('sections')")
-    _write_text(args.out, svg)
+    _write_out(args.out, svg)
     return 0
 
 

@@ -7,36 +7,45 @@ accepted on input. Cell values and sections nest by cell index: a flat
 list for 1-D bases, a list of rows (first axis index outermost) for 2-D.
 
 Reports (verdicts, certificates, scenes, perimeter breakdowns) are
-output only. One private writer, ``_dumps``, writes them by one rule: a
-dataclass becomes an object of its fields, with fields that are ``None``
-or private (a leading underscore) omitted and private fields never read;
-every float is a number, an inf sentinel or ``NaN``; tuples and lists
-become arrays; dicts with str keys keep their keys; enums become their
-values; facets and columnar sets use the encodings above. Any other type,
-or a dict key that is not a str, raises ``TypeError``. The text is what
-``json.dumps(doc, indent=2, sort_keys=True)`` gives for the document
-``doc`` that this rule makes of the report, but the writer applies the
-rule while it writes, in one pass over the report objects, and builds no
-document in between. Lazily priced report fields are priced when the
-writer reads them.
+output only. One private writer, ``_dump(x, write)``, writes them by one
+rule: a dataclass becomes an object of its fields, with fields that are
+``None`` or private (a leading underscore) omitted and private fields
+never read; every float is a number, an inf sentinel or ``NaN``; tuples
+and lists become arrays; dicts with str keys keep their keys; enums
+become their values; facets and columnar sets use the encodings above.
+Any other type, or a dict key that is not a str, raises ``TypeError``.
+The text is what ``json.dumps(doc, indent=2, sort_keys=True)`` gives for
+the document ``doc`` that this rule makes of the report, but the writer
+applies the rule while it writes, in one pass over the report objects,
+and builds no document in between. Lazily priced report fields are
+priced when the writer reads them.
+
+The text leaves in chunks. Each writer appends its pieces (leaves, keys,
+brackets, rows) to one buffer; after each item of an array or object,
+and after each batch of rows, a buffer of ``_BATCH`` pieces is joined and
+handed to ``write``. So a chunk holds at most ``_BATCH`` pieces and those
+of one nesting path, whatever the size of the report, and no full copy
+of a large text is made: the CLI writes each chunk to its output file as
+it comes. ``_dumps(x)`` is the chunks joined.
 
 Three large shapes have column writers, which fill ``%`` templates that
 the generic writer makes from a stand-in whose leaves are slots, so the
 bytes are the rule's. One cached maker, ``_template(standin, nl)``, writes
-every row, id and section template from a hashable stand-in; the two
-outer objects, a scene and a columnar set, fill the template of an object
-whose values are slots, ``_object_template(keys, nl)``. A scene is
-written from the profile it views, one template per row type, and no row
-object is built (a scene whose rows were read writes the same text); a
-``SceneCell`` or ``SceneFacet`` written on its own takes the generic
-path. A columnar set fills one template per section, by its interval
-count, from its endpoint tuples (``columnar._cell_ends``), and builds no
-``columnar_to_json`` document. A tuple of two or more cell ids, tuples of
-one length of exact ints (not bool), fills one template per id; any other
-array is written item by item. Each float column's texts are made at once
-(:func:`_float_texts`): the text of each distinct float once, the rest
-looked up. ``0.0`` and ``-0.0`` are one key there but print differently,
-so a zero always takes its own text.
+every row, id and section template from a hashable stand-in. The rows go
+out through one array writer, ``_Rows``, a batch at a time; the outer
+objects, a scene and a columnar set, are written as dicts whose arrays
+are such rows. A scene is written from the profile it views, one template
+per row type, and no row object is built (a scene whose rows were read
+writes the same text); a ``SceneCell`` or ``SceneFacet`` written on its
+own takes the generic path. A columnar set fills one template per
+section, by its interval count, from its endpoint tuples
+(``columnar._cell_ends``), and builds no ``columnar_to_json`` document. A
+tuple of two or more cell ids, tuples of one length of exact ints (not
+bool), fills one template per id; any other array is written item by
+item. Each float column's texts are made at once (:func:`_float_texts`):
+the text of each distinct float once, the rest looked up. ``0.0`` and
+``-0.0`` are one key there but print differently, so a zero always takes
+its own text.
 """
 
 from __future__ import annotations
@@ -47,7 +56,7 @@ import math
 from enum import Enum
 from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .columnar import ColumnarSet, _cell_ends
 from .connectedness import Scene, SceneCell, SceneFacet
@@ -236,15 +245,56 @@ def columnar_from_json(data: Any) -> ColumnarSet:
 # ----------------------------------------------------------------------
 # report documents (output only): the writer
 #
-# A writer takes a value and ``nl``, a newline and the indent of the value's
-# own line, and returns the value's text.
+# A writer takes a value, ``nl`` (a newline and the indent of the value's
+# own line) and ``out``, and appends the value's text to ``out`` in pieces:
+# leaves, keys, brackets and the rows of the column writers.
+
+# Pieces per chunk. After each item of an array or object, and each batch
+# of rows, the pieces are passed on once there are this many, so a chunk
+# holds at most this many and those of one nesting path, whatever the
+# size of the report.
+_BATCH = 512
 
 
-def _write(x: Any, nl: str) -> str:
-    return _WRITERS[type(x)](x, nl)
+class _Out(list):
+    """The pieces written and not yet passed on to ``write``."""
+
+    __slots__ = ("write",)
+
+    def __init__(self, write: Callable[[str], Any]) -> None:
+        super().__init__()
+        self.write = write
+
+    def spill(self) -> None:
+        """Pass the pieces on as one chunk."""
+        self.write("".join(self))
+        self.clear()
 
 
-def _write_float(x: float, nl: str) -> str:
+def _dump(x: Any, write: Callable[[str], Any], nl: str = "\n") -> None:
+    """Hand the text of the report ``x`` by the module's rule to ``write``
+    in chunks, in one pass over ``x`` with no document built in between."""
+    out = _Out(write)
+    _write(x, nl, out)
+    out.spill()
+
+
+def _dumps(x: Any, nl: str = "\n") -> str:
+    """The text of the report ``x``: the chunks of :func:`_dump` joined."""
+    chunks: list[str] = []
+    _dump(x, chunks.append, nl)
+    return "".join(chunks)
+
+
+def _write(x: Any, nl: str, out: _Out) -> None:
+    leaf = _LEAVES.get(type(x))
+    if leaf is None:
+        _WRITERS[type(x)](x, nl, out)
+    else:
+        out.append(leaf(x))
+
+
+def _float_text(x: float) -> str:
     text = float.__repr__(x)
     return _FLOAT_WORDS.get(text, text)
 
@@ -255,51 +305,47 @@ _FLOAT_WORDS = {"nan": "NaN"} | {
 }
 
 
-def _write_array(x: Any, nl: str) -> str:
-    inner, writers = nl + "  ", _WRITERS
-    return _array_text([writers[type(v)](v, inner) for v in x], nl)
+def _write_items(items: Iterable[tuple[str, Any]], nl: str, out: _Out, brackets: str) -> None:
+    """The array or object, by ``brackets`` (``"[]"`` or ``"{}"``), of
+    ``items``: pairs of a key's text and ``": "`` (empty in an array) and
+    a value."""
+    inner, leaves, writers, append = nl + "  ", _LEAVES, _WRITERS, out.append
+    head = opening = brackets[0] + inner
+    for key, v in items:
+        leaf = leaves.get(type(v))  # as in :func:`_write`; a leaf joins its key's piece
+        if leaf is None:
+            append(head + key)
+            writers[type(v)](v, inner, out)
+        else:
+            append(head + key + leaf(v))
+        if len(out) >= _BATCH:
+            out.spill()
+        head = "," + inner
+    append(brackets if head is opening else nl + brackets[1])
 
 
-def _array_text(parts: list[str], nl: str) -> str:
-    """The text of an array whose items have the texts ``parts``, each on
-    its own line at the indent of ``nl`` plus two spaces."""
-    if not parts:
-        return "[]"
-    inner = nl + "  "
-    return "[" + inner + ("," + inner).join(parts) + nl + "]"
+def _write_array(x: Any, nl: str, out: _Out) -> None:
+    _write_items(zip(repeat(""), x), nl, out, "[]")
 
 
-def _write_dict(x: dict, nl: str) -> str:
-    if not x:
-        return "{}"
+def _write_dict(x: dict, nl: str, out: _Out) -> None:
     for k in x:
         if type(k) is not str:
             raise TypeError(f"report keys must be str, not {type(k).__name__}")
-    inner = nl + "  "
-    writers = _WRITERS
-    parts = [
-        encode_basestring_ascii(k) + ": " + writers[type(v)](v, inner)
-        for k, v in sorted(x.items())
-    ]
-    return "{" + inner + ("," + inner).join(parts) + nl + "}"
+    keyed = [(encode_basestring_ascii(k) + ": ", v) for k, v in sorted(x.items())]
+    _write_items(keyed, nl, out, "{}")
 
 
-def _writer_for(cls: type) -> Callable[[Any, str], str]:
+def _writer_for(cls: type) -> Callable[[Any, str, _Out], None]:
     """Writer for an enum or dataclass type (TypeError for anything else)."""
     if issubclass(cls, Enum):
-        return lambda x, nl: _write(x.value, nl)
+        return lambda x, nl, out: _write(x.value, nl, out)
     names = sorted(f.name for f in dataclasses.fields(cls) if not f.name.startswith("_"))
     keys = [(encode_basestring_ascii(n) + ": ", n) for n in names]
 
-    def write(x: Any, nl: str) -> str:
-        inner = nl + "  "
-        writers = _WRITERS
-        parts = []
-        for key, name in keys:
-            v = getattr(x, name)
-            if v is not None:
-                parts.append(key + writers[type(v)](v, inner))
-        return "{" + inner + ("," + inner).join(parts) + nl + "}" if parts else "{}"
+    def write(x: Any, nl: str, out: _Out) -> None:
+        items = [(key, v) for key, name in keys if (v := getattr(x, name)) is not None]
+        _write_items(items, nl, out, "{}")
 
     return write
 
@@ -308,7 +354,7 @@ class _Writers(dict):
     """Exact type -> writer; a missing type's writer is made by
     :func:`_writer_for` and stored on first use."""
 
-    def __missing__(self, cls: type) -> Callable[[Any, str], str]:
+    def __missing__(self, cls: type) -> Callable[[Any, str, _Out], None]:
         writer = self[cls] = _writer_for(cls)
         return writer
 
@@ -330,17 +376,42 @@ _BOOL_TEXT = {False: "false", True: "true"}
 def _template(standin: Any, nl: str) -> str:
     """The generic writer's text of the hashable stand-in ``standin``,
     whose slots are the template's."""
-    return _write(standin, nl)
+    return _dumps(standin, nl)
 
 
-@functools.cache
-def _object_template(keys: tuple[str, ...], nl: str) -> str:
-    """The template of an object of the keys ``keys``, each value a slot."""
-    return _write_dict(dict.fromkeys(keys, _S), nl)
+class _Rows:
+    """An array whose items' texts, each after its separator ``"," +
+    inner``, are ``rows(inner)`` at the items' indent ``inner``."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: Callable[[str], Iterator[str]]) -> None:
+        self.rows = rows
+
+
+def _write_rows(x: _Rows, nl: str, out: _Out) -> None:
+    """The array ``x``, its rows passed on ``_BATCH`` pieces at a time."""
+    rows = x.rows(nl + "  ")
+    first = next(rows, None)
+    if first is None:
+        out.append("[]")
+        return
+    out.append("[" + first[1:])
+    while True:
+        out.extend(islice(rows, max(_BATCH - len(out), 0)))
+        if len(out) < _BATCH:  # the rows ran out
+            break
+        out.spill()
+    out.append(nl + "]")
+
+
+def _filled(standin: Any, leaves: Iterable[tuple]) -> _Rows:
+    """The rows of the template of ``standin``, filled with each of ``leaves``."""
+    return _Rows(lambda inner: map(("," + inner + _template(standin, inner)).__mod__, leaves))
 
 
 def _float_texts(xs: Sequence[float]) -> list[str]:
-    """:func:`_write_float` of every float of ``xs``: the text of each
+    """:func:`_float_text` of every float of ``xs``: the text of each
     distinct float is made once and the rest are looked up. ``0.0`` and
     ``-0.0`` are one key, so a zero takes its own text; a NaN is found by
     identity."""
@@ -348,18 +419,18 @@ def _float_texts(xs: Sequence[float]) -> list[str]:
     reprs = list(map(float.__repr__, distinct))
     words = dict(zip(distinct, map(_FLOAT_WORDS.get, reprs, reprs)))
     if 0.0 in words:
-        return [words[x] if x else _write_float(x, "") for x in xs]
+        return [words[x] if x else _float_text(x) for x in xs]
     return list(map(words.__getitem__, xs))
 
 
-def _write_scene(x: Scene, nl: str) -> str:
+def _write_scene(x: Scene, nl: str, out: _Out) -> None:
     """The generic writer's text of the scene ``x``, with no row built: the
     templates are filled from the columns its rows are built from, each
     column's leaf texts made at once."""
     (ids, values, in_g, cell_gauss, lebesgue), facet_columns = x._columns()
     places, lo, hi, gauss, wedge, vee, blocked, annotated = facet_columns
     id_axes = list(zip(*ids))  # each cell's index along each axis
-    inner, row, flag, texts = nl + "  ", nl + "    ", _BOOL_TEXT.__getitem__, _float_texts
+    flag, texts = _BOOL_TEXT.__getitem__, _float_texts
     # the leaves in the templates' order: by key, then along each key's value
     cells = zip(texts(cell_gauss), *id_axes, map(flag, in_g), texts(lebesgue), texts(values))
     facets = zip(
@@ -374,66 +445,74 @@ def _write_scene(x: Scene, nl: str) -> str:
     slots = (_D,) * len(id_axes)  # a cell id stand-in
     cell = SceneCell(slots, _S, _S, _S, _S)
     facet = SceneFacet(Facet(_D, _D, _D), (slots, slots), _S, _S, _S, _S, _S)
-    arrays = [
-        _array_text(list(map(_template(standin, row).__mod__, leaves)), inner)
-        for standin, leaves in ((cell, cells), (facet, facets))
-    ]
-    keys = ("base_dim", "cells", "facets", "kind")
-    return _object_template(keys, nl) % (_write(x.base_dim, inner), *arrays, _write(x.kind, inner))
+    doc = {
+        "base_dim": x.base_dim,
+        "cells": _filled(cell, cells),
+        "facets": _filled(facet, facets),
+        "kind": x.kind,
+    }
+    _write_dict(doc, nl, out)
 
 
-def _write_columnar(x: ColumnarSet, nl: str) -> str:
+def _write_columnar(x: ColumnarSet, nl: str, out: _Out) -> None:
     """The generic writer's text of ``columnar_to_json(x)``, with no
     document built: every endpoint's text is made in one column, and each
     section fills the template of its interval count."""
     grid = x.grid
-    inner = nl + "  "
     ends = _cell_ends(x)[:-1]  # not the exterior's
-    counts = list(map(len, ends))
     texts = iter(_float_texts(list(chain.from_iterable(ends))))
-    # the sections nest one level deeper on a 2-D base: rows, then cells
-    at = inner + "    " if grid.base_dim == 2 else inner + "  "
-    # a section of n endpoints is n // 2 intervals
-    templates = {n: _template(((_S, _S),) * (n // 2), at) for n in set(counts)}
-    # each section takes the next len(ends) texts of the one iterator
-    fills = map(tuple, map(islice, repeat(texts), counts))
-    sections = _nest(grid, list(map(str.__mod__, map(templates.__getitem__, counts), fills)))
-    if grid.base_dim == 2:
-        sections = [_array_text(row, inner + "  ") for row in sections]
-    grid_text = _write(grid_to_json(grid), inner)
-    return _object_template(("grid", "sections"), nl) % (grid_text, _array_text(sections, inner))
+
+    def sections(counts: list[int]) -> _Rows:
+        def rows(inner: str) -> Iterator[str]:
+            # a section of n endpoints is n // 2 intervals
+            templates = {
+                n: "," + inner + _template(((_S, _S),) * (n // 2), inner) for n in set(counts)
+            }
+            # each section takes the next n texts of the one iterator
+            fills = map(tuple, map(islice, repeat(texts), counts))
+            return map(str.__mod__, map(templates.__getitem__, counts), fills)
+
+        return _Rows(rows)
+
+    counts = list(map(len, ends))
+    nested = sections(counts) if grid.base_dim == 1 else list(map(sections, _nest(grid, counts)))
+    _write_dict({"grid": grid_to_json(grid), "sections": nested}, nl, out)
 
 
-def _write_tuple(x: tuple, nl: str) -> str:
-    """:func:`_write_array`, with a tuple of two or more cell ids (tuples of
-    one length of exact ints) filling one template per id."""
-    if len(x) > 1 and set(map(type, x)) == {tuple}:
+def _write_tuple(x: tuple, nl: str, out: _Out) -> None:
+    """:func:`_write_array`, with a cell id or facet (a tuple of at most three
+    exact ints) filling one template, and a tuple of two or more cell ids
+    (tuples of one length of exact ints) one template per id."""
+    types = set(map(type, x))
+    if types == {int} and len(x) <= 3:
+        out.append(_template((_D,) * len(x), nl) % x)
+        return
+    if len(x) > 1 and types == {tuple}:
         lengths = set(map(len, x))
         if len(lengths) == 1 and set(map(type, chain.from_iterable(x))) == {int}:
-            template = _template((_D,) * len(x[0]), nl + "  ")
-            return _array_text(list(map(template.__mod__, x)), nl)
-    return _write_array(x, nl)
+            _write_rows(_filled((_D,) * len(x[0]), x), nl, out)
+            return
+    _write_array(x, nl, out)
 
+
+# a leaf's type -> its text
+_LEAVES: dict[type, Callable[[Any], str]] = {
+    float: _float_text,
+    bool: _BOOL_TEXT.__getitem__,
+    int: int.__repr__,
+    str: encode_basestring_ascii,
+    type(None): lambda x: "null",
+    _Slot: str,
+}
 
 _WRITERS = _Writers(
     {
-        float: _write_float,
-        bool: lambda x, nl: "true" if x else "false",
-        int: lambda x, nl: int.__repr__(x),
-        str: lambda x, nl: encode_basestring_ascii(x),
-        type(None): lambda x, nl: "null",
         tuple: _write_tuple,
         list: _write_array,
         dict: _write_dict,
-        Facet: lambda x, nl: _write_array(facet_to_json(x), nl),
+        Facet: lambda x, nl, out: _write_tuple(tuple(facet_to_json(x)), nl, out),
         ColumnarSet: _write_columnar,
         Scene: _write_scene,
-        _Slot: lambda x, nl: x,
+        _Rows: _write_rows,
     }
 )
-
-
-def _dumps(x: Any) -> str:
-    """The text of the report ``x`` by the module's rule, written in one
-    pass over ``x`` with no document built in between."""
-    return _write(x, "\n")

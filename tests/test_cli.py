@@ -1,13 +1,29 @@
 import io
 import json
 import math
+import os
+import stat
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ehrhard.cli
-from ehrhard import Facet, Grid, Profile, SingularAnnotation, gauss_perimeter, phi, psi
+import ehrhard.rigidity
+from ehrhard import (
+    DomainError,
+    Facet,
+    Grid,
+    Profile,
+    SingularAnnotation,
+    gauss_perimeter,
+    phi,
+    psi,
+    rigidity_verdict,
+    scene,
+)
+from ehrhard.catalog import _mistico_profile
 from ehrhard.cli import main
 from ehrhard.jsonio import columnar_from_json, columnar_to_json, profile_to_json
 from ehrhard.profiles import from_profile
@@ -325,6 +341,69 @@ class TestUnwritableOutput:
         assert main(["catalog", "fig2-top", "--out", str(taken)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("ehrhard: error:") and "Traceback" not in err
+
+
+@pytest.fixture
+def failing_evidence(monkeypatch):
+    """Pricing a NonRigid report's perimeter check raises: the writer reads
+    that field after the output is opened."""
+
+    def fail(report):
+        raise DomainError("perimeter check failed")
+
+    monkeypatch.setitem(ehrhard.rigidity._EVIDENCE, "perimeter_check", fail)
+
+
+def assert_one_error_line(err):
+    assert err.startswith("ehrhard: error:") and len(err.splitlines()) == 1, err
+
+
+class TestStreamedOutput:
+    """A file takes a report's text chunk by chunk as the writer makes it,
+    stdout takes it whole. A failure while writing exits 1 with one error
+    line and leaves nothing partial: no stdout and no regular file."""
+
+    def test_failure_leaves_no_partial_file(self, tmp_path, capsys, failing_evidence):
+        infile = write_profile(tmp_path, nonrigid_profile())
+        out = tmp_path / "report.json"
+        assert main(["rigidity", "--in", infile, "--out", str(out)]) == 1
+        assert not out.exists()
+        assert_one_error_line(capsys.readouterr().err)
+        assert main(["rigidity", "--in", infile]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_error_line(captured.err)
+        # a failure after several chunks reached the file removes it too
+        late = {"a": scene(_mistico_profile(1 / 16)), "b": rigidity_verdict(nonrigid_profile())}
+        with pytest.raises(DomainError):
+            ehrhard.cli._write_out(str(out), late)
+        assert not out.exists()
+
+    def test_failure_leaves_a_device_in_place(
+        self, tmp_path, capsys, monkeypatch, failing_evidence
+    ):
+        def refuse(path, *args, **kwargs):
+            raise AssertionError(f"{path!r} removed or replaced")
+
+        for name in ("unlink", "remove", "replace", "rename"):
+            monkeypatch.setattr(os, name, refuse)
+        infile = write_profile(tmp_path, nonrigid_profile())
+        assert main(["rigidity", "--in", infile, "--out", os.devnull]) == 1
+        assert_one_error_line(capsys.readouterr().err)
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+    def test_peak_memory_near_the_file_size(self, tmp_path):
+        """Writing a scene of many batches to a file holds no full copy of
+        its text: the traced peak stays below 1.5 times the file's size."""
+        infile = write_profile(tmp_path, _mistico_profile(1 / 32))
+        out = tmp_path / "scene.json"
+        tracemalloc.start()
+        try:
+            assert main(["connectedness", "--in", infile, "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * out.stat().st_size, (peak, out.stat().st_size)
 
 
 class TestRigidity:

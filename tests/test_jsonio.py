@@ -32,7 +32,10 @@ from ehrhard import (
     steiner_symmetral,
 )
 from ehrhard.catalog import _mistico_profile, catalog_names
+from ehrhard.cli import main
 from ehrhard.jsonio import (
+    _BATCH,
+    _dump,
     _dumps,
     columnar_from_json,
     columnar_to_json,
@@ -563,3 +566,68 @@ class TestSceneWriter:
         assert_scene_written(p)
         for x in cli_reports(p):
             assert_same_text(_dumps(x), dumped(x))
+
+
+# A chunk holds at most ``_BATCH`` pieces (leaves, keys, brackets, rows) and
+# those of one nesting path. No piece of these reports reaches 1 KiB, so no
+# chunk reaches this many characters, whatever the size of the report.
+CHUNK_BOUND = _BATCH * 1024
+
+
+def assert_chunked(x):
+    """The chunks of ``x`` joined are ``_dumps(x)`` and the reference text,
+    and none is over :data:`CHUNK_BOUND`; returns the chunks."""
+    chunks = []
+    _dump(x, chunks.append)
+    text = "".join(chunks)
+    assert_same_text(text, _dumps(x))
+    assert_same_text(text, dumped(x))
+    assert max(map(len, chunks)) <= CHUNK_BOUND
+    return chunks
+
+
+class TestChunks:
+    """``_dump(x, write)`` hands the text of ``x`` to ``write`` in chunks of
+    bounded length, whose join is the text."""
+
+    @pytest.mark.parametrize("family", ["1d", "2d", "annotated"])
+    def test_conftest_families(self, family):
+        rng = random.Random(f"chunks-{family}")
+        for k in range(12):
+            if family == "1d":
+                p = random_profile_1d(rng)
+            elif family == "2d":
+                p = random_profile_2d(rng)
+            else:
+                p = random_annotated(rng, (random_profile_1d, random_profile_2d)[k % 2](rng))
+            for x in cli_reports(p):
+                assert_chunked(x)
+
+    def test_scene_of_many_batches(self):
+        sc = scene(_mistico_profile(1 / 32))
+        disconnected, witness = essentially_disconnects(sc)
+        chunks = assert_chunked({"scene": sc, "disconnects": disconnected, "witness": witness})
+        assert len(chunks) > len(sc.facets) // _BATCH > 4
+
+    def test_long_generic_array(self):
+        """An array the generic writer writes item by item is passed on in
+        chunks as well."""
+        rows = [{"k": k, "x": [k / 7, -k / 3]} for k in range(6000)]
+        assert len(assert_chunked(rows)) > 4
+        assert len(assert_chunked(tuple(rows))) > 4
+
+    @pytest.mark.parametrize(
+        "command", ["rigidity", "counterexample", "connectedness", "perimeter", "symmetrize"]
+    )
+    def test_out_file_is_stdout_less_its_newline(self, tmp_path, capsys, command):
+        """A file takes the text chunk by chunk, stdout whole: the same bytes."""
+        p = _mistico_profile(1 / 16)
+        doc = columnar_to_json(from_profile(p)) if command in ("perimeter", "symmetrize") else None
+        infile = tmp_path / "in.json"
+        infile.write_text(json.dumps(doc or profile_to_json(p)), encoding="utf-8")
+        out = tmp_path / "out.json"
+        assert main([command, "--in", str(infile)]) == 0
+        printed = capsys.readouterr().out
+        assert main([command, "--in", str(infile), "--out", str(out)]) == 0
+        assert printed.endswith("}\n")
+        assert_same_text(out.read_text(encoding="utf-8"), printed[:-1])

@@ -12,8 +12,11 @@ modes) of the model set, and ``rigidity``, ``connectedness`` and
 ``perimeter`` once more with their JSON on stdout. On one hand-built
 profile with zeros of both signs it runs ``rigidity`` (theorem),
 ``counterexample``, ``connectedness`` (two kinds), and ``perimeter`` and
-``symmetrize`` (two modes) of the model set. Then come ``phi``, ``psi``,
-the ``catalog`` listing and three input errors (exit 1). Each command's
+``symmetrize`` (two modes) of the model set. On ``mistico`` at h = 1/32,
+whose scene spans many of the report writer's chunks, it runs
+``connectedness`` once to ``--out`` and once to stdout. Then come
+``phi``, ``psi``, the ``catalog`` listing and three input errors (exit
+1). Each command's
 directory holds its ``stdout``, ``stderr``, ``exit`` code and the files
 it wrote. The inputs are built by the library under test, from the
 ``src`` tree next to this script.
@@ -60,6 +63,9 @@ PROFILE_COMMANDS = {
     "connectedness-stdout": ["connectedness", "--in", "{profile}"],
     "perimeter-stdout": ["perimeter", "--in", "{model}"],
 }
+
+# the labels run on mistico at h = 1/32: a scene of many chunks, to a file and to stdout
+LARGE_SCENE_COMMANDS = ("connectedness-ehrhard", "connectedness-stdout")
 
 # the labels run on the hand-built signed-zero profile
 SIGNED_ZERO_COMMANDS = (
@@ -130,6 +136,8 @@ def write_matrix(outdir: Path) -> None:
         run(["catalog", name, "--out", str(entry / "files")], entry)
         run_profile(outdir, name, run_entry(name).profile, PROFILE_COMMANDS)
     run_profile(outdir, "signed-zero", signed_zero_profile(), SIGNED_ZERO_COMMANDS)
+    large = run_entry("mistico", resolution=1 / 32).profile
+    run_profile(outdir, "mistico-h1_32", large, LARGE_SCENE_COMMANDS)
     for family in SWEEP_FAMILIES:
         where = outdir / "sweep" / family
         run(["sweep", "--family", family, "--out", str(where / "artifact")], where)
