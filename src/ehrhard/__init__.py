@@ -10,188 +10,28 @@ column mass is strictly between 0 and 1. Non-rigid instances come with an
 explicit mirrored competitor and a verified equality case; rigid ones
 with a connectivity certificate. A catalog of worked examples and a small
 CLI sit on top.
+
+Each module below lists its public names once, in its own ``__all__``;
+the package exports their union.
 """
 
-from .catalog import (
-    CatalogCheck,
-    CatalogResult,
-    SweepResult,
-    SweepRow,
-    catalog_names,
-    koch_snowflake,
-    run_entry,
-    sweep,
-)
-from .columnar import (
-    ColumnarSet,
-    ColumnClassification,
-    HalflineClass,
-    HorizontalFace,
-    PerimeterBreakdown,
-    VerticalFace,
-    common_refinement,
-    complement,
-    complement_facet_map,
-    ehrhard_symmetral,
-    gauss_perimeter,
-    gauss_volume,
-    halfline_classification,
-    lebesgue_volume,
-    on_grid,
-    reflect,
-    restrict,
-    steiner_symmetral,
-    symdiff_volume,
-)
-from .connectedness import (
-    PartitionCertificate,
-    Scene,
-    SceneCell,
-    SceneFacet,
-    SpanningStructure,
-    certificate_for,
-    complement_indecomposable,
-    decompose,
-    essentially_disconnects,
-    indecomposable,
-)
-from .errors import (
-    CatalogError,
-    DomainError,
-    EhrhardError,
-    FormatError,
-    GridError,
-    PartitionError,
-    ProfileError,
-    SearchBoundError,
-)
-from .gauss import (
-    fiber_measure,
-    gamma1,
-    gap,
-    gauss_density,
-    gauss_weight,
-    gaussian_barycenter,
-    isoperimetric_bound,
-    phi,
-    psi,
-)
-from .grids import Facet, Grid
-from .intervals import Interval, IntervalSet
-from .profiles import (
-    JumpInterface,
-    Profile,
-    SingularAnnotation,
-    approx_limits,
-    distribution,
-    f_limits,
-    from_profile,
-    g_boundary_gauss,
-    jump_interfaces,
-    scene,
-)
-from .rigidity import (
-    ComplementSplitReport,
-    EqualityCaseReport,
-    LevelRestrictionReport,
-    PerimeterCheck,
-    RigidityReport,
-    SymdiffCheck,
-    Verdict,
-    build_counterexample,
-    check_gino,
-    check_pino,
-    default_levels,
-    exhaustive_search,
-    rigidity_verdict,
-    rigidity_verdict_planar,
-    verify_equality_case,
-)
+from . import catalog, columnar, connectedness, errors, gauss, grids, intervals, profiles, rigidity
+from .catalog import *
+from .columnar import *
+from .connectedness import *
+from .errors import *
+from .gauss import *
+from .grids import *
+from .intervals import *
+from .profiles import *
+from .rigidity import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CatalogCheck",
-    "CatalogError",
-    "CatalogResult",
-    "ColumnClassification",
-    "ColumnarSet",
-    "ComplementSplitReport",
-    "DomainError",
-    "EhrhardError",
-    "EqualityCaseReport",
-    "Facet",
-    "FormatError",
-    "Grid",
-    "GridError",
-    "HalflineClass",
-    "HorizontalFace",
-    "Interval",
-    "IntervalSet",
-    "JumpInterface",
-    "LevelRestrictionReport",
-    "PartitionCertificate",
-    "PartitionError",
-    "PerimeterBreakdown",
-    "PerimeterCheck",
-    "Profile",
-    "ProfileError",
-    "RigidityReport",
-    "Scene",
-    "SceneCell",
-    "SceneFacet",
-    "SearchBoundError",
-    "SingularAnnotation",
-    "SpanningStructure",
-    "SweepResult",
-    "SweepRow",
-    "SymdiffCheck",
-    "Verdict",
-    "VerticalFace",
-    "approx_limits",
-    "build_counterexample",
-    "catalog_names",
-    "certificate_for",
-    "check_gino",
-    "check_pino",
-    "common_refinement",
-    "complement",
-    "complement_facet_map",
-    "complement_indecomposable",
-    "decompose",
-    "default_levels",
-    "distribution",
-    "ehrhard_symmetral",
-    "essentially_disconnects",
-    "exhaustive_search",
-    "f_limits",
-    "fiber_measure",
-    "from_profile",
-    "g_boundary_gauss",
-    "gamma1",
-    "gap",
-    "gauss_density",
-    "gauss_perimeter",
-    "gauss_volume",
-    "gauss_weight",
-    "gaussian_barycenter",
-    "halfline_classification",
-    "indecomposable",
-    "isoperimetric_bound",
-    "jump_interfaces",
-    "koch_snowflake",
-    "lebesgue_volume",
-    "on_grid",
-    "phi",
-    "psi",
-    "reflect",
-    "restrict",
-    "rigidity_verdict",
-    "rigidity_verdict_planar",
-    "run_entry",
-    "scene",
-    "steiner_symmetral",
-    "sweep",
-    "symdiff_volume",
-    "verify_equality_case",
-]
+__all__ = sorted(
+    name
+    for module in (
+        catalog, columnar, connectedness, errors, gauss, grids, intervals, profiles, rigidity
+    )
+    for name in module.__all__
+)

@@ -40,6 +40,17 @@ from .rigidity import (
     verify_equality_case,
 )
 
+__all__ = [
+    "CatalogCheck",
+    "CatalogResult",
+    "SweepResult",
+    "SweepRow",
+    "catalog_names",
+    "koch_snowflake",
+    "run_entry",
+    "sweep",
+]
+
 INF = math.inf
 
 

@@ -17,12 +17,35 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import ne
 from typing import Any, Iterable, Mapping, Optional
 
 from .errors import DomainError, GridError
 from .gauss import gamma1, gauss_weight, gaussian_barycenter, phi, psi
 from .grids import CellId, Facet, Grid
 from .intervals import IntervalSet, _lebesgue_sum, _pairs, _xor
+
+__all__ = [
+    "ColumnarSet",
+    "ColumnClassification",
+    "HalflineClass",
+    "HorizontalFace",
+    "PerimeterBreakdown",
+    "VerticalFace",
+    "common_refinement",
+    "complement",
+    "complement_facet_map",
+    "ehrhard_symmetral",
+    "gauss_perimeter",
+    "gauss_volume",
+    "halfline_classification",
+    "lebesgue_volume",
+    "on_grid",
+    "reflect",
+    "restrict",
+    "steiner_symmetral",
+    "symdiff_volume",
+]
 
 INF = math.inf
 _EMPTY = IntervalSet()
@@ -262,12 +285,10 @@ def _perimeter_walk(
     # (below, above) section endpoints -> gamma1 and length of their symdiff
     # (the same floats whatever the sign of a zero endpoint)
     symdiff: dict[tuple[tuple[float, ...], tuple[float, ...]], tuple[float, float]] = {}
-    for k, (i, j) in enumerate(zip(*g.edges())):
+    # the vertical faces are the edges whose sections differ: equal canonical
+    # sections have an empty symmetric difference and unequal ones a non-empty one
+    for k, i, j in g._links(ends, relation=ne):
         pair = ends[i], ends[j]
-        # equal canonical sections have an empty symmetric difference and
-        # unequal ones a non-empty one
-        if pair[0] == pair[1]:
-            continue
         if pair not in symdiff:
             symdiff[pair] = measure(_xor(*pair))
         mass, length = symdiff[pair]

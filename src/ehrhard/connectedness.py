@@ -14,16 +14,17 @@ and the annotations with wedge <= low or vee >= high are cut. Two G-cells
 have values inside the band, so only an annotation can block the
 interface between them: the blocked interfaces are an annotation cut, the
 edge positions of the annotations that meet the rule. Every reader of the
-scene graph takes its links from one primitive, :func:`_links`, which
-picks the edges between two kept cells at C speed: the verdict and the
-exhaustive search of :mod:`ehrhard.rigidity`,
+scene graph takes its links from the grid's one edge pick,
+``Grid._links``, which picks the edges between two kept cells at C speed:
+the verdict and the exhaustive search of :mod:`ehrhard.rigidity`,
 :func:`ehrhard.render.render_profile`, and, on the profile a
 :class:`Scene` views, :func:`essentially_disconnects` and
 ``Scene._columns``. The JSON writer of a scene (``jsonio._write_scene``)
 reads those links through ``_columns`` too, and writes the rows' text
-without building them. A certificate picks its crossing edges from a
-byte of each cell's side. Cell ids, facets, limits and measures are read
-back only for what a report or a scene carries.
+without building them. A certificate takes its crossing edges from the
+same pick: the edges across which a cell's side (0 outside G, 1 plus,
+2 minus) changes, between two G-cells. Cell ids, facets, limits and
+measures are read back only for what a report or a scene carries.
 
 Separately, a columnar set decomposes into *pieces*: per column, each
 interval of its section is a node, and two pieces are adjacent when their
@@ -43,7 +44,7 @@ its complement exactly when the cells with v < 1 (the band ``(-inf, 1)``)
 are, on the grid extended to infinity (whose new cells count as v = 0;
 ``Profile._complement_band``). The level restriction at t is the band
 ``(t, 1 - t)``. :func:`_one_piece` decides these questions on the same
-primitive, over a band's flags and cut.
+edge pick, over a band's flags and cut.
 
 Every connectivity question, on scenes, pieces or cells, runs on one
 union-find kernel over integer links (:func:`_join`); results keep their
@@ -55,8 +56,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import compress
-from operator import and_
-from typing import TYPE_CHECKING, Any, Collection, Iterable, Iterator, Sequence, Union
+from operator import ne
+from typing import TYPE_CHECKING, Any, Collection, Iterable, Sequence, Union
 
 from .columnar import ColumnarSet, complement, complement_facet_map
 from .errors import PartitionError, ProfileError
@@ -66,12 +67,23 @@ from .intervals import _of_ends
 if TYPE_CHECKING:
     from .profiles import Profile
 
+__all__ = [
+    "PartitionCertificate",
+    "Scene",
+    "SceneCell",
+    "SceneFacet",
+    "SpanningStructure",
+    "certificate_for",
+    "complement_indecomposable",
+    "decompose",
+    "essentially_disconnects",
+    "indecomposable",
+]
+
 INF = math.inf
 # the band (low, high) of each scene kind: G is the cells with low < v < high,
 # and an annotation with wedge <= low or vee >= high blocks its interface
 _BANDS = {"ehrhard": (0.0, 1.0), "steiner": (0.0, INF)}
-# translates byte 3, the XOR of a plus (1) and a minus (2) side byte, to 1
-_CROSSES = bytes(c == 3 for c in range(256))
 
 
 # ----------------------------------------------------------------------
@@ -160,7 +172,7 @@ class Scene:
         p = self._profile
         grid, in_g, blocked = self._band()
         values = [*p._values.values(), 0.0]
-        links = list(_links(grid, in_g))
+        links = list(grid._links(in_g))
         ks, lo, hi = tuple(zip(*links)) or ((), (), ())
         limits = tuple(zip(*p._limits(links, values))) or ((), ())
         *places, gauss = grid._edge_columns(ks)
@@ -254,22 +266,6 @@ def _join(n: int, links: Iterable[tuple[int, int, int]]) -> tuple[list[int], lis
 # essential connectedness of scenes
 
 
-def _links(
-    grid: Grid, inside: Sequence[bool], cut: Iterable[int] = ()
-) -> Iterator[tuple[int, int, int]]:
-    """``(k, i, j)`` for every edge ``k`` of :meth:`~ehrhard.grids.Grid.edges`
-    between two cells ``i``, ``j`` with ``inside`` set (the exterior last),
-    in ascending order, leaving out the edge positions in ``cut``.
-
-    The edges are picked by a byte mask built at C speed.
-    """
-    below, above = grid.edges()
-    mask = bytearray(map(and_, map(inside.__getitem__, below), map(inside.__getitem__, above)))
-    for k in cut:
-        mask[k] = 0
-    return compress(zip(range(len(below)), below, above), mask)
-
-
 def certificate_for(scene: Scene, minus_cells: Iterable[CellId]) -> PartitionCertificate:
     """Build the certificate for a given minus-side among the scene's G-cells."""
     grid, in_g, blocked = scene._band()
@@ -285,24 +281,22 @@ def _certificate(
 ) -> PartitionCertificate:
     """The certificate whose minus side is the G-cells at indices ``minus``,
     on the in-G flags and the blocked edge positions of a scene: an edge
-    crosses where its cells' side bytes (1 plus, 2 minus), XORed for all
-    edges at once as two big integers, give 3."""
-    side = list(in_g)  # a list reads faster item by item than bytes
+    crosses where its cells' sides (0 outside G, 1 plus, 2 minus) differ
+    and neither is 0."""
+    side = list(in_g)
     for i in minus:
         side[i] = 2
-    below, above = (bytes(map(side.__getitem__, ends)) for ends in grid.edges())
-    across = int.from_bytes(below, "little") ^ int.from_bytes(above, "little")
-    crossing = across.to_bytes(len(below), "little").translate(_CROSSES)
-    cells, masses = ((), [], []), ((), [], [])  # indexed by side byte
+    cells, masses = ((), [], []), ((), [], [])  # indexed by side
     for cid, s, (area, _) in zip(grid.cells(), side, grid._cell_measures()):
         if s:
             cells[s].append(cid)
             masses[s].append(area)
     interface, unblocked = [], []
-    for key in compress(range(len(below)), crossing):
-        interface.append(grid.edge_facet(key))
-        if key not in blocked:
-            unblocked.append(grid._edge_measures(key)[0])
+    for key, i, j in grid._links(side, relation=ne):
+        if side[i] and side[j]:
+            interface.append(grid.edge_facet(key))
+            if key not in blocked:
+                unblocked.append(grid._edge_measures(key)[0])
     return PartitionCertificate(
         plus_cells=tuple(cells[1]),
         minus_cells=tuple(cells[2]),
@@ -338,7 +332,7 @@ def _decide(
     g = [i for i, inside in enumerate(in_g) if inside]
     if not g:
         return False, SpanningStructure(cells=(), tree_facets=())
-    roots, tree = _join(len(in_g), _links(grid, in_g, blocked))
+    roots, tree = _join(len(in_g), grid._links(in_g, blocked))
     if len(tree) == len(g) - 1:
         return False, SpanningStructure(
             cells=tuple(compress(grid.cells(), in_g)), tree_facets=tuple(map(grid.edge_facet, tree))
@@ -352,7 +346,7 @@ def _one_piece(grid: Grid, inside: Sequence[bool], cut: Iterable[int] = ()) -> b
     and never set) form one component across the edges not in ``cut``;
     False with no cell inside. On a band of a profile this is a one-piece
     question of its model set (see the module docstring)."""
-    _, joined = _join(len(inside), _links(grid, inside, cut))
+    _, joined = _join(len(inside), grid._links(inside, cut))
     return sum(inside) - len(joined) == 1
 
 

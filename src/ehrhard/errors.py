@@ -1,5 +1,16 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "CatalogError",
+    "DomainError",
+    "EhrhardError",
+    "FormatError",
+    "GridError",
+    "PartitionError",
+    "ProfileError",
+    "SearchBoundError",
+]
+
 
 class EhrhardError(Exception):
     """Base class for all errors raised by this package."""

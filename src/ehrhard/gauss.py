@@ -21,6 +21,18 @@ from typing import Iterable, Union
 from .errors import DomainError
 from .intervals import Interval, IntervalSet
 
+__all__ = [
+    "fiber_measure",
+    "gamma1",
+    "gap",
+    "gauss_density",
+    "gauss_weight",
+    "gaussian_barycenter",
+    "isoperimetric_bound",
+    "phi",
+    "psi",
+]
+
 INF = math.inf
 SQRT_TAU = math.sqrt(2.0 * math.pi)
 

@@ -15,13 +15,15 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cache
-from itertools import product, repeat
-from operator import floordiv, mod, mul, sub
-from typing import Iterator, Optional, Sequence
+from itertools import compress, product, repeat
+from operator import and_, floordiv, mod, mul, sub
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import GridError
 from .gauss import phi
 from .intervals import Interval
+
+__all__ = ["Facet", "Grid"]
 
 INF = math.inf
 
@@ -47,15 +49,24 @@ class Facet:
 class Grid:
     """Validated breakpoint grid with measure helpers.
 
+    Breakpoints must be strictly increasing, which is also what keeps an
+    infinite breakpoint at an end of its axis: nothing is above ``inf``
+    or below ``-inf``.
+
     The measure helpers read three per-axis tables of doubles, built on
     the first measure query, not at construction: the gamma1 mass
     ``phi(b[i]) - phi(b[i+1])`` of every cell side, the weight
     ``exp(-z*z/2)`` of every grid line (0.0 on infinite lines) and the
-    length ``b[i+1] - b[i]`` of every cell side. The
-    facets have one walk, :meth:`edges`: every facet of :meth:`facets` as
-    a position with its two neighbour cells, the exterior counting as one
-    more cell. A 2-D grid builds its edge arrays on first use, like the
-    tables. A facet is read back from its position one at a time
+    length ``b[i+1] - b[i]`` of every cell side.
+
+    The facets have one walk, :meth:`edges`: every facet of :meth:`facets`
+    as a position with its two neighbour cells, the exterior counting as
+    one more cell. A 2-D grid builds its edge arrays on first use, like
+    the tables. Every facet question of the package but piece
+    decomposition (kept apart as an independent reference) picks its
+    edges from that walk through one primitive, ``_links``: the edges
+    whose two cells' labels are both set or differ, less a cut of
+    positions. A facet is read back from its position one at a time
     (:meth:`edge_facet`, ``_edge_place``, ``_edge_measures``) or, for many
     ascending positions at once, as columns of axes, lines, laterals and
     Gaussian measures (``_edge_columns``), with the same arithmetic.
@@ -77,9 +88,6 @@ class Grid:
             for a, b in zip(vals, vals[1:]):
                 if not a < b:
                     raise GridError(f"axis {k} breakpoints not strictly increasing: {a} >= {b}")
-            for b in vals[1:-1]:
-                if math.isinf(b):
-                    raise GridError(f"axis {k} has an interior infinite breakpoint")
             cooked.append(vals)
         self._axes = tuple(cooked)
         self._shape = tuple(len(a) - 1 for a in cooked)
@@ -205,12 +213,8 @@ class Grid:
         facets on an infinite grid line do not exist as sets and are never
         produced.
         """
-        out = self._layout[0] * self._layout[1]  # the exterior
-        return (
-            self.edge_facet(k)
-            for k, (i, j) in enumerate(zip(*self.edges()))
-            if not (interior_only and out in (i, j))
-        )
+        labels = [True] * (self._layout[0] * self._layout[1]) + [not interior_only]
+        return (self.edge_facet(k) for k, _, _ in self._links(labels))
 
     def edges(self) -> tuple[Sequence[int], Sequence[int]]:
         """The two cells of every facet, as :meth:`cell_index` values.
@@ -240,6 +244,30 @@ class Grid:
                 above.extend(range(line, out, ny) if line < ny else [out] * nx)
             self._edges = (below, above)
         return self._edges
+
+    def _links(
+        self,
+        labels: Sequence[Any],
+        cut: Iterable[int] = (),
+        relation: Callable[[Any, Any], Any] = and_,
+    ) -> Iterator[tuple[int, int, int]]:
+        """``(k, i, j)`` for every edge ``k`` of :meth:`edges` whose cells
+        ``i`` and ``j`` have labels (by :meth:`cell_index`, the exterior's
+        last) that meet ``relation``, in ascending order, leaving out the
+        edge positions in ``cut``.
+
+        With ``and_`` (the default) these are the edges between two cells
+        whose labels are both set; with ``operator.ne``, the edges across
+        which the label changes. The relation's results fill a byte mask,
+        so they must be bools or small ints; both the mask and the pick
+        are built at C speed.
+        """
+        below, above = self.edges()
+        label = labels.__getitem__
+        mask = bytearray(map(relation, map(label, below), map(label, above)))
+        for k in cut:
+            mask[k] = 0
+        return compress(zip(range(len(below)), below, above), mask)
 
     def edge_index(self, f: Facet) -> Optional[int]:
         """Position of the facet in :meth:`edges`; None unless it is a facet of the grid."""

@@ -23,6 +23,8 @@ from typing import Iterable, Iterator
 
 from .errors import DomainError
 
+__all__ = ["Interval", "IntervalSet"]
+
 INF = math.inf
 
 

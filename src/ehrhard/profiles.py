@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import ne
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .columnar import ColumnarSet, _extended_grid, _extension_shift, complement_facet_map
@@ -25,6 +26,19 @@ from .errors import ProfileError
 from .gauss import gamma1, psi
 from .grids import CellId, Facet, Grid
 from .intervals import IntervalSet
+
+__all__ = [
+    "JumpInterface",
+    "Profile",
+    "SingularAnnotation",
+    "approx_limits",
+    "distribution",
+    "f_limits",
+    "from_profile",
+    "g_boundary_gauss",
+    "jump_interfaces",
+    "scene",
+]
 
 INF = math.inf
 
@@ -329,11 +343,10 @@ def jump_interfaces(p: Profile) -> list[JumpInterface]:
     """All facets with wedge < vee, including those against the exterior."""
     grid = p.grid
     values = [*p._values.values(), 0.0]  # row-major cells, then the exterior
-    below, above = grid.edges()
-    links = range(len(below)), below, above
+    links = list(grid._links([True] * len(values)))
     return [
         JumpInterface(grid.edge_facet(k), wedge, vee, toward_upper=values[j] >= values[i])
-        for k, i, j, (wedge, vee) in zip(*links, p._limits(zip(*links), values))
+        for (k, i, j), (wedge, vee) in zip(links, p._limits(links, values))
         if wedge < vee
     ]
 
@@ -386,8 +399,4 @@ def g_boundary_gauss(p: Profile) -> float:
     the exterior of the grid as not in G.
     """
     grid, in_g, _ = p._band(0.0, 1.0)
-    return math.fsum(
-        grid._edge_measures(k)[0]
-        for k, (i, j) in enumerate(zip(*grid.edges()))
-        if in_g[i] != in_g[j]
-    )
+    return math.fsum(grid._edge_measures(k)[0] for k, _, _ in grid._links(in_g, relation=ne))

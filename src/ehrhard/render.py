@@ -15,7 +15,6 @@ import math
 from typing import Optional
 
 from .columnar import ColumnarSet
-from .connectedness import _links
 from .gauss import gamma1
 from .profiles import Profile, from_profile
 from .rigidity import RigidityReport
@@ -133,7 +132,7 @@ def render_profile(p: Profile, report: Optional[RigidityReport] = None) -> str:
     if report is not None and report.certificate is not None:
         minus = report.certificate.minus_cells
     grid, in_g, cut = p._band(0.0, 1.0)
-    blocked = [grid.edge_facet(k) for k, _, _ in _links(grid, in_g) if k in cut]
+    blocked = [grid.edge_facet(k) for k, _, _ in grid._links(in_g) if k in cut]
     if grid.base_dim == 2:
         return _render_base_heatmap(
             grid,

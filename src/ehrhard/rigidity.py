@@ -34,7 +34,6 @@ from .connectedness import (
     SpanningStructure,
     _certificate,
     _decide,
-    _links,
     _one_piece,
 )
 from .errors import (
@@ -349,7 +348,7 @@ def exhaustive_search(p: Profile, max_cells: int = 12) -> RigidityReport:
             f"of {max_cells}; pass a larger max_cells to force it"
         )
     bit = {i: 1 << k for k, i in enumerate(g)}
-    unblocked = [(bit[i], bit[j]) for _, i, j in _links(grid, in_g, blocked)]
+    unblocked = [(bit[i], bit[j]) for _, i, j in grid._links(in_g, blocked)]
     checked = 0
     for mask in range(1, (1 << n) - 1):
         checked += 1

@@ -1,5 +1,6 @@
 import math
 import random
+from operator import and_, ne
 
 import pytest
 from hypothesis import given
@@ -427,3 +428,24 @@ class TestEdges:
         assert Grid((0, 1, 2)).edges() is Grid((5, 6, 7)).edges()
         assert Grid((0, 1, 2)).edges() is not Grid((0, 1, 2, 3)).edges()
         assert Grid((0, 1, 2)).edges() is not Grid((-INF, 1, 2)).edges()
+
+    @pytest.mark.parametrize("base_dim", [1, 2])
+    def test_links_match_brute_force(self, base_dim):
+        """``_links`` picks, in ascending order, the edges whose cells'
+        labels (the exterior's last) meet the relation, less the cut: on
+        bool and small int labels, with ``and_`` and ``ne``."""
+        rng = random.Random(67 + base_dim)
+        for _ in range(60):
+            g = random_grid(rng, base_dim)
+            edges = list(enumerate(zip(*g.edges())))
+            for kind in (bool, int):
+                labels = [kind(rng.randrange(3)) for _ in range(math.prod(g.shape) + 1)]
+                cut = set(rng.sample(range(len(edges)), rng.randint(0, len(edges))))
+                for relation in (and_, ne):
+                    want = [
+                        (k, i, j)
+                        for k, (i, j) in edges
+                        if relation(labels[i], labels[j]) and k not in cut
+                    ]
+                    assert list(g._links(labels, cut, relation)) == want
+                assert list(g._links(labels)) == list(g._links(labels, (), and_))

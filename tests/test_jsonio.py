@@ -190,6 +190,15 @@ class TestProfiles:
         doc = columnar_to_json(ColumnarSet(Grid((0.0, 1.0)), {}))
         with pytest.raises(FormatError):
             columnar_from_json(dict(doc, sections={"0": []}))
+        # a 2-D nesting of the wrong shape names what is wrong
+        for key, doc, decode, item in (
+            ("values", profile_to_json(Profile(g, {(0, 0): 0.5})), profile_from_json, 0.5),
+            ("sections", columnar_to_json(ColumnarSet(g, {})), columnar_from_json, []),
+        ):
+            with pytest.raises(FormatError, match=f"^{key}: expected 1 rows, got 2$"):
+                decode(dict(doc, **{key: [[item], [item]]}))
+            with pytest.raises(FormatError, match=f"^{key}: row 0 has 2 entries, expected 1$"):
+                decode(dict(doc, **{key: [[item, item]]}))
 
     def test_annotations_must_be_a_list(self):
         doc = profile_to_json(Profile(Grid((0.0, 1.0)), {(0,): 0.5}))

@@ -16,8 +16,10 @@ tree in a child process.
 With ``BASE``, a checkout of another commit (usually the parent), it
 counts that tree's ``src/`` too and prints each count as base -> this
 checkout with the difference: the totals, each module (0 where a tree
-lacks it) and ``ehrhard.__all__``. One process cannot import two copies
-of the package, so each tree's names are counted in a process of its own.
+lacks it) and ``ehrhard.__all__``, then the names this checkout adds to
+``ehrhard.__all__`` and those it removes, one line each (none when the
+API is unchanged). One process cannot import two copies of the package,
+so each tree's names are read in a process of its own.
 """
 
 from __future__ import annotations
@@ -62,16 +64,16 @@ def code_lines(text: str) -> int:
     return len(lines - docstrings)
 
 
-def public_names(src: Path) -> int:
-    """The size of ``ehrhard.__all__`` in the package under ``src``."""
-    code = "import sys; sys.path.insert(0, sys.argv[1]); import ehrhard; print(len(ehrhard.__all__))"
+def public_names(src: Path) -> list[str]:
+    """``ehrhard.__all__`` of the package under ``src``."""
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import ehrhard; print(*ehrhard.__all__)"
     run = subprocess.run([sys.executable, "-c", code, src], capture_output=True, check=True, text=True)
-    return int(run.stdout)
+    return run.stdout.split()
 
 
-def tree_stats(root: Path) -> tuple[dict[str, tuple[int, int]], int]:
-    """Per module under ``root/src``, its (lines, code lines); and the
-    size of ``ehrhard.__all__``."""
+def tree_stats(root: Path) -> tuple[dict[str, tuple[int, int]], list[str]]:
+    """Per module under ``root/src``, its (lines, code lines); and
+    ``ehrhard.__all__``."""
     src = root / "src"
     counts = {}
     for f in sorted(src.rglob("*.py")):
@@ -92,7 +94,7 @@ def main() -> None:
         print(f"  {'lines':>6}  {'code':>6}")
         for f, (n, c) in counts.items():
             print(f"  {n:6d}  {c:6d}  {f}")
-        print(f"ehrhard.__all__: {names} names")
+        print(f"ehrhard.__all__: {len(names)} names")
         return
     base, base_names = tree_stats(Path(sys.argv[1]))
     base_total, base_code = (sum(col) for col in zip(*base.values()))
@@ -101,7 +103,10 @@ def main() -> None:
     for f in sorted(base.keys() | counts.keys()):
         (bn, bc), (n, c) = base.get(f, (0, 0)), counts.get(f, (0, 0))
         print(f"  {change(bn, n):>20}  {change(bc, c):>20}  {f}")
-    print(f"ehrhard.__all__: {change(base_names, names)} names")
+    print(f"ehrhard.__all__: {change(len(base_names), len(names))} names")
+    for sign, diff in (("+", set(names) - set(base_names)), ("-", set(base_names) - set(names))):
+        for name in sorted(diff):
+            print(f"  {sign} {name}")
 
 
 if __name__ == "__main__":
