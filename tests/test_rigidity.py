@@ -61,6 +61,7 @@ from conftest import (
     random_profile_2d,
     reference_links,
     reference_pino,
+    reference_search,
     set_one_piece,
 )
 from test_exhaustive import FAMILIES
@@ -315,6 +316,40 @@ class TestExhaustiveSearch:
         with pytest.raises(SearchBoundError):
             exhaustive_search(p)
         assert exhaustive_search(p, max_cells=13).rigid
+
+    @pytest.mark.parametrize(
+        "n, cut, accepted",
+        [(13, 12, 4095), (14, 12, 4095), (14, 13, 8191), (16, 15, 32767), (15, None, None)],
+    )
+    def test_forced_blocks_match_the_walk(self, n, cut, accepted):
+        # v = 0.5 everywhere; a blocked facet after the first `cut` cells
+        # makes those cells the first accepted minus side, which lies on
+        # or past the first 4,096-mask block edge
+        g = Grid(Grid.regular(-2.0, 2.0, n))
+        anns = [] if cut is None else [SingularAnnotation(Facet(0, cut, 0), 0.0, 0.5)]
+        p = Profile(g, dict.fromkeys(g.cells(), 0.5), anns)
+        report = exhaustive_search(p, max_cells=16)
+        got = (report.partitions_checked, report.certificate)
+        assert_same_repr(got, reference_search(p))
+        assert report.partitions_checked == (2**n - 2 if cut is None else accepted)
+
+    def test_forced_2d_search_matches_the_walk(self):
+        # 4x4 cells at 0.5 with the axis-1 line 3 blocked: cell (i, j) is
+        # bit 4i + j, so the accepted minus side {j < 3} is mask 0x7777
+        g = Grid((-INF, -1.0, 0.0, 1.0, INF), (-INF, -1.0, 0.0, 1.0, INF))
+        anns = [SingularAnnotation(Facet(1, 3, i), 0.0, 0.5) for i in range(4)]
+        p = Profile(g, dict.fromkeys(g.cells(), 0.5), anns)
+        report = exhaustive_search(p, max_cells=16)
+        assert report.partitions_checked == 0x7777
+        assert_same_repr((report.partitions_checked, report.certificate), reference_search(p))
+
+    def test_column_table_matches_its_definition(self):
+        columns = ehrhard.rigidity._COLUMNS
+        assert len(columns) == 13
+        for w, row in enumerate(columns):
+            assert len(row) == w
+            for k, col in enumerate(row):
+                assert col == sum(1 << m for m in range(2**w) if m >> k & 1), (w, k)
 
     def test_takes_no_tolerance(self):
         # the cheap-crossing allowance is gone: its NonRigid reports did not separate

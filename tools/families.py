@@ -31,12 +31,16 @@ must give the passes of the interval route: generic pieces of the model
 set restricted to each band ``(t, 1 - t)``, where the band keeps every
 cell of G. In the scenes of both kinds, a facet is blocked exactly when
 its limits have wedge 0 (or, for Ehrhard, vee 1), and only annotated
-facets are. The script prints the count and time of each family and
-exits 1 at the first disagreement, naming the profile.
+facets are. The script prints the count and time of each family, and on
+a line of its own the sha256 digest of every search report's
+``repr((partitions_checked, certificate))`` in enumeration order, so two
+trees' searches can be compared by their digest lines. It exits 1 at the
+first disagreement, naming the profile.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import sys
@@ -101,9 +105,10 @@ def three_by_three():
 FAMILIES = {"3-cell": three_cells, "3x3": three_by_three}
 
 
-def disagreement(p: Profile) -> str | None:
-    """What ``p`` fails, or None."""
+def disagreement(p: Profile, digest) -> str | None:
+    """What ``p`` fails, or None; the search report goes into ``digest``."""
     theorem, search = rigidity_verdict(p), exhaustive_search(p)
+    digest.update(repr((search.partitions_checked, search.certificate)).encode())
     if theorem.verdict is not search.verdict:
         return f"rigidity_verdict {theorem.verdict} but exhaustive_search {search.verdict}"
     for report in (theorem, search):
@@ -142,14 +147,15 @@ def disagreement(p: Profile) -> str | None:
 
 def main() -> int:
     for name, family in FAMILIES.items():
-        start, count = time.perf_counter(), 0
+        start, count, digest = time.perf_counter(), 0, hashlib.sha256()
         for p in family():
             count += 1
-            problem = disagreement(p)
+            problem = disagreement(p, digest)
             if problem is not None:
                 print(f"{name}: {problem}: {p.grid.axes} {p.values} {p.annotations}")
                 return 1
         print(f"{name}: {count} profiles agree in {time.perf_counter() - start:.1f} s")
+        print(f"{name}: search digest {digest.hexdigest()}")
     return 0
 
 
