@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from operator import ne
-from typing import Any, Iterable, Mapping, Optional
+from typing import Any, Iterable, Mapping
 
 from .errors import DomainError, GridError
 from .gauss import gamma1, gauss_weight, gaussian_barycenter, phi, psi
@@ -395,12 +395,9 @@ def complement(e: ColumnarSet) -> ColumnarSet:
     the exterior (where the set is empty) contributes full-line sections.
     """
     big = _extended_grid(e.grid)
-    shift = _extension_shift(e.grid, big)
     out: dict[CellId, IntervalSet] = {}
-    for cid in big.cells():
-        # a cell outside the original grid has no parent section
-        parent = tuple(c - d for c, d in zip(cid, shift))
-        s = e._sections.get(parent, _EMPTY).complement()
+    for cid, s in zip(big.cells(), _sections_on(e, big)):
+        s = s.complement()
         if not s.is_empty:
             out[cid] = s
     return ColumnarSet._of_cells(big, out)
@@ -419,28 +416,21 @@ def _extended_grid(grid: Grid) -> Grid:
     return Grid(*axes)
 
 
-def _extension_shift(original: Grid, extended: Grid) -> tuple[int, ...]:
-    """Per axis, 1 where ``extended`` has an added -inf breakpoint, else 0."""
-    return tuple(int(a[0] != b[0]) for a, b in zip(original.axes, extended.axes))
-
-
 def complement_facet_map(original: Grid, extended: Grid, f: Facet) -> Facet:
-    """Re-index a facet of ``original`` on the extended grid of its complement."""
-    shift = _extension_shift(original, extended)
-    lat = f.lateral + (shift[1 - f.axis] if original.base_dim == 2 else 0)
-    return Facet(f.axis, f.line + shift[f.axis], lat)
+    """Re-index a facet of ``original`` on the extended grid of its complement.
+
+    Every facet, one outside ``original`` too, moves past the sides added
+    before the first one (``Grid._facet_map``).
+    """
+    return extended._facet_map(original)(f)[0]
 
 
-def _parent_cell(coarse: Grid, fine: Grid, cid: CellId) -> Optional[CellId]:
-    """Cell of ``coarse`` containing the given cell of ``fine`` (None if exterior)."""
-    parent = []
-    for axis, c in enumerate(cid):
-        lo = fine.axes[axis][c]
-        i = coarse.axis_parent(axis, lo)
-        if i is None:
-            return None
-        parent.append(i)
-    return tuple(parent)
+def _sections_on(e: ColumnarSet, fine: Grid) -> list[IntervalSet]:
+    """The section of ``e`` over each cell of ``fine`` (a refinement of its
+    grid, or that grid extended), in cells order: the section over the
+    cell that holds it, empty outside the grid."""
+    sections = [e._sections.get(cid, _EMPTY) for cid in e.grid.cells()]
+    return fine._lift(e.grid, sections, _EMPTY)
 
 
 def on_grid(e: ColumnarSet, fine: Grid) -> ColumnarSet:
@@ -449,14 +439,8 @@ def on_grid(e: ColumnarSet, fine: Grid) -> ColumnarSet:
     Every measure-level quantity is invariant under this re-gridding: the
     sections are identical floats, only the bookkeeping cells split.
     """
-    out: dict[CellId, IntervalSet] = {}
-    for cid in fine.cells():
-        parent = _parent_cell(e.grid, fine, cid)
-        if parent is not None:
-            s = e.section(parent)
-            if not s.is_empty:
-                out[cid] = s
-    return ColumnarSet(fine, out)
+    out = {cid: s for cid, s in zip(fine.cells(), _sections_on(e, fine)) if not s.is_empty}
+    return ColumnarSet._of_cells(fine, out)
 
 
 def common_refinement(e: ColumnarSet, f: ColumnarSet) -> tuple[ColumnarSet, ColumnarSet]:

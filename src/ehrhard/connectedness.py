@@ -59,7 +59,7 @@ from itertools import compress
 from operator import ne
 from typing import TYPE_CHECKING, Any, Collection, Iterable, Sequence, Union
 
-from .columnar import ColumnarSet, complement, complement_facet_map
+from .columnar import ColumnarSet, complement
 from .errors import PartitionError, ProfileError
 from .grids import CellId, Facet, Grid
 from .intervals import _of_ends
@@ -439,5 +439,5 @@ def complement_indecomposable(
     decomposable by convention.
     """
     c = complement(e)
-    remapped = [complement_facet_map(e.grid, c.grid, f) for f in severed_facets]
-    return indecomposable(c, remapped)
+    parts = c.grid._facet_map(e.grid)
+    return indecomposable(c, [g for f in severed_facets for g in parts(f)])

@@ -70,6 +70,12 @@ class Grid:
     (:meth:`edge_facet`, ``_edge_place``, ``_edge_measures``) or, for many
     ascending positions at once, as columns of axes, lines, laterals and
     Gaussian measures (``_edge_columns``), with the same arithmetic.
+
+    A grid derived from another, a refinement or an extension by infinite
+    ends, has one map back to it, ``_parents``: per axis, the side of the
+    other grid that holds each side of this one. A cell's item is read
+    from the cell that holds it (``_lift``), and a facet of the other grid
+    is made of the facets ``_facet_map`` gives, both through that map.
     """
 
     __slots__ = ("_axes", "_shape", "_layout", "_tables", "_edges")
@@ -407,14 +413,65 @@ class Grid:
     def axis_parent(self, axis: int, lo: float) -> Optional[int]:
         """Index of this grid's cell on ``axis`` whose side contains [lo, ...).
 
-        ``lo`` must be a breakpoint of a refinement of this grid, so exact
-        comparisons suffice. Returns None when lo is outside the axis span.
+        ``lo`` must be a breakpoint of a refinement of this grid or of this
+        grid extended by infinite ends, so exact comparisons suffice.
+        Returns None when lo is outside the axis span. :meth:`_parents`, the
+        one map from such a grid back to this one, asks it once per side.
         """
         bps = self._axes[axis]
         i = bisect_right(bps, lo) - 1
         if i < 0 or i >= len(bps) - 1:
             return None
         return i
+
+    def _parents(self, coarse: "Grid") -> tuple[list[Optional[int]], ...]:
+        """Per axis, the index of the side of ``coarse`` that holds each side
+        of this grid (a refinement of ``coarse`` or ``coarse`` extended by
+        infinite ends), or None outside it: :meth:`axis_parent` of the
+        side's lower end, once per side."""
+        if coarse.base_dim != self.base_dim:
+            raise GridError(f"cannot place a {self.base_dim}-D grid on a {coarse.base_dim}-D one")
+        return tuple(
+            [coarse.axis_parent(axis, lo) for lo in bps[:-1]] for axis, bps in enumerate(self._axes)
+        )
+
+    def _lift(self, coarse: "Grid", items: Sequence[Any], default: Any) -> list[Any]:
+        """Per cell of this grid, in :meth:`cells` order, the item of the cell
+        of ``coarse`` that holds it (``items`` by ``coarse``'s
+        :meth:`cell_index`), or ``default`` outside ``coarse``."""
+        *rows, cols = self._parents(coarse)
+        width = coarse._shape[-1]
+        picks = [width if c is None else c for c in cols]  # width: past the row
+        out: list[Any] = []
+        for r in rows[0] if rows else [0]:
+            row = [default] * width if r is None else items[r * width : (r + 1) * width]
+            out += map([*row, default].__getitem__, picks)
+        return out
+
+    def _facet_map(self, coarse: "Grid") -> Callable[[Facet], list[Facet]]:
+        """The facets of this grid that make up a facet of ``coarse``: those
+        on its grid line whose lateral sides :meth:`_parents` puts in its
+        lateral side. A line or side outside ``coarse`` moves as its
+        nearest end does, so on an extension every facet shifts alike."""
+        lines = []
+        for sides in self._parents(coarse):
+            # this grid's line on each line of coarse: the lower end of the
+            # first side inside, then the upper end of each coarse side's last
+            after = sides[1:] + [None]
+            ends = [i for i, (a, b) in enumerate(zip(sides, after), 1) if a is not None and a != b]
+            lines.append([sides.index(0), *ends])
+        if len(lines) == 1:
+            lines.append([0, 1])  # a 1-D grid's facets keep their lateral
+
+        def at(axis: int, line: int) -> int:
+            near = min(max(line, 0), len(lines[axis]) - 1)
+            return lines[axis][near] + line - near
+
+        def parts(f: Facet) -> list[Facet]:
+            lats = range(at(1 - f.axis, f.lateral), at(1 - f.axis, f.lateral + 1))
+            return [Facet(f.axis, at(f.axis, f.line), lat) for lat in lats]
+
+        return parts
 
 
 @cache

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from operator import ne
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .columnar import ColumnarSet, _extended_grid, _extension_shift, complement_facet_map
+from .columnar import ColumnarSet, _extended_grid
 from .connectedness import Scene
 from .errors import ProfileError
 from .gauss import gamma1, psi
@@ -167,23 +167,18 @@ class Profile:
         """The band ``(-inf, 1)`` on the grid of the model set's complement.
 
         The grid gets infinite end breakpoints like
-        :func:`~ehrhard.columnar.complement`; its new cells count as v = 0,
-        so they are in, and the cut (the annotations with vee 1) moves onto
-        the same facets of it.
+        :func:`~ehrhard.columnar.complement`, and :meth:`Grid._parents
+        <ehrhard.grids.Grid._parents>` places the band on it: its new cells
+        count as v = 0, so they are in, and the cut (the annotations with
+        vee 1) moves onto the same facets of it.
         """
         grid, inside, cut = self._band(-INF, 1.0)
         big = _extended_grid(grid)
-        shift = _extension_shift(grid, big)
-        # the new cells: in 2-D the new rows before the old ones, then each old
-        # row (along the last axis) padded at both ends, then the rows after
-        n, width = grid.shape[-1], big.shape[-1]
-        left, right = [True] * shift[-1], [True] * (width - n - shift[-1])
-        padded = [True] * (shift[0] * width if grid.base_dim == 2 else 0)
-        for x in range(0, len(inside) - 1, n):
-            padded += left + inside[x : x + n] + right
-        padded += [True] * (math.prod(big.shape) - len(padded)) + [False]
-        moved = {big.edge_index(complement_facet_map(grid, big, grid.edge_facet(k))) for k in cut}
-        return big, padded, moved
+        parts = big._facet_map(grid)
+        moved = {big.edge_index(g) for k in cut for g in parts(grid.edge_facet(k))}
+        flags = big._lift(grid, inside, True)
+        flags.append(False)  # the exterior
+        return big, flags, moved
 
     def _limits(
         self, links: Iterable[tuple[Optional[int], int, int]], values: Sequence[float]
@@ -206,11 +201,12 @@ class Profile:
     # grid surgery
 
     def split_cell(self, axis: int, coordinate: float) -> "Profile":
-        """Insert a breakpoint, copying values and re-indexing annotations.
+        """Insert a breakpoint: this profile on the grid with one more line.
 
-        A null modification: the new facets along the cut are unannotated
-        and both halves keep the old value, so every limit, scene, and
-        verdict downstream is unchanged.
+        A null modification, placed through the grid's one parent map
+        (:meth:`_on_grid`, which reads ``Grid._parents``): the new facets
+        along the cut are unannotated and both halves keep the old value,
+        so every limit, scene, and verdict downstream is unchanged.
         """
         if axis not in range(self._grid.base_dim):
             raise ProfileError(f"axis {axis!r} outside the {self._grid.base_dim}-D base")
@@ -220,52 +216,49 @@ class Profile:
             return self
         if not bps[0] < coordinate < bps[-1]:
             raise ProfileError(f"coordinate {coordinate} outside axis {axis} span")
-        cut_at = self._grid.axis_parent(axis, coordinate)
         new_axes = list(self._grid.axes)
         new_axes[axis] = tuple(sorted(bps + (coordinate,)))
-        fine = Grid(*new_axes)
-
-        def parent_index(k: int) -> int:
-            return k if k <= cut_at else k - 1
-
-        values: dict[CellId, float] = {}
-        for cid in fine.cells():
-            old = list(cid)
-            old[axis] = parent_index(old[axis])
-            values[cid] = self._values[tuple(old)]
-
-        anns: list[SingularAnnotation] = []
-        for a in self._annotations:
-            f = a.facet
-            if f.axis == axis:
-                line = f.line if f.line <= cut_at else f.line + 1
-                anns.append(SingularAnnotation(Facet(f.axis, line, f.lateral), a.wedge, a.vee))
-            elif self._grid.base_dim == 2 and f.lateral == cut_at:
-                # the lateral cell split in two: the annotation covers both halves
-                anns.append(SingularAnnotation(Facet(f.axis, f.line, cut_at), a.wedge, a.vee))
-                anns.append(SingularAnnotation(Facet(f.axis, f.line, cut_at + 1), a.wedge, a.vee))
-            else:
-                lat = f.lateral if (self._grid.base_dim == 1 or f.lateral <= cut_at) else f.lateral + 1
-                anns.append(SingularAnnotation(Facet(f.axis, f.line, lat), a.wedge, a.vee))
-        return Profile(fine, values, anns)
+        return self._on_grid(Grid(*new_axes))
 
     def refined(self, max_width: float) -> "Profile":
-        """Split every finite cell side until no side exceeds ``max_width``."""
+        """Split every finite cell side until no side exceeds ``max_width``.
+
+        A side wider than that is halved at ``0.5 * (a + b)`` and each half
+        in turn, so the breakpoints of each axis are known up front; the
+        result is this profile on that one grid, placed through
+        ``Grid._parents`` (:meth:`_on_grid`), or this profile itself when no
+        side is too wide. A side whose midpoint rounds to one of its ends,
+        or whose ``a + b`` overflows, raises :class:`ProfileError`.
+        """
         if not max_width > 0.0:
             raise ProfileError("max_width must be positive")
-        p = self
-        for axis in range(self._grid.base_dim):
-            while True:
-                bps = p.grid.axes[axis]
-                cut = None
-                for a, b in zip(bps, bps[1:]):
-                    if not math.isinf(a) and not math.isinf(b) and b - a > max_width:
-                        cut = 0.5 * (a + b)
-                        break
-                if cut is None:
-                    break
-                p = p.split_cell(axis, cut)
-        return p
+
+        def halves(a: float, b: float) -> list[float]:
+            # the breakpoints past a, up to b, of the side (a, b) once halved
+            if math.isinf(a) or math.isinf(b) or not b - a > max_width:
+                return [b]
+            mid = 0.5 * (a + b)
+            if not a < mid < b:
+                raise ProfileError(f"cell side ({a!r}, {b!r}) cannot be halved in floats")
+            return halves(a, mid) + halves(mid, b)
+
+        axes = [
+            (bps[0], *(z for a, b in zip(bps, bps[1:]) for z in halves(a, b)))
+            for bps in self._grid.axes
+        ]
+        return self if axes == list(self._grid.axes) else self._on_grid(Grid(*axes))
+
+    def _on_grid(self, fine: Grid) -> "Profile":
+        """This profile on a refinement ``fine`` of its grid, through
+        :meth:`Grid._parents <ehrhard.grids.Grid._parents>`: each cell keeps
+        the value of the cell that holds it, and each annotation covers the
+        facets of ``fine`` on its own facet."""
+        values = fine._lift(self._grid, list(self._values.values()), None)
+        parts = fine._facet_map(self._grid)
+        anns = [
+            SingularAnnotation(g, a.wedge, a.vee) for a in self._annotations for g in parts(a.facet)
+        ]
+        return Profile(fine, dict(zip(fine.cells(), values)), anns)
 
 
 # ----------------------------------------------------------------------

@@ -169,6 +169,66 @@ def random_annotated(rng: random.Random, p: Profile, p_annotate: float = 0.3) ->
     return Profile(p.grid, p.values, annotations)
 
 
+def side_midpoint(a: float, b: float) -> float:
+    """A point strictly inside the side (a, b), whose ends may be infinite."""
+    if math.isinf(a) and math.isinf(b):
+        return 0.0
+    if math.isinf(a):
+        return b - 1.0
+    if math.isinf(b):
+        return a + 1.0
+    return 0.5 * (a + b)
+
+
+def holding_side(bps, a: float, b: float):
+    """Index of the side of the axis ``bps`` that holds the side (a, b),
+    found by its midpoint; None outside the axis."""
+    z = side_midpoint(a, b)
+    return next((i for i, (lo, hi) in enumerate(zip(bps, bps[1:])) if lo < z < hi), None)
+
+
+def reference_on_grid(p: Profile, fine: Grid) -> Profile:
+    """``p`` on a refinement ``fine`` of its grid, by coordinates: each cell
+    of ``fine`` takes the value of the cell of ``p`` that holds its
+    midpoint, and an interior facet of ``fine`` carries the limits of the
+    annotated facet of ``p`` that it lies inside."""
+    coarse = p.grid
+    by_facet = {a.facet: a for a in p.annotations}
+
+    def parent(axis, i):
+        return holding_side(coarse.axes[axis], *fine.axes[axis][i : i + 2])
+
+    values = {
+        cid: p.value(tuple(parent(axis, c) for axis, c in enumerate(cid))) for cid in fine.cells()
+    }
+    annotations = []
+    for f in fine.facets(interior_only=True):
+        z = fine.facet_coordinate(f)
+        if z not in coarse.axes[f.axis]:
+            continue
+        lat = 0 if fine.base_dim == 1 else parent(1 - f.axis, f.lateral)
+        a = by_facet.get(Facet(f.axis, coarse.axes[f.axis].index(z), lat))
+        if a is not None:
+            annotations.append(SingularAnnotation(f, a.wedge, a.vee))
+    return Profile(fine, values, annotations)
+
+
+def reference_refined_axis(bps, max_width: float) -> tuple[float, ...]:
+    """The breakpoints of ``Profile.refined`` on one axis, one split at a
+    time: the first finite side wider than ``max_width`` is halved at
+    ``0.5 * (a + b)`` until none is left."""
+    bps = list(bps)
+    while True:
+        wide = [
+            i for i, (a, b) in enumerate(zip(bps, bps[1:]))
+            if not math.isinf(a) and not math.isinf(b) and b - a > max_width
+        ]
+        if not wide:
+            return tuple(bps)
+        i = wide[0]
+        bps.insert(i + 1, 0.5 * (bps[i] + bps[i + 1]))
+
+
 def reference_jumps(p: Profile) -> list[JumpInterface]:
     """``jump_interfaces(p)`` restated facet by facet on the public queries:
     every facet of ``facets()``, its ``approx_limits`` and its neighbours,

@@ -42,13 +42,17 @@ from ehrhard import (
 )
 from ehrhard.catalog import _mistico_profile
 from ehrhard.columnar import _symdiff_walk
+from ehrhard.connectedness import complement_indecomposable
 from ehrhard.intervals import _lebesgue_sum
 from ehrhard.jsonio import _dumps
 from conftest import (
     assert_same_perimeter,
     assert_same_repr,
+    holding_side,
     random_annotated,
+    random_breakpoints,
     random_columnar,
+    random_interval_set,
     random_profile_1d,
     random_profile_2d,
     reference_perimeter,
@@ -595,6 +599,18 @@ class TestSetOperations:
         f = complement_facet_map(g, big, Facet(0, 1, 0))
         assert f == Facet(0, 2, 1)
 
+    def test_facets_outside_the_grid_shift_and_sever_nothing(self):
+        g = Grid((0.0, 1.0, 2.0), (0.0, 1.0))
+        big = complement(ColumnarSet(g, {})).grid
+        outside = {Facet(0, 9, 0): Facet(0, 10, 1), Facet(1, 1, 5): Facet(1, 2, 6)}
+        for f, moved in outside.items():
+            assert complement_facet_map(g, big, f) == moved
+            assert big.edge_index(moved) is None
+        rng = random.Random(24)
+        for _ in range(20):
+            e = ColumnarSet(g, {cid: random_interval_set(rng) for cid in g.cells()})
+            assert complement_indecomposable(e, list(outside)) == complement_indecomposable(e)
+
 
 class TestRegridding:
     def test_on_grid_preserves_measures(self):
@@ -609,6 +625,33 @@ class TestRegridding:
             assert gauss_perimeter(e2).total_gauss == pytest.approx(
                 gauss_perimeter(e).total_gauss, rel=1e-12, abs=1e-14
             )
+
+    def test_on_grid_refined_on_both_axes(self):
+        rng = random.Random(25)
+        for _ in range(25):
+            coarse = Grid(random_breakpoints(rng, 4), random_breakpoints(rng, 4))
+            e = ColumnarSet(coarse, {cid: random_interval_set(rng) for cid in coarse.cells()})
+            fine = Grid(*(
+                sorted({*bps, *(rng.uniform(max(bps[0], -4.0), min(bps[-1], 4.0)) for _ in range(3))})
+                for bps in coarse.axes
+            ))
+            e2 = on_grid(e, fine)
+            assert e2.grid == fine
+            for cid in fine.cells():
+                parent = tuple(
+                    holding_side(coarse.axes[axis], *fine.axes[axis][c : c + 2])
+                    for axis, c in enumerate(cid)
+                )
+                assert e2.section(cid) == e.section(parent)
+            assert gauss_volume(e2) == pytest.approx(gauss_volume(e), abs=1e-14)
+            assert gauss_perimeter(e2).total_gauss == pytest.approx(
+                gauss_perimeter(e).total_gauss, rel=1e-12, abs=1e-14
+            )
+
+    def test_on_grid_rejects_another_base_dimension(self):
+        plane = ColumnarSet(Grid((0.0, 1.0), (0.0, 1.0)), {(0, 0): IntervalSet.line()})
+        with pytest.raises(GridError, match="1-D grid on a 2-D"):
+            on_grid(plane, Grid((0.0, 0.5, 1.0)))
 
     def test_common_refinement(self):
         a = ColumnarSet(Grid((-INF, 0.0, INF)), {(1,): IntervalSet.line()})

@@ -1,7 +1,11 @@
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +29,7 @@ from ehrhard import (
     rigidity_verdict,
     scene,
 )
+import ehrhard
 from ehrhard.connectedness import complement_indecomposable
 from ehrhard.jsonio import _dumps
 from conftest import (
@@ -34,6 +39,8 @@ from conftest import (
     random_profile_2d,
     reference_g_boundary,
     reference_jumps,
+    reference_on_grid,
+    reference_refined_axis,
 )
 
 INF = math.inf
@@ -233,6 +240,62 @@ class TestSplitAndRefine:
     def test_refined_rejects_bad_width(self):
         with pytest.raises(ProfileError):
             three_column(0.3, 1.0, 0.6).refined(0.0)
+
+    @staticmethod
+    def annotated(rng, k):
+        base = random_profile_1d(rng, max_cells=8) if k % 2 else random_profile_2d(rng)
+        return random_annotated(rng, base, p_annotate=0.5)
+
+    def test_split_matches_the_coordinates(self):
+        rng = random.Random(73)
+        for k in range(80):
+            p = self.annotated(rng, k)
+            for axis, bps in enumerate(p.grid.axes):
+                i = rng.randrange(len(bps) - 1)
+                q = p.split_cell(axis, inner_point(bps[i : i + 2]))
+                assert q == reference_on_grid(p, q.grid), (p, axis, i)
+
+    def test_refined_matches_the_coordinates(self):
+        rng = random.Random(74)
+        for k in range(80):
+            p = self.annotated(rng, k)
+            width = rng.choice((0.4, 0.9, 2.0))
+            q = p.refined(width)
+            assert q.grid.axes == tuple(reference_refined_axis(bps, width) for bps in p.grid.axes)
+            assert q == reference_on_grid(p, q.grid), (p, width)
+
+    def test_refined_adding_nothing_is_identity(self):
+        rng = random.Random(75)
+        for k in range(20):
+            p = self.annotated(rng, k)
+            assert p.refined(7.0) is p
+        open_ended = Profile(Grid((-INF, 0.0, INF)), {(0,): 0.2, (1,): 0.7})
+        assert open_ended.refined(1e-9) is open_ended
+
+    @pytest.mark.parametrize(
+        "axis, width",
+        [
+            ("(1.0, 1.0 + 4 * 2**-52)", 1e-300),  # the midpoint rounds to an end
+            ("(1e308, 1.5e308)", 1e307),  # a + b overflows
+        ],
+    )
+    def test_refined_refuses_a_side_floats_cannot_halve(self, axis, width):
+        # in a child process with a deadline, so a refined that never returns fails
+        code = (
+            "from ehrhard import Grid, Profile, ProfileError\n"
+            f"try:\n    Profile(Grid({axis}), {{(0,): 0.5}}).refined({width!r})\n"
+            "except ProfileError as exc:\n    print(exc)\n"
+        )
+        src = str(Path(ehrhard.__file__).resolve().parents[1])
+        run = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=30,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+        )
+        assert run.returncode == 0, run.stderr
+        assert "cannot be halved" in run.stdout
 
 
 class TestLimits:
