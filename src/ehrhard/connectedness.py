@@ -16,15 +16,27 @@ interface between them: the blocked interfaces are an annotation cut, the
 edge positions of the annotations that meet the rule. Every reader of the
 scene graph takes its links from the grid's one edge pick,
 ``Grid._links``, which picks the edges between two kept cells at C speed:
-the verdict and the exhaustive search of :mod:`ehrhard.rigidity`,
-:func:`ehrhard.render.render_profile`, and, on the profile a
-:class:`Scene` views, :func:`essentially_disconnects` and
-``Scene._columns``. The JSON writer of a scene (``jsonio._write_scene``)
-reads those links through ``_columns`` too, and writes the rows' text
-without building them. A certificate takes its crossing edges from the
-same pick: the edges across which a cell's side (0 outside G, 1 plus,
-2 minus) changes, between two G-cells. Cell ids, facets, limits and
-measures are read back only for what a report or a scene carries.
+the verdict and the exhaustive search of :mod:`ehrhard.rigidity`, and,
+on the profile a :class:`Scene` views, :func:`essentially_disconnects`
+and ``Scene._columns``. The JSON writer of a scene
+(``jsonio._write_scene``) reads those links through ``_columns`` too,
+and writes the rows' text without building them.
+:func:`ehrhard.render.render_profile` needs only the blocked interfaces,
+and reads them from the cut: its positions whose two cells are in G.
+
+A certificate's crossing edges are those between a plus and a minus
+G-cell (cell sides 0 outside G, 1 plus, 2 minus). It takes at most one
+pick for them: :func:`certificate_for` and the verdict pick the edges
+across which the side changes (the verdict's own pick streams into the
+union-find and is not kept), and the exhaustive search hands over the
+few G-G links it already holds, so the certificate picks nothing. Only
+what ``separating`` reads is priced with the witness: the count of
+unblocked crossings, recounted from those edges, and the two side sizes.
+A certificate's cell tuples, its interface facets and measure, and its
+side masses, and a spanning structure's cells and tree facets, are
+priced on first read, each group on its own, from the coloring or the
+forest the witness keeps. Cell ids, facets, limits and measures are
+read back only for what a report or a scene carries.
 
 Separately, a columnar set decomposes into *pieces*: per column, each
 interval of its section is a node, and two pieces are adjacent when their
@@ -57,7 +69,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import compress
 from operator import ne
-from typing import TYPE_CHECKING, Any, Collection, Iterable, Sequence, Union
+from typing import TYPE_CHECKING, Any, Callable, Collection, Iterable, Optional, Sequence, Union
 
 from .columnar import ColumnarSet, complement
 from .errors import PartitionError, ProfileError
@@ -197,10 +209,23 @@ class PartitionCertificate:
     unblocked interface crosses between the sides while both sides are
     non-empty. Both tests read structure, not floats: an unblocked
     interface has positive measure even where its float measure
-    underflows, so :func:`certificate_for` counts those interfaces in
+    underflows, so a certificate counts those interfaces in
     ``_unblocked_crossings``; and a cell has positive Gaussian measure by
     its structure (a non-degenerate span), so a non-empty side does too,
     even where ``plus_gauss`` or ``minus_gauss`` underflows to 0.0.
+
+    From :func:`certificate_for`, :func:`essentially_disconnects` and the
+    routes of :mod:`ehrhard.rigidity` only what :attr:`separating` reads
+    is eager: the unblocked-crossing count, recounted from the crossing
+    edges, and the two side sizes (``_sides``). The rest is priced on
+    first read from the coloring the certificate keeps (``_coloring``),
+    in three groups: the cell tuples, the interface facets with their
+    unblocked measure, and the two side masses; each then reads like a
+    field. Equality, ``repr``, hashing, ``dataclasses.replace`` and the
+    JSON writer read the fields, so they price them; a copy or pickle
+    keeps the coloring and prices its own fields when read. A
+    certificate built through the constructor reads its side sizes from
+    its cell tuples.
     """
 
     plus_cells: tuple[CellId, ...]
@@ -213,11 +238,51 @@ class PartitionCertificate:
 
     @property
     def separating(self) -> bool:
-        return (
-            self._unblocked_crossings == 0
-            and bool(self.plus_cells)
-            and bool(self.minus_cells)
-        )
+        return self._unblocked_crossings == 0 and all(self._sides)
+
+    def __getattr__(self, name: str) -> Any:
+        # Reached only while ``name`` is unpriced, so each group is priced
+        # once and then read like fields.
+        price = _PRICES.get(name)
+        if price is None:
+            raise AttributeError(name)
+        vars(self).update(price(self))
+        return vars(self)[name]
+
+
+def _cells_of(c: PartitionCertificate) -> dict[str, Any]:
+    grid, side, _, _ = c._coloring
+    plus, minus = (tuple(compress(grid.cells(), map(s.__eq__, side))) for s in (1, 2))
+    return {"plus_cells": plus, "minus_cells": minus}
+
+
+def _interfaces_of(c: PartitionCertificate) -> dict[str, Any]:
+    grid, _, crossing, unblocked = c._coloring
+    return {
+        "interface_facets": tuple(map(grid.edge_facet, crossing)),
+        "unblocked_interface_measure": math.fsum(grid._edge_measures(k)[0] for k in unblocked),
+    }
+
+
+def _masses_of(c: PartitionCertificate) -> dict[str, Any]:
+    grid, side, _, _ = c._coloring
+    masses: tuple[list[float], ...] = ([], [], [])  # indexed by side
+    for s, (area, _) in zip(side, grid._cell_measures()):
+        masses[s].append(area)
+    return {"plus_gauss": math.fsum(masses[1]), "minus_gauss": math.fsum(masses[2])}
+
+
+# lazily priced certificate attribute -> how to price its group; ``_sides``
+# reaches here only on a certificate built through the constructor
+_PRICES: dict[str, Callable[[PartitionCertificate], dict[str, Any]]] = {
+    "plus_cells": _cells_of,
+    "minus_cells": _cells_of,
+    "interface_facets": _interfaces_of,
+    "unblocked_interface_measure": _interfaces_of,
+    "plus_gauss": _masses_of,
+    "minus_gauss": _masses_of,
+    "_sides": lambda c: {"_sides": (len(c.plus_cells), len(c.minus_cells))},
+}
 
 
 @dataclass(frozen=True)
@@ -226,10 +291,26 @@ class SpanningStructure:
 
     When the scene is essentially connected this is a spanning tree of all
     G-cells; an empty cell tuple flags the vacuous case of empty G.
+
+    From :func:`essentially_disconnects` and
+    :func:`~ehrhard.rigidity.rigidity_verdict` each field is priced on
+    its own first read, from the in-G flags and the tree's edge positions
+    the structure keeps (``_forest``); equality, ``repr``, hashing and the
+    JSON writer read the fields, so they price them.
     """
 
     cells: tuple[CellId, ...]
     tree_facets: tuple[Facet, ...]
+
+    def __getattr__(self, name: str) -> Any:
+        # Reached only while a field of a structure from ``_decide`` is
+        # unpriced (``_forest`` is missing from every other instance).
+        if name not in ("cells", "tree_facets"):
+            raise AttributeError(name)
+        grid, in_g, tree = self._forest
+        value = tuple(compress(grid.cells(), in_g) if name == "cells" else map(grid.edge_facet, tree))
+        vars(self)[name] = value
+        return value
 
 
 # ----------------------------------------------------------------------
@@ -277,35 +358,32 @@ def certificate_for(scene: Scene, minus_cells: Iterable[CellId]) -> PartitionCer
 
 
 def _certificate(
-    grid: Grid, in_g: Sequence[bool], blocked: Collection[int], minus: set[int]
+    grid: Grid,
+    in_g: Sequence[bool],
+    blocked: Collection[int],
+    minus: Iterable[int],
+    links: Optional[Iterable[tuple[int, int, int]]] = None,
 ) -> PartitionCertificate:
     """The certificate whose minus side is the G-cells at indices ``minus``,
     on the in-G flags and the blocked edge positions of a scene: an edge
-    crosses where its cells' sides (0 outside G, 1 plus, 2 minus) differ
-    and neither is 0."""
+    crosses where its cells' sides (0 outside G, 1 plus, 2 minus) are 1
+    and 2. The crossings are read from ``links``, every ``(k, i, j)``
+    between two G-cells, where the caller holds them, else from one pick
+    of the grid's edges; the rest of the certificate is priced on read."""
     side = list(in_g)
     for i in minus:
         side[i] = 2
-    cells, masses = ((), [], []), ((), [], [])  # indexed by side
-    for cid, s, (area, _) in zip(grid.cells(), side, grid._cell_measures()):
-        if s:
-            cells[s].append(cid)
-            masses[s].append(area)
-    interface, unblocked = [], []
-    for key, i, j in grid._links(side, relation=ne):
-        if side[i] and side[j]:
-            interface.append(grid.edge_facet(key))
-            if key not in blocked:
-                unblocked.append(grid._edge_measures(key)[0])
-    return PartitionCertificate(
-        plus_cells=tuple(cells[1]),
-        minus_cells=tuple(cells[2]),
-        interface_facets=tuple(interface),
-        unblocked_interface_measure=math.fsum(unblocked),
-        plus_gauss=math.fsum(masses[1]),
-        minus_gauss=math.fsum(masses[2]),
+    if links is None:
+        links = grid._links(side, relation=ne)
+    crossing = [k for k, i, j in links if side[i] * side[j] == 2]
+    unblocked = [k for k in crossing if k not in blocked]
+    cert = object.__new__(PartitionCertificate)
+    vars(cert).update(
         _unblocked_crossings=len(unblocked),
+        _sides=(side.count(1), side.count(2)),
+        _coloring=(grid, side, crossing, unblocked),
     )
+    return cert
 
 
 def essentially_disconnects(
@@ -329,16 +407,18 @@ def _decide(
 ) -> tuple[bool, Union[PartitionCertificate, SpanningStructure]]:
     """:func:`essentially_disconnects` on a scene's in-G flags and blocked
     edge positions."""
-    g = [i for i, inside in enumerate(in_g) if inside]
-    if not g:
+    if True not in in_g:
         return False, SpanningStructure(cells=(), tree_facets=())
     roots, tree = _join(len(in_g), grid._links(in_g, blocked))
-    if len(tree) == len(g) - 1:
-        return False, SpanningStructure(
-            cells=tuple(compress(grid.cells(), in_g)), tree_facets=tuple(map(grid.edge_facet, tree))
+    if len(tree) < in_g.count(True) - 1:
+        # the smallest G-cell roots the first component, the minus side
+        first = in_g.index(True)
+        return True, _certificate(
+            grid, in_g, blocked, compress(range(len(roots)), map(first.__eq__, roots))
         )
-    # g[0], the smallest G-cell, roots the first component
-    return True, _certificate(grid, in_g, blocked, {i for i in g if roots[i] == g[0]})
+    forest = object.__new__(SpanningStructure)
+    vars(forest)["_forest"] = (grid, in_g, tree)
+    return False, forest
 
 
 def _one_piece(grid: Grid, inside: Sequence[bool], cut: Iterable[int] = ()) -> bool:

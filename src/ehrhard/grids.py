@@ -63,7 +63,8 @@ class Grid:
     as a position with its two neighbour cells, the exterior counting as
     one more cell. A 2-D grid builds its edge arrays on first use, like
     the tables. Every facet question of the package but piece
-    decomposition (kept apart as an independent reference) picks its
+    decomposition (kept apart as an independent reference) and the
+    drawing's blocked facets (read from a cut by position) picks its
     edges from that walk through one primitive, ``_links``: the edges
     whose two cells' labels are both set or differ, less a cut of
     positions. A facet is read back from its position one at a time
@@ -452,9 +453,14 @@ class Grid:
         """The facets of this grid that make up a facet of ``coarse``: those
         on its grid line whose lateral sides :meth:`_parents` puts in its
         lateral side. A line or side outside ``coarse`` moves as its
-        nearest end does, so on an extension every facet shifts alike."""
+        nearest end does, so on an extension every facet shifts alike.
+        Raises ``GridError`` unless this grid has every breakpoint of
+        ``coarse``."""
+        parents = self._parents(coarse)
+        if not all(set(a) <= set(b) for a, b in zip(coarse._axes, self._axes)):
+            raise GridError("the grid does not hold every breakpoint of the grid it maps from")
         lines = []
-        for sides in self._parents(coarse):
+        for sides in parents:
             # this grid's line on each line of coarse: the lower end of the
             # first side inside, then the upper end of each coarse side's last
             after = sides[1:] + [None]

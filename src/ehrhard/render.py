@@ -132,7 +132,8 @@ def render_profile(p: Profile, report: Optional[RigidityReport] = None) -> str:
     if report is not None and report.certificate is not None:
         minus = report.certificate.minus_cells
     grid, in_g, cut = p._band(0.0, 1.0)
-    blocked = [grid.edge_facet(k) for k, _, _ in grid._links(in_g) if k in cut]
+    below, above = grid.edges()
+    blocked = [grid.edge_facet(k) for k in sorted(cut) if in_g[below[k]] and in_g[above[k]]]
     if grid.base_dim == 2:
         return _render_base_heatmap(
             grid,

@@ -191,10 +191,11 @@ def rigidity_verdict(p: Profile) -> RigidityReport:
     Decided on the grid's edges; no :class:`~ehrhard.connectedness.Scene`
     is built.
     """
-    disconnected, witness = _decide(*p._band(0.0, 1.0))
+    grid, in_g, blocked = p._band(0.0, 1.0)
+    disconnected, witness = _decide(grid, in_g, blocked)
     if not disconnected:
         notes = ()
-        if not witness.cells:
+        if True not in in_g:
             notes = ("no cells with 0 < v < 1: rigid vacuously",)
         return RigidityReport(
             verdict=Verdict.RIGID,
@@ -359,7 +360,9 @@ def exhaustive_search(p: Profile, max_cells: int = 12) -> RigidityReport:
     of their two columns marks every mask of the block that crosses one.
     There is no pruning: every mask is priced against every unblocked
     link, and ``partitions_checked`` counts the masks 1 through the
-    accepted one (all 2^g - 2 when none is).
+    accepted one (all 2^g - 2 when none is). The search picks the G-G
+    links once and hands them to the accepted coloring's certificate,
+    which recounts its unblocked crossings from them and picks nothing.
     """
     grid, in_g, blocked = p._band(0.0, 1.0)
     g = [i for i, inside in enumerate(in_g) if inside]
@@ -370,7 +373,8 @@ def exhaustive_search(p: Profile, max_cells: int = 12) -> RigidityReport:
             f"of {max_cells}; pass a larger max_cells to force it"
         )
     pos = {i: k for k, i in enumerate(g)}
-    unblocked = [(pos[i], pos[j]) for _, i, j in grid._links(in_g, blocked)]
+    links = list(grid._links(in_g))  # the G-G links, few as g <= max_cells
+    unblocked = [(pos[i], pos[j]) for k, i, j in links if k not in blocked]
     width = min(n, _BLOCK_BITS)
     size, low = 1 << width, _COLUMNS[width]
     full = (1 << size) - 1
@@ -385,7 +389,8 @@ def exhaustive_search(p: Profile, max_cells: int = 12) -> RigidityReport:
         free = full & ~bad
         if free:
             mask = base + (free & -free).bit_length() - 1
-            cert = _certificate(grid, in_g, blocked, {i for i in g if mask >> pos[i] & 1})
+            minus = [i for i in g if mask >> pos[i] & 1]
+            cert = _certificate(grid, in_g, blocked, minus, links)
             return _nonrigid_report(p, cert, "exhaustive-search", mask)
     return RigidityReport(
         verdict=Verdict.RIGID,

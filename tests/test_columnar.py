@@ -593,6 +593,13 @@ class TestSetOperations:
         sym = Grid((-INF, 0.0, INF))
         assert complement_facet_map(sym, sym, Facet(0, 1, 0)) == Facet(0, 1, 0)
 
+    def test_complement_facet_map_needs_the_original_held(self):
+        with pytest.raises(GridError):
+            complement_facet_map(Grid((0.0, 1.0)), Grid((5.0, 6.0)), Facet(0, 0))
+        # a grid that holds only some breakpoints of the original
+        with pytest.raises(GridError):
+            complement_facet_map(Grid((0.0, 1.0, 2.0)), Grid((-INF, 0.0, 0.5, INF)), Facet(0, 1))
+
     def test_complement_facet_map_lateral_shift(self):
         g = Grid((0.0, 1.0, 2.0), (0.0, 1.0))
         big = complement(ColumnarSet(g, {})).grid

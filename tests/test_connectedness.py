@@ -1,6 +1,9 @@
+import copy
+import dataclasses
 import functools
 import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -16,6 +19,7 @@ from ehrhard import (
     Profile,
     SingularAnnotation,
     SpanningStructure,
+    Verdict,
     certificate_for,
     complement_indecomposable,
     decompose,
@@ -29,6 +33,7 @@ from ehrhard import (
     symdiff_volume,
 )
 from ehrhard.connectedness import _join, decompose_ids
+from ehrhard.jsonio import _dumps
 from ehrhard.render import render_profile
 from conftest import (
     assert_same_repr,
@@ -42,6 +47,7 @@ from conftest import (
     reference_scene_repr,
     reference_search,
 )
+from test_columnar import count_constructions
 from test_exhaustive import FAMILIES
 
 INF = math.inf
@@ -370,3 +376,111 @@ class TestAnnotationCut:
                 got = (search.partitions_checked, search.certificate)
                 assert_same_repr(got, reference_search(p))
             assert render_profile(p, report) == reference_render(p, report)
+
+
+def theorem_witness(report):
+    """The certificate of a NonRigid theorem report, else its connectivity."""
+    return report.certificate if report.certificate is not None else report.connectivity
+
+
+def lazy_witnesses(family):
+    """``(make, want)`` for every witness of a conftest family: ``make()``
+    builds the witness afresh, unpriced, through one route (the theorem,
+    the search, or ``certificate_for`` on a random minus side), and
+    ``want`` is its reference."""
+    rng = random.Random(f"lazy-{family}")
+    out = []
+    for p in random_family(family):
+        want = reference_decide(p)[1]
+        out.append((lambda p=p: essentially_disconnects(scene(p))[1], want))
+        out.append((lambda p=p: theorem_witness(rigidity_verdict(p)), want))
+        if len(p.g_cells()) <= 12:
+            out.append((lambda p=p: exhaustive_search(p).certificate, reference_search(p)[1]))
+        g = [i for i, cid in enumerate(p.grid.cells()) if 0.0 < p.value(cid) < 1.0]
+        minus = {i for i in g if rng.random() < 0.5}
+        ids = [cid for i, cid in enumerate(p.grid.cells()) if i in minus]
+        out.append(
+            (lambda p=p, ids=ids: certificate_for(scene(p), ids), reference_certificate(p, "ehrhard", minus))
+        )
+    return [(make, want) for make, want in out if want is not None]
+
+
+CERTIFICATE_GROUPS = (
+    ("plus_cells", "minus_cells"),
+    ("interface_facets", "unblocked_interface_measure"),
+    ("plus_gauss", "minus_gauss"),
+)
+
+LAZY_FIELDS = [name for group in CERTIFICATE_GROUPS for name in group] + ["cells", "tree_facets"]
+
+
+class TestLazyWitnesses:
+    """Certificates and spanning structures from the routes price their
+    fields on first read, one group at a time, and then equal their
+    references under every reading of the fields."""
+
+    @pytest.mark.parametrize("family", ["1d", "2d", "annotated"])
+    def test_equal_the_references(self, family):
+        for make, want in lazy_witnesses(family):
+            assert make() == want
+            assert_same_repr(make(), want)
+            assert hash(make()) == hash(want)
+            assert _dumps(make()) == _dumps(want)
+            for copy_of in (
+                lambda w: pickle.loads(pickle.dumps(w)),
+                copy.copy,
+                dataclasses.replace,
+            ):
+                twin = copy_of(make())
+                assert twin == want
+                assert_same_repr(twin, want)
+                assert hash(twin) == hash(want)
+            if isinstance(want, PartitionCertificate):
+                got = make()
+                assert got._sides == (len(want.plus_cells), len(want.minus_cells))
+                assert got._unblocked_crossings == want._unblocked_crossings
+                assert got.separating == want.separating
+                assert copy.copy(got).separating == pickle.loads(pickle.dumps(got)).separating
+
+    @pytest.mark.parametrize("family", ["1d", "2d", "annotated"])
+    def test_each_group_prices_alone(self, family):
+        for make, want in lazy_witnesses(family):
+            names = dataclasses.fields(want)
+            if {f.name for f in names} <= vars(make()).keys():
+                continue  # the vacuous structure, built whole
+            if isinstance(want, SpanningStructure):
+                groups = [("cells",), ("tree_facets",)]
+            else:
+                groups = CERTIFICATE_GROUPS
+            for group in groups:
+                got = make()
+                assert getattr(got, group[0]) == getattr(want, group[0])
+                priced = {f.name for f in names} & vars(got).keys() - {"_unblocked_crossings"}
+                assert priced == set(group), (group, priced)
+
+    @pytest.mark.parametrize("family", ["1d", "2d", "annotated"])
+    def test_verdict_and_separating_build_no_facet_or_cells(self, monkeypatch, family):
+        profiles = random_family(family)
+        searched = [p for p in profiles if len(p.g_cells()) <= 12]
+        want = [reference_decide(p)[0] for p in profiles + searched]
+        counts = count_constructions(monkeypatch)
+        reports = [rigidity_verdict(p) for p in profiles] + list(map(exhaustive_search, searched))
+        for report, disconnected in zip(reports, want):
+            assert (report.verdict is Verdict.NONRIGID) == disconnected
+            if disconnected:
+                assert report.certificate.separating
+            # no field is priced but the vacuous structure's empty ones
+            for witness in (report.certificate, report.connectivity):
+                held = vars(witness) if witness is not None else {}
+                assert all(held.get(name, ()) == () for name in LAZY_FIELDS)
+        assert counts == {}
+
+    def test_vacuous_structure_from_the_flags(self):
+        p = Profile(Grid((0.0, 1.0, 2.0)), {(0,): 0.0, (1,): 1.0})
+        report = rigidity_verdict(p)
+        assert report.notes == ("no cells with 0 < v < 1: rigid vacuously",)
+        assert report.connectivity == SpanningStructure(cells=(), tree_facets=())
+        # one G-cell: connected, with a one-cell tree and a note-free report
+        report = rigidity_verdict(Profile(Grid((0.0, 1.0, 2.0)), {(0,): 0.5, (1,): 1.0}))
+        assert "cells" not in vars(report.connectivity) and report.notes == ()
+        assert report.connectivity == SpanningStructure(cells=((0,),), tree_facets=())

@@ -32,9 +32,12 @@ set restricted to each band ``(t, 1 - t)``, where the band keeps every
 cell of G. In the scenes of both kinds, a facet is blocked exactly when
 its limits have wedge 0 (or, for Ehrhard, vee 1), and only annotated
 facets are. The script prints the count and time of each family, and on
-a line of its own the sha256 digest of every search report's
-``repr((partitions_checked, certificate))`` in enumeration order, so two
-trees' searches can be compared by their digest lines. It exits 1 at the
+lines of their own two sha256 digests, in enumeration order: the
+``search digest`` of every search report's
+``repr((partitions_checked, certificate))`` and the ``theorem digest`` of
+every ``rigidity_verdict`` report's ``repr((verdict, certificate,
+connectivity))``, so two trees' searches and theorem witnesses can be
+compared by their digest lines. It exits 1 at the
 first disagreement, naming the profile.
 """
 
@@ -105,10 +108,13 @@ def three_by_three():
 FAMILIES = {"3-cell": three_cells, "3x3": three_by_three}
 
 
-def disagreement(p: Profile, digest) -> str | None:
-    """What ``p`` fails, or None; the search report goes into ``digest``."""
+def disagreement(p: Profile, digests: dict) -> str | None:
+    """What ``p`` fails, or None; the search and theorem reports go into
+    ``digests``."""
     theorem, search = rigidity_verdict(p), exhaustive_search(p)
-    digest.update(repr((search.partitions_checked, search.certificate)).encode())
+    digests["search"].update(repr((search.partitions_checked, search.certificate)).encode())
+    witness = (theorem.verdict, theorem.certificate, theorem.connectivity)
+    digests["theorem"].update(repr(witness).encode())
     if theorem.verdict is not search.verdict:
         return f"rigidity_verdict {theorem.verdict} but exhaustive_search {search.verdict}"
     for report in (theorem, search):
@@ -147,15 +153,17 @@ def disagreement(p: Profile, digest) -> str | None:
 
 def main() -> int:
     for name, family in FAMILIES.items():
-        start, count, digest = time.perf_counter(), 0, hashlib.sha256()
+        start, count = time.perf_counter(), 0
+        digests = {"search": hashlib.sha256(), "theorem": hashlib.sha256()}
         for p in family():
             count += 1
-            problem = disagreement(p, digest)
+            problem = disagreement(p, digests)
             if problem is not None:
                 print(f"{name}: {problem}: {p.grid.axes} {p.values} {p.annotations}")
                 return 1
         print(f"{name}: {count} profiles agree in {time.perf_counter() - start:.1f} s")
-        print(f"{name}: search digest {digest.hexdigest()}")
+        for kind, digest in digests.items():
+            print(f"{name}: {kind} digest {digest.hexdigest()}")
     return 0
 
 
