@@ -23,7 +23,7 @@ from typing import Any, Iterable, Mapping
 from .errors import DomainError, GridError
 from .gauss import gamma1, gauss_weight, gaussian_barycenter, phi, psi
 from .grids import CellId, Facet, Grid
-from .intervals import IntervalSet, _lebesgue_sum, _pairs, _xor
+from .intervals import IntervalSet, _Lazy, _lebesgue_sum, _pairs, _xor
 
 __all__ = [
     "ColumnarSet",
@@ -55,8 +55,9 @@ class ColumnarSet:
     """Immutable columnar set: a base grid plus one section per cell.
 
     Cells with empty sections may be omitted; ``section`` returns the
-    empty set for them. Equality is grid equality plus exact section
-    equality (use :func:`symdiff_volume` for measure-level comparison).
+    empty set for them. Equality, and the hash with it, is grid equality
+    plus exact section equality (use :func:`symdiff_volume` for
+    measure-level comparison).
     """
 
     __slots__ = ("_grid", "_sections")
@@ -107,6 +108,9 @@ class ColumnarSet:
         if not isinstance(other, ColumnarSet):
             return NotImplemented
         return self._grid == other._grid and self._sections == other._sections
+
+    def __hash__(self) -> int:
+        return hash((self._grid, frozenset(self._sections.items())))
 
     def __repr__(self) -> str:
         return f"ColumnarSet({self._grid!r}, {len(self._sections)} occupied cells)"
@@ -165,15 +169,12 @@ class VerticalFace:
 
 
 @dataclass(frozen=True)
-class PerimeterBreakdown:
+class PerimeterBreakdown(_Lazy):
     """Gaussian perimeter split into horizontal and vertical faces.
 
-    From :func:`gauss_perimeter` the four totals are eager and the faces
-    are built on first read of ``horizontal`` or ``vertical``, both at
-    once, from the set the breakdown keeps; they then read like fields.
-    Equality, ``repr`` and hashing read the faces, so a lazy breakdown
-    behaves as one built with its faces through the constructor; a copy
-    or pickle of it keeps the set and builds its own faces when read.
+    From :func:`gauss_perimeter` the four totals are eager, and the faces,
+    ``horizontal`` and ``vertical``, are priced together from the set the
+    breakdown keeps (``_set``).
     """
 
     horizontal: tuple[HorizontalFace, ...]
@@ -183,29 +184,11 @@ class PerimeterBreakdown:
     total_gauss: float
     total_lebesgue: float
 
-    @classmethod
-    def _of_totals(
-        cls, e: ColumnarSet, hg: float, vg: float, total_l: float
-    ) -> "PerimeterBreakdown":
-        """Breakdown of ``e`` with these totals and faces built on first read."""
-        pb = object.__new__(cls)
-        vars(pb).update(
-            horizontal_gauss=hg,
-            vertical_gauss=vg,
-            total_gauss=hg + vg,
-            total_lebesgue=total_l,
-            _set=e,
-        )
-        return pb
-
-    def __getattr__(self, name: str) -> Any:
-        # Reached only while the faces of an ``_of_totals`` breakdown are
-        # unbuilt (``_set`` is missing from every other instance).
-        if name not in ("horizontal", "vertical"):
-            raise AttributeError(name)
+    def _faces(self) -> dict[str, Any]:
         *_, horizontal, vertical = _perimeter_walk(self._set, faces=True)
-        vars(self).update(horizontal=tuple(horizontal), vertical=tuple(vertical))
-        return vars(self)[name]
+        return {"horizontal": tuple(horizontal), "vertical": tuple(vertical)}
+
+    _PRICES = dict.fromkeys(("horizontal", "vertical"), _faces)
 
 
 def _cell_ends(e: ColumnarSet) -> list[tuple[float, ...]]:
@@ -325,8 +308,13 @@ def gauss_perimeter(e: ColumnarSet) -> PerimeterBreakdown:
     them.
     """
     h_gauss, v_gauss, lebesgue, _, _ = _perimeter_walk(e, faces=False)
-    return PerimeterBreakdown._of_totals(
-        e, math.fsum(h_gauss), math.fsum(v_gauss), _lebesgue_sum(lebesgue)
+    hg, vg = math.fsum(h_gauss), math.fsum(v_gauss)
+    return PerimeterBreakdown._held(
+        horizontal_gauss=hg,
+        vertical_gauss=vg,
+        total_gauss=hg + vg,
+        total_lebesgue=_lebesgue_sum(lebesgue),
+        _set=e,
     )
 
 

@@ -69,12 +69,12 @@ import math
 from dataclasses import dataclass, field
 from itertools import compress
 from operator import ne
-from typing import TYPE_CHECKING, Any, Callable, Collection, Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Collection, Iterable, Optional, Sequence, Union
 
 from .columnar import ColumnarSet, complement
 from .errors import PartitionError, ProfileError
 from .grids import CellId, Facet, Grid
-from .intervals import _of_ends
+from .intervals import _Lazy, _of_ends
 
 if TYPE_CHECKING:
     from .profiles import Profile
@@ -132,7 +132,7 @@ class SceneFacet:
 
 
 @dataclass(frozen=True)
-class Scene:
+class Scene(_Lazy):
     """Combinatorial scene of a profile: cells, G-to-G interfaces, flags.
 
     ``kind`` records which symmetrization the scene serves: ``"ehrhard"``
@@ -144,12 +144,11 @@ class Scene:
 
     A scene is a view of the profile in ``_profile`` (left out of
     equality, ``repr`` and JSON), on whose in-G flags and annotation cut
-    its decision and certificates run. It holds only ``kind``,
-    ``base_dim`` and the profile: the rows, ``cells`` in lexicographic
-    order and ``facets`` in sorted order, are built from the profile's
-    columns (``_columns``) on the first read of either, and then read like
-    fields. Equality, hashing and ``repr`` read the rows, so they build
-    them; the JSON writer writes their text from the columns and does not.
+    its decision and certificates run. ``kind``, ``base_dim`` and the
+    profile are eager; the rows, ``cells`` in lexicographic order and
+    ``facets`` in sorted order, are priced together from the profile's
+    columns (``_columns``). The JSON writer writes their text from the
+    columns and does not price them.
     """
 
     kind: str
@@ -162,18 +161,16 @@ class Scene:
         if self.kind not in _BANDS:
             raise ProfileError(f"unknown scene kind {self.kind!r}")
 
-    def __getattr__(self, name: str) -> Any:
-        # Reached only while the rows are unbuilt.
-        if name not in ("cells", "facets"):
-            raise AttributeError(name)
+    def _rows(self) -> dict[str, Any]:
         (ids, *cell_leaves), (places, lo, hi, *facet_leaves) = self._columns()
         facets = map(Facet, *places)
         ends = zip(map(ids.__getitem__, lo), map(ids.__getitem__, hi))
-        vars(self).update(
-            cells=tuple(map(SceneCell, ids, *cell_leaves)),
-            facets=tuple(map(SceneFacet, facets, ends, *facet_leaves)),
-        )
-        return vars(self)[name]
+        return {
+            "cells": tuple(map(SceneCell, ids, *cell_leaves)),
+            "facets": tuple(map(SceneFacet, facets, ends, *facet_leaves)),
+        }
+
+    _PRICES = dict.fromkeys(("cells", "facets"), _rows)
 
     def _columns(self) -> tuple[tuple[Sequence, ...], tuple[Sequence, ...]]:
         """The rows' sources, one column per leaf, in row order: the cells'
@@ -202,7 +199,7 @@ class Scene:
 
 
 @dataclass(frozen=True)
-class PartitionCertificate:
+class PartitionCertificate(_Lazy):
     """Two-coloring of the G-cells witnessing (non-)separation.
 
     The certificate witnesses essential disconnection exactly when no
@@ -217,15 +214,11 @@ class PartitionCertificate:
     From :func:`certificate_for`, :func:`essentially_disconnects` and the
     routes of :mod:`ehrhard.rigidity` only what :attr:`separating` reads
     is eager: the unblocked-crossing count, recounted from the crossing
-    edges, and the two side sizes (``_sides``). The rest is priced on
-    first read from the coloring the certificate keeps (``_coloring``),
-    in three groups: the cell tuples, the interface facets with their
-    unblocked measure, and the two side masses; each then reads like a
-    field. Equality, ``repr``, hashing, ``dataclasses.replace`` and the
-    JSON writer read the fields, so they price them; a copy or pickle
-    keeps the coloring and prices its own fields when read. A
-    certificate built through the constructor reads its side sizes from
-    its cell tuples.
+    edges, and the two side sizes (``_sides``). The rest is priced from
+    the coloring the certificate keeps (``_coloring``), in three groups:
+    the cell tuples, the interface facets with their unblocked measure,
+    and the two side masses. A certificate built through the constructor
+    prices its side sizes from its cell tuples.
     """
 
     plus_cells: tuple[CellId, ...]
@@ -240,77 +233,58 @@ class PartitionCertificate:
     def separating(self) -> bool:
         return self._unblocked_crossings == 0 and all(self._sides)
 
-    def __getattr__(self, name: str) -> Any:
-        # Reached only while ``name`` is unpriced, so each group is priced
-        # once and then read like fields.
-        price = _PRICES.get(name)
-        if price is None:
-            raise AttributeError(name)
-        vars(self).update(price(self))
-        return vars(self)[name]
+    def _cells(self) -> dict[str, Any]:
+        grid, side, _, _ = self._coloring
+        plus, minus = (tuple(compress(grid.cells(), map(s.__eq__, side))) for s in (1, 2))
+        return {"plus_cells": plus, "minus_cells": minus}
 
+    def _interfaces(self) -> dict[str, Any]:
+        grid, _, crossing, unblocked = self._coloring
+        return {
+            "interface_facets": tuple(map(grid.edge_facet, crossing)),
+            "unblocked_interface_measure": math.fsum(grid._edge_measures(k)[0] for k in unblocked),
+        }
 
-def _cells_of(c: PartitionCertificate) -> dict[str, Any]:
-    grid, side, _, _ = c._coloring
-    plus, minus = (tuple(compress(grid.cells(), map(s.__eq__, side))) for s in (1, 2))
-    return {"plus_cells": plus, "minus_cells": minus}
+    def _masses(self) -> dict[str, Any]:
+        grid, side, _, _ = self._coloring
+        masses: tuple[list[float], ...] = ([], [], [])  # indexed by side
+        for s, (area, _) in zip(side, grid._cell_measures()):
+            masses[s].append(area)
+        return {"plus_gauss": math.fsum(masses[1]), "minus_gauss": math.fsum(masses[2])}
 
-
-def _interfaces_of(c: PartitionCertificate) -> dict[str, Any]:
-    grid, _, crossing, unblocked = c._coloring
-    return {
-        "interface_facets": tuple(map(grid.edge_facet, crossing)),
-        "unblocked_interface_measure": math.fsum(grid._edge_measures(k)[0] for k in unblocked),
+    _PRICES = {
+        **dict.fromkeys(("plus_cells", "minus_cells"), _cells),
+        **dict.fromkeys(("interface_facets", "unblocked_interface_measure"), _interfaces),
+        **dict.fromkeys(("plus_gauss", "minus_gauss"), _masses),
+        "_sides": lambda c: {"_sides": (len(c.plus_cells), len(c.minus_cells))},
     }
 
 
-def _masses_of(c: PartitionCertificate) -> dict[str, Any]:
-    grid, side, _, _ = c._coloring
-    masses: tuple[list[float], ...] = ([], [], [])  # indexed by side
-    for s, (area, _) in zip(side, grid._cell_measures()):
-        masses[s].append(area)
-    return {"plus_gauss": math.fsum(masses[1]), "minus_gauss": math.fsum(masses[2])}
-
-
-# lazily priced certificate attribute -> how to price its group; ``_sides``
-# reaches here only on a certificate built through the constructor
-_PRICES: dict[str, Callable[[PartitionCertificate], dict[str, Any]]] = {
-    "plus_cells": _cells_of,
-    "minus_cells": _cells_of,
-    "interface_facets": _interfaces_of,
-    "unblocked_interface_measure": _interfaces_of,
-    "plus_gauss": _masses_of,
-    "minus_gauss": _masses_of,
-    "_sides": lambda c: {"_sides": (len(c.plus_cells), len(c.minus_cells))},
-}
-
-
 @dataclass(frozen=True)
-class SpanningStructure:
+class SpanningStructure(_Lazy):
     """Unblocked interfaces forming a spanning forest of the scene graph.
 
     When the scene is essentially connected this is a spanning tree of all
     G-cells; an empty cell tuple flags the vacuous case of empty G.
 
     From :func:`essentially_disconnects` and
-    :func:`~ehrhard.rigidity.rigidity_verdict` each field is priced on
-    its own first read, from the in-G flags and the tree's edge positions
-    the structure keeps (``_forest``); equality, ``repr``, hashing and the
-    JSON writer read the fields, so they price them.
+    :func:`~ehrhard.rigidity.rigidity_verdict` each field is priced on its
+    own, from the in-G flags and the tree's edge positions the structure
+    keeps (``_forest``).
     """
 
     cells: tuple[CellId, ...]
     tree_facets: tuple[Facet, ...]
 
-    def __getattr__(self, name: str) -> Any:
-        # Reached only while a field of a structure from ``_decide`` is
-        # unpriced (``_forest`` is missing from every other instance).
-        if name not in ("cells", "tree_facets"):
-            raise AttributeError(name)
-        grid, in_g, tree = self._forest
-        value = tuple(compress(grid.cells(), in_g) if name == "cells" else map(grid.edge_facet, tree))
-        vars(self)[name] = value
-        return value
+    def _cells(self) -> dict[str, Any]:
+        grid, in_g, _ = self._forest
+        return {"cells": tuple(compress(grid.cells(), in_g))}
+
+    def _tree_facets(self) -> dict[str, Any]:
+        grid, _, tree = self._forest
+        return {"tree_facets": tuple(map(grid.edge_facet, tree))}
+
+    _PRICES = {"cells": _cells, "tree_facets": _tree_facets}
 
 
 # ----------------------------------------------------------------------
@@ -377,13 +351,11 @@ def _certificate(
         links = grid._links(side, relation=ne)
     crossing = [k for k, i, j in links if side[i] * side[j] == 2]
     unblocked = [k for k in crossing if k not in blocked]
-    cert = object.__new__(PartitionCertificate)
-    vars(cert).update(
+    return PartitionCertificate._held(
         _unblocked_crossings=len(unblocked),
         _sides=(side.count(1), side.count(2)),
         _coloring=(grid, side, crossing, unblocked),
     )
-    return cert
 
 
 def essentially_disconnects(
@@ -416,9 +388,7 @@ def _decide(
         return True, _certificate(
             grid, in_g, blocked, compress(range(len(roots)), map(first.__eq__, roots))
         )
-    forest = object.__new__(SpanningStructure)
-    vars(forest)["_forest"] = (grid, in_g, tree)
-    return False, forest
+    return False, SpanningStructure._held(_forest=(grid, in_g, tree))
 
 
 def _one_piece(grid: Grid, inside: Sequence[bool], cut: Iterable[int] = ()) -> bool:

@@ -13,13 +13,16 @@ difference, and an endpoint both share flips it twice, which leaves only a
 null point. So on canonical sets the symmetric difference is the XOR of
 the two endpoint sequences (:func:`_xor`), and the complement is the XOR
 with ``(-inf, inf)``.
+
+The module also holds ``_Lazy``, the base of the library's result types
+whose fields are priced on first read, next to the trusted constructors.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Any, Callable, ClassVar, Iterable, Iterator, TypeVar
 
 from .errors import DomainError
 
@@ -89,6 +92,45 @@ def _of_ends(ends: tuple[float, ...]) -> "IntervalSet":
     s = _new(IntervalSet)
     s._ends = ends
     return s
+
+
+_L = TypeVar("_L", bound="_Lazy")
+
+
+class _Lazy:
+    """Base of the result types whose fields are priced on their first read.
+
+    A subclass lists in ``_PRICES`` each field an instance may lack and
+    the function that prices it: called with the instance, it returns a
+    group ``{field: value}`` that holds the field and any priced with it.
+    The group is kept in the instance dict, so it is priced at most once
+    and then reads like fields; a name the table lacks raises
+    ``AttributeError``. Equality, ``repr``, hashing,
+    ``dataclasses.replace`` and the JSON writer read the fields, so they
+    price them, and a lazy instance equals, hashes and prints as its
+    twin built whole through the constructor. A copy, a deep copy or a
+    pickle holds what the instance holds (its priced fields and what its
+    prices read) and prices the rest on its own first read.
+    :meth:`_held` is the trusted constructor.
+    """
+
+    _PRICES: ClassVar[dict[str, Callable[[Any], dict[str, Any]]]]
+
+    def __getattr__(self, name: str) -> Any:
+        # reached only while ``name`` is missing from the instance
+        price = type(self)._PRICES.get(name)
+        if price is None:
+            raise AttributeError(name)
+        group = price(self)
+        vars(self).update(group)
+        return group[name]
+
+    @classmethod
+    def _held(cls: type[_L], **fields: Any) -> _L:
+        """An instance holding only ``fields`` (no checks)."""
+        obj = _new(cls)
+        vars(obj).update(fields)
+        return obj
 
 
 def _xor(a: tuple[float, ...], b: tuple[float, ...]) -> tuple[float, ...]:

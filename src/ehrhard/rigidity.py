@@ -18,7 +18,7 @@ price them); the two must always agree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Optional, Sequence
 
@@ -44,6 +44,7 @@ from .errors import (
 )
 from .gauss import gamma1
 from .grids import Facet
+from .intervals import _Lazy
 from .profiles import Profile, approx_limits, from_profile
 
 __all__ = [
@@ -87,8 +88,28 @@ class SymdiffCheck:
     vs_reflected: float
 
 
+def _evidence(**prices: Callable[[RigidityReport], Any]) -> dict[str, Callable]:
+    """The report's price table: each piece of evidence on its own, by its
+    price, or None on a report without a certificate to mirror or a
+    profile to mirror it from."""
+
+    def group(name: str, price: Callable[[RigidityReport], Any]) -> Callable:
+        return lambda r: {name: None if r._profile is None or r.certificate is None else price(r)}
+
+    return {name: group(name, price) for name, price in prices.items()}
+
+
+# ``_model`` is the model set, which the competitor mirrors and both checks read
+_EVIDENCE = _evidence(
+    counterexample=lambda r: _mirror(r._model, r.certificate),
+    _model=lambda r: from_profile(r._profile),
+    perimeter_check=lambda r: _perimeter_check(r.counterexample, r._model),
+    symdiff_check=lambda r: _symdiff_check(r.counterexample, r._model),
+)
+
+
 @dataclass(frozen=True)
-class RigidityReport:
+class RigidityReport(_Lazy):
     """Outcome of a rigidity decision.
 
     A NonRigid report carries the separating certificate, the mirrored
@@ -100,13 +121,12 @@ class RigidityReport:
     exactly; with annotations the tie is asymptotic along refinements and
     the report's notes say so.
 
-    The verdict and the certificate are computed with the report; the
-    competitor and its checks are priced on first read, each at most
-    once, from the profile the report keeps in ``_profile``. The
-    competitor and the model set are built once and shared by both
-    checks, so a caller that reads only the certificate pays for none of
-    them, and one that reads only ``perimeter_check`` prices no symmetric
-    difference.
+    The verdict, the certificate and the connectivity are eager; the
+    competitor and its two checks are priced each on its own, from the
+    profile the report keeps in ``_profile``. The competitor and the
+    model set are priced once and shared by both checks, so a caller
+    that reads only the certificate pays for none of them, and one that
+    reads only ``perimeter_check`` prices no symmetric difference.
     """
 
     verdict: Verdict
@@ -114,7 +134,6 @@ class RigidityReport:
     annotated: bool
     certificate: Optional[PartitionCertificate] = None
     connectivity: Optional[SpanningStructure] = None
-    # evidence: not set by __init__; __getattr__ prices it on first read
     counterexample: Optional[ColumnarSet] = field(init=False)
     perimeter_check: Optional[PerimeterCheck] = field(init=False)
     symdiff_check: Optional[SymdiffCheck] = field(init=False)
@@ -122,21 +141,11 @@ class RigidityReport:
     notes: tuple[str, ...] = ()
     _profile: Optional[Profile] = field(default=None, repr=False, compare=False)
 
+    _PRICES = _EVIDENCE
+
     @property
     def rigid(self) -> bool:
         return self.verdict is Verdict.RIGID
-
-    def __getattr__(self, name: str) -> Any:
-        # Reached only while ``name`` is missing from the instance, so each
-        # piece of evidence is priced once and then read like a field.
-        price = _EVIDENCE.get(name)
-        if price is None:
-            raise AttributeError(name)
-        value = None
-        if self._profile is not None and self.certificate is not None:
-            value = price(self)
-        object.__setattr__(self, name, value)
-        return value
 
 
 def _perimeter_check(e: ColumnarSet, f: ColumnarSet) -> PerimeterCheck:
@@ -154,34 +163,32 @@ def _symdiff_check(e: ColumnarSet, f: ColumnarSet) -> SymdiffCheck:
     )
 
 
-# lazily priced attribute -> how to price it; ``_model`` is the model set
-_EVIDENCE: dict[str, Callable[[RigidityReport], Any]] = {
-    "counterexample": lambda r: _mirror(r._model, r.certificate),
-    "_model": lambda r: from_profile(r._profile),
-    "perimeter_check": lambda r: _perimeter_check(r.counterexample, r._model),
-    "symdiff_check": lambda r: _symdiff_check(r.counterexample, r._model),
-}
-
-
-def _nonrigid_report(
-    p: Profile, cert: PartitionCertificate, method: str, checked: int = 0
+def _report(
+    p: Profile,
+    method: str,
+    certificate: Optional[PartitionCertificate] = None,
+    connectivity: Optional[SpanningStructure] = None,
+    checked: int = 0,
+    notes: tuple[str, ...] = (),
 ) -> RigidityReport:
-    annotated = bool(p.annotations)
-    notes = ()
-    if annotated:
+    """A route's report on ``p``: NonRigid with a certificate, whose
+    evidence it prices from ``p``, else Rigid."""
+    annotated, nonrigid = bool(p.annotations), certificate is not None
+    if nonrigid and annotated:
         notes = (
             "annotated profile: the mirrored competitor ties the perimeter only "
             "asymptotically along refinements; the reported difference is for "
             "this grid",
         )
-    return RigidityReport(
-        verdict=Verdict.NONRIGID,
+    return RigidityReport._held(
+        verdict=Verdict.NONRIGID if nonrigid else Verdict.RIGID,
         method=method,
         annotated=annotated,
-        certificate=cert,
+        certificate=certificate,
+        connectivity=connectivity,
         partitions_checked=checked,
         notes=notes,
-        _profile=p,
+        _profile=p if nonrigid else None,
     )
 
 
@@ -193,18 +200,10 @@ def rigidity_verdict(p: Profile) -> RigidityReport:
     """
     grid, in_g, blocked = p._band(0.0, 1.0)
     disconnected, witness = _decide(grid, in_g, blocked)
-    if not disconnected:
-        notes = ()
-        if True not in in_g:
-            notes = ("no cells with 0 < v < 1: rigid vacuously",)
-        return RigidityReport(
-            verdict=Verdict.RIGID,
-            method="theorem",
-            annotated=bool(p.annotations),
-            connectivity=witness,
-            notes=notes,
-        )
-    return _nonrigid_report(p, witness, "theorem")
+    if disconnected:
+        return _report(p, "theorem", certificate=witness)
+    notes = () if True in in_g else ("no cells with 0 < v < 1: rigid vacuously",)
+    return _report(p, "theorem", connectivity=witness, notes=notes)
 
 
 def _planar_rigid(p: Profile) -> bool:
@@ -233,7 +232,7 @@ def rigidity_verdict_planar(p: Profile) -> RigidityReport:
     report = rigidity_verdict(p)
     if _planar_rigid(p) != report.rigid:
         raise EhrhardError("planar run criterion disagrees with the scene route")
-    return replace(report, method="planar-theorem")
+    return RigidityReport._held(**{**vars(report), "method": "planar-theorem"})
 
 
 def build_counterexample(p: Profile, cert: PartitionCertificate) -> ColumnarSet:
@@ -391,12 +390,11 @@ def exhaustive_search(p: Profile, max_cells: int = 12) -> RigidityReport:
             mask = base + (free & -free).bit_length() - 1
             minus = [i for i in g if mask >> pos[i] & 1]
             cert = _certificate(grid, in_g, blocked, minus, links)
-            return _nonrigid_report(p, cert, "exhaustive-search", mask)
-    return RigidityReport(
-        verdict=Verdict.RIGID,
-        method="exhaustive-search",
-        annotated=bool(p.annotations),
-        partitions_checked=max((1 << n) - 2, 0),
+            return _report(p, "exhaustive-search", certificate=cert, checked=mask)
+    return _report(
+        p,
+        "exhaustive-search",
+        checked=max((1 << n) - 2, 0),
         notes=("every non-trivial two-coloring pays positive interface cost",),
     )
 

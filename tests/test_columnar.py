@@ -94,6 +94,15 @@ class TestConstruction:
         assert a != ColumnarSet(LINE_GRID, {})
         assert a != "not a set"
 
+    def test_hash_agrees_with_equality(self):
+        for e in lazy_sets():
+            twin = ColumnarSet(e.grid, e.sections)
+            assert twin == e and hash(twin) == hash(e)
+            assert {e: 1}[twin] == 1
+        # == equates -0.0 and 0.0, and so does the hash
+        signed = ColumnarSet(SPLIT_GRID, {(0,): IntervalSet.above(-0.0)})
+        assert hash(signed) == hash(ColumnarSet(SPLIT_GRID, {(0,): IntervalSet.above(0.0)}))
+
     def test_is_empty(self):
         assert ColumnarSet(LINE_GRID, {}).is_empty
         assert not ColumnarSet(LINE_GRID, {(0,): IntervalSet.line()}).is_empty

@@ -2,6 +2,7 @@
 once, in its ``__all__``, and the package exports their sorted union."""
 
 import importlib
+from pathlib import Path
 
 import ehrhard
 
@@ -36,3 +37,16 @@ def test_star_import_binds_exactly_the_public_names():
     exec("from ehrhard import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == ehrhard.__all__
+
+
+def test_one_lazy_attribute_hook():
+    """Every type whose fields are priced on first read shares the one
+    ``__getattr__`` of ``intervals._Lazy``."""
+    src = Path(ehrhard.__file__).parent
+    hooks = [
+        f.name
+        for f in sorted(src.glob("*.py"))
+        for line in f.read_text(encoding="utf-8").splitlines()
+        if "def __getattr__" in line
+    ]
+    assert hooks == ["intervals.py"]

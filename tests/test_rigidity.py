@@ -575,6 +575,12 @@ class TestLazyEvidence:
         assert report.symdiff_check is None
         assert set(priced.values()) == {0}
 
+    def test_nonrigid_report_hashes(self):
+        # hashing prices the evidence, the competitor included
+        report = rigidity_verdict(three_column(0.3, 1.0, 0.6))
+        assert hash(report) == hash(rigidity_verdict(three_column(0.3, 1.0, 0.6)))
+        assert report.counterexample is not None
+
     def test_planar_report_carries_evidence(self):
         p = three_column(0.3, 1.0, 0.6)
         planar, theorem = rigidity_verdict_planar(p), rigidity_verdict(p)

@@ -35,10 +35,10 @@ facets are. The script prints the count and time of each family, and on
 lines of their own two sha256 digests, in enumeration order: the
 ``search digest`` of every search report's
 ``repr((partitions_checked, certificate))`` and the ``theorem digest`` of
-every ``rigidity_verdict`` report's ``repr((verdict, certificate,
-connectivity))``, so two trees' searches and theorem witnesses can be
-compared by their digest lines. It exits 1 at the
-first disagreement, naming the profile.
+the JSON text of every ``rigidity_verdict`` report (``jsonio._dumps``:
+its verdict, witness, competitor and both checks), so two trees'
+searches and theorem reports can be compared by their digest lines. It
+exits 1 at the first disagreement, naming the profile.
 """
 
 from __future__ import annotations
@@ -71,6 +71,7 @@ from ehrhard.connectedness import (  # noqa: E402
     decompose_ids,
     indecomposable,
 )
+from ehrhard.jsonio import _dumps  # noqa: E402
 
 INF = math.inf
 
@@ -113,8 +114,7 @@ def disagreement(p: Profile, digests: dict) -> str | None:
     ``digests``."""
     theorem, search = rigidity_verdict(p), exhaustive_search(p)
     digests["search"].update(repr((search.partitions_checked, search.certificate)).encode())
-    witness = (theorem.verdict, theorem.certificate, theorem.connectivity)
-    digests["theorem"].update(repr(witness).encode())
+    digests["theorem"].update(_dumps(theorem).encode())
     if theorem.verdict is not search.verdict:
         return f"rigidity_verdict {theorem.verdict} but exhaustive_search {search.verdict}"
     for report in (theorem, search):
