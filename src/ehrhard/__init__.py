@@ -12,11 +12,11 @@ with a connectivity certificate. A catalog of worked examples and a small
 CLI sit on top.
 
 Each module below lists its public names once, in its own ``__all__``;
-the package exports their union.
+the package exports their union. The catalog is imported and its names
+are bound on first use, through the module ``__getattr__``.
 """
 
-from . import catalog, columnar, connectedness, errors, gauss, grids, intervals, profiles, rigidity
-from .catalog import *
+from . import columnar, connectedness, errors, gauss, grids, intervals, profiles, rigidity
 from .columnar import *
 from .connectedness import *
 from .errors import *
@@ -28,10 +28,28 @@ from .rigidity import *
 
 __version__ = "0.1.0"
 
-__all__ = sorted(
-    name
-    for module in (
-        catalog, columnar, connectedness, errors, gauss, grids, intervals, profiles, rigidity
-    )
-    for name in module.__all__
-)
+
+def __getattr__(name: str) -> object:
+    """Bind ``catalog``, its public names and ``__all__`` on the first read
+    of a name the package does not hold yet, so that a caller that never
+    asks for a worked example does not import the catalog."""
+    names = globals()
+    if "__all__" not in names:
+        import importlib  # ``from . import catalog`` would come back here through hasattr
+
+        catalog = importlib.import_module(f"{__name__}.catalog")
+        names.update((public, getattr(catalog, public)) for public in catalog.__all__)
+        names["__all__"] = sorted(
+            public
+            for module in (
+                catalog, columnar, connectedness, errors, gauss, grids, intervals, profiles, rigidity
+            )
+            for public in module.__all__
+        )
+    if name in names:
+        return names[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | set(__getattr__("__all__")))

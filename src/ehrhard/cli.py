@@ -11,32 +11,37 @@ file takes a report's text chunk by chunk as the writer makes it, so a
 large report is never held whole, and stdout takes the text whole once
 it is complete. A command that fails while writing a file exits 1 and
 leaves no regular file holding part of its text.
+
+A command imports only what it runs: ``catalog`` and ``sweep`` import
+:mod:`ehrhard.catalog`, ``render`` and ``catalog --out DIR`` import
+:mod:`ehrhard.render` (the latter with :mod:`csv` and :mod:`pathlib`),
+and ``--resolution`` imports :mod:`fractions`, each inside the code that
+uses it, so that ``rigidity``, ``connectedness`` and the other commands
+load none of them.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
 import re
 import stat
 import sys
-from fractions import Fraction
-from pathlib import Path
-from typing import Any, Callable, Optional, Sequence, TextIO
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence, TextIO
 
 from . import __version__
-from .catalog import CatalogCheck, catalog_names, run_entry, sweep
 from .columnar import ehrhard_symmetral, gauss_perimeter, steiner_symmetral
 from .errors import EhrhardError, FormatError
 from .gauss import phi, psi
 from .jsonio import _dump, _dumps, columnar_from_json, profile_from_json
 from .connectedness import essentially_disconnects
 from .profiles import scene
-from .render import render_columnar, render_profile
 from .rigidity import exhaustive_search, rigidity_verdict, rigidity_verdict_planar
+
+if TYPE_CHECKING:
+    from .catalog import CatalogCheck
 
 
 class _Parser(argparse.ArgumentParser):
@@ -112,6 +117,8 @@ def _print_checks(
 
 
 def _resolution(text: str) -> float:
+    from fractions import Fraction
+
     try:
         exact = Fraction(text)
         h = float(exact)  # OverflowError past the float range
@@ -233,6 +240,8 @@ def _cmd_connectedness(args: argparse.Namespace) -> int:
 
 
 def _cmd_catalog(args: argparse.Namespace) -> int:
+    from .catalog import catalog_names, run_entry
+
     if args.name is None:
         for name in catalog_names():
             print(name)
@@ -240,6 +249,11 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
     result = run_entry(args.name, resolution=args.resolution, seed=args.seed)
     _print_checks(result.name, result.checks)
     if args.out is not None:
+        import csv
+        from pathlib import Path
+
+        from .render import render_profile
+
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         payload = {
@@ -260,6 +274,8 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .catalog import sweep
+
     result = sweep(args.family, args.resolutions)
     _print_checks(f"sweep {result.family}", result.checks, sys.stderr)
     _write_out(args.out, result.csv())
@@ -267,6 +283,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
+    from .render import render_columnar, render_profile
+
     data = _read_json(args.infile)
     if isinstance(data, dict) and "values" in data:
         svg = render_profile(profile_from_json(data))

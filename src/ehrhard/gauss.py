@@ -15,7 +15,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from statistics import NormalDist
 from typing import Iterable, Union
 
 from .errors import DomainError
@@ -37,7 +36,6 @@ INF = math.inf
 SQRT_TAU = math.sqrt(2.0 * math.pi)
 
 _SQRT2 = math.sqrt(2.0)
-_STD = NormalDist()
 
 SetLike = Union[IntervalSet, Interval]
 
@@ -76,6 +74,18 @@ def gauss_density(t: float) -> float:
     return gauss_weight(t) / SQRT_TAU
 
 
+def _inv_cdf(p: float) -> float:
+    """The standard normal quantile of :mod:`statistics`, imported on the
+    first :func:`psi` call, not with the package. That call rebinds this
+    name to ``NormalDist().inv_cdf``, so later calls cost what a
+    module-level ``NormalDist`` would."""
+    global _inv_cdf
+    from statistics import NormalDist
+
+    _inv_cdf = NormalDist().inv_cdf
+    return _inv_cdf(p)
+
+
 def psi(p: float) -> float:
     """Inverse of :func:`phi` on [0, 1].
 
@@ -91,7 +101,7 @@ def psi(p: float) -> float:
         return INF
     if p == 1.0:
         return -INF
-    t = -_STD.inv_cdf(p)
+    t = -_inv_cdf(p)
     for _ in range(2):
         d = gauss_density(t)
         if d <= 0.0:

@@ -28,6 +28,11 @@ medians against the base tree's interquartile range, and whether this
 checkout's median is worse than the base's by more than the metric's
 ``BENCHMARK.json`` bound (a share of the base's median). The bounds are
 read, never written.
+
+Place the base clone at an absolute path of the same length as this
+checkout's: ``peak_rss_mb`` on ``cli-report`` moves by up to about 1 MB
+with the length of the directory a tree sits in, more than the spread
+between pairs. Standard error gets a warning when the lengths differ.
 """
 
 from __future__ import annotations
@@ -109,6 +114,10 @@ def main(argv: list[str] | None = None) -> int:
     trees = {f"BENCH_{args.label}.json": ROOT}
     if args.base is not None:
         trees = {f"BENCH_{args.label}_parent.json": args.base.resolve(), **trees}
+        if len(str(args.base.resolve())) != len(str(ROOT)):
+            print(f"benchpair: warning: {ROOT} and {args.base.resolve()} differ in length; "
+                  "peak_rss_mb depends on it, so place the base at a path of the same length",
+                  file=sys.stderr)
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
     chosen: dict[str, dict[str, dict]] = {name: {} for name in trees}
     every: dict[str, dict[str, list[dict]]] = {}
